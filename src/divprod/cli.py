@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
-from divprod.catalog import ALL_CHECKS, NEGATIVE_CHECKS, POSITIVE_CHECKS, run_check
+from divprod.catalog import ALL_CHECKS, CATALOG, FAIL, POSITIVE_CHECKS, run_check
 from divprod.divisors import (
     sigma_rm_table,
     sigma_table,
@@ -28,7 +27,9 @@ from divprod.products import (
     coeffs_via_expansion,
     coeffs_via_recurrence,
     load_spec,
+    resolve_name,
 )
+from divprod.report import first_mismatch
 from divprod.sequences import (
     lambert_cubic_by_divisors,
     partition_counts,
@@ -37,65 +38,48 @@ from divprod.sequences import (
     triangular_rep_counts,
 )
 
-SEQUENCE_NAMES = (
-    "sigma",
-    "sigma_odd",
-    "sigma_even",
-    "sigma_rm(r,m)",
-    "s",
-    "t",
-    "T",
-    "a",
-    "partition",
-    "q_regular(p)",
-    "rr1",
-    "rr2",
-    "delta(m)",
-)
-
 
 class UsageError(ValueError):
     pass
 
 
+def _from_one(table: list[int]) -> list[tuple[int, int]]:
+    """Rows 1..order of a divisor-sum table, whose slot 0 is unused."""
+    return list(enumerate(table))[1:]
+
+
+def _per_n(fn):
+    return lambda order: [(n, fn(n)) for n in range(order + 1)]
+
+
+# (n, value) rows for a named sequence: each maker takes its parameters,
+# then the order.  The divisor sums start at n = 1, the rest at 0.
+_SEQUENCES = {
+    "sigma": lambda order: _from_one(sigma_table(order)),
+    "sigma_odd": lambda order: _from_one(sigma_rm_table(order, 1, 2)),
+    "sigma_even": lambda order: _from_one(sigma_rm_table(order, 0, 2)),
+    "sigma_rm(r,m)": lambda r, m, order: _from_one(sigma_rm_table(order, r, m)),
+    "s": _per_n(square_indicator),
+    "t": _per_n(triangular_indicator),
+    "T": _per_n(triangular),
+    "a": _per_n(lambert_cubic_by_divisors),
+    "partition": lambda order: list(enumerate(partition_counts(order).terms)),
+    "q_regular(p)": lambda p, order: list(enumerate(regular_partition_counts(p, order).terms)),
+    "rr1": lambda order: list(enumerate(rogers_ramanujan_sum_side(1, order).terms)),
+    "rr2": lambda order: list(enumerate(rogers_ramanujan_sum_side(2, order).terms)),
+    "delta(m)": lambda m, order: list(enumerate(triangular_rep_counts(m, order).terms)),
+}
+
+SEQUENCE_NAMES = tuple(_SEQUENCES)
+
+
 def _sequence_rows(name: str, order: int) -> list[tuple[int, int]]:
-    """(n, value) rows for a named sequence; 0..order, or 1..order for the
-    divisor sums, which start at 1."""
-    if name == "sigma":
-        table = sigma_table(order)
-        return [(n, table[n]) for n in range(1, order + 1)]
-    if name == "sigma_odd":
-        table = sigma_rm_table(order, 1, 2)
-        return [(n, table[n]) for n in range(1, order + 1)]
-    if name == "sigma_even":
-        table = sigma_rm_table(order, 0, 2)
-        return [(n, table[n]) for n in range(1, order + 1)]
-    match = re.fullmatch(r"sigma_rm\((-?\d+),(-?\d+)\)", name)
-    if match:
-        r, m = int(match.group(1)), int(match.group(2))
-        table = sigma_rm_table(order, r, m)
-        return [(n, table[n]) for n in range(1, order + 1)]
-    if name == "s":
-        return [(n, square_indicator(n)) for n in range(order + 1)]
-    if name == "t":
-        return [(n, triangular_indicator(n)) for n in range(order + 1)]
-    if name == "T":
-        return [(n, triangular(n)) for n in range(order + 1)]
-    if name == "a":
-        return [(n, lambert_cubic_by_divisors(n)) for n in range(order + 1)]
-    if name == "partition":
-        return list(enumerate(partition_counts(order).terms))
-    match = re.fullmatch(r"q_regular\((-?\d+)\)", name)
-    if match:
-        return list(enumerate(regular_partition_counts(int(match.group(1)), order).terms))
-    if name in ("rr1", "rr2"):
-        return list(enumerate(rogers_ramanujan_sum_side(int(name[2]), order).terms))
-    match = re.fullmatch(r"delta\((-?\d+)\)", name)
-    if match:
-        return list(enumerate(triangular_rep_counts(int(match.group(1)), order).terms))
-    raise UsageError(
-        f"unknown sequence {name!r}; available: {', '.join(SEQUENCE_NAMES)}"
-    )
+    make = resolve_name(_SEQUENCES, name)
+    if make is None:
+        raise UsageError(
+            f"unknown sequence {name!r}; available: {', '.join(SEQUENCE_NAMES)}"
+        )
+    return make(order)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -148,15 +132,13 @@ def _cmd_expand(args) -> int:
     primary = next(iter(series.values()))
     disagreement = None
     if len(series) == 2:
-        rec, exp = series["recurrence"], series["expansion"]
-        for n in range(args.order + 1):
-            if rec[n] != exp[n]:
-                disagreement = {
-                    "n": n,
-                    "recurrence": str(rec[n]),
-                    "expansion": str(exp[n]),
-                }
-                break
+        miss = first_mismatch(series["recurrence"].coeffs, series["expansion"].coeffs)
+        if miss is not None:
+            disagreement = {
+                "n": miss.n,
+                "recurrence": str(miss.lhs),
+                "expansion": str(miss.rhs),
+            }
 
     if args.format == "csv":
         _emit(_rows_as_csv(list(enumerate(primary.coeffs))), args.out)
@@ -216,8 +198,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    identities = [{"id": i, "expected": "pass"} for i in sorted(POSITIVE_CHECKS)]
-    identities += [{"id": i, "expected": "fail"} for i in sorted(NEGATIVE_CHECKS)]
+    listed = sorted(CATALOG, key=lambda r: (r.expected == FAIL, r.id))
+    identities = [{"id": r.id, "expected": r.expected} for r in listed]
     if args.format == "csv":
         lines = ["kind,name,expected"]
         lines.extend(f"identity,{e['id']},{e['expected']}" for e in identities)

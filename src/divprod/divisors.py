@@ -86,11 +86,7 @@ def sigma_even(n: int) -> int:
 
 def sigma_table(order: int) -> list[int]:
     """sigma(k) for 1 <= k <= order as a list indexed by k; slot 0 is unused (0)."""
-    table = [0] * (order + 1)
-    for d in range(1, order + 1):
-        for k in range(d, order + 1, d):
-            table[k] += d
-    return table
+    return sigma_rm_table(order, 0, 1)
 
 
 def sigma_rm_table(order: int, r: int, m: int) -> list[int]:

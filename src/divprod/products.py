@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Union
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from divprod.report import IdentityReport
+from divprod.report import IdentityReport, first_mismatch
 from divprod.series import TruncatedSeries, apply_binomial_factor
 
 Rational = Union[int, Fraction]
@@ -164,9 +167,9 @@ class WeightSpec:
         return cls(WEIGHT_TABLE, values=tuple((n, Fraction(v)) for n, v in values.items()))
 
     def _lookup(self, n: int) -> Fraction:
-        for k, v in self.values:
-            if k == n:
-                return v
+        i = bisect_left(self.values, n, key=itemgetter(0))
+        if i < len(self.values) and self.values[i][0] == n:
+            return self.values[i][1]
         raise ValueError(f"table weight missing for required n={n}")
 
     def f_value(self, n: int) -> Fraction:
@@ -339,12 +342,8 @@ def cross_check(
     """Run both coefficient algorithms and report the first disagreement."""
     by_recurrence = coeffs_via_recurrence(spec, order)
     by_expansion = coeffs_via_expansion(spec, order)
-    for n in range(order + 1):
-        if by_recurrence[n] != by_expansion[n]:
-            return IdentityReport.failure(
-                label, order, n, by_recurrence[n], by_expansion[n]
-            )
-    return IdentityReport.success(label, order)
+    miss = first_mismatch(by_recurrence.coeffs, by_expansion.coeffs)
+    return IdentityReport(label, order, miss is None, miss)
 
 
 # ---------------------------------------------------------------------------
@@ -578,36 +577,49 @@ def square_quotient_spec() -> ProductSpec:
     )
 
 
-BUILTIN_SPEC_NAMES = (
-    "gauss",
-    "jacobi",
-    "ramanujan",
-    "rr1",
-    "rr2",
-    "p_regular(p)",
-    "delta(m)",
-    "square_quotient",
-)
+_CALL = re.compile(r"(\w+)(?:\((-?\d+(?:,-?\d+)*)\))?")
+
+
+def resolve_name(table: Mapping[str, Callable], name: str) -> Optional[Callable]:
+    """Look ``name`` up in a table keyed by signatures such as ``delta(m)``.
+
+    ``delta(8)`` finds the maker under ``delta(m)`` and binds 8 as its
+    first argument; a bare name finds a bare key.  Arguments are decimal
+    integers, optionally negative, which the maker validates.  None when
+    nothing matches.
+    """
+    match = _CALL.fullmatch(name)
+    if match is None:
+        return None
+    head, raw = match.groups()
+    args = [int(a) for a in raw.split(",")] if raw else []
+    for signature, make in table.items():
+        sig_head, _, params = signature.partition("(")
+        arity = len(params.split(",")) if params else 0
+        if sig_head == head and arity == len(args):
+            return partial(make, *args)
+    return None
+
+
+_BUILTIN_SPECS: dict[str, Callable[..., ProductSpec]] = {
+    "gauss": gauss_spec,
+    "jacobi": jacobi_spec,
+    "ramanujan": ramanujan_spec,
+    "rr1": lambda: rogers_ramanujan_spec(1),
+    "rr2": lambda: rogers_ramanujan_spec(2),
+    "p_regular(p)": p_regular_spec,
+    "delta(m)": delta_spec,
+    "square_quotient": square_quotient_spec,
+}
+
+BUILTIN_SPEC_NAMES = tuple(_BUILTIN_SPECS)
 
 
 def builtin_spec(name: str) -> ProductSpec:
     """Look up a built-in spec by name, e.g. ``gauss`` or ``delta(8)``."""
-    plain = {
-        "gauss": gauss_spec,
-        "jacobi": jacobi_spec,
-        "ramanujan": ramanujan_spec,
-        "rr1": lambda: rogers_ramanujan_spec(1),
-        "rr2": lambda: rogers_ramanujan_spec(2),
-        "square_quotient": square_quotient_spec,
-    }
-    if name in plain:
-        return plain[name]()
-    m = re.fullmatch(r"p_regular\((\d+)\)", name)
-    if m:
-        return p_regular_spec(int(m.group(1)))
-    m = re.fullmatch(r"delta\((\d+)\)", name)
-    if m:
-        return delta_spec(int(m.group(1)))
-    raise ValueError(
-        f"unknown built-in spec {name!r}; available: {', '.join(BUILTIN_SPEC_NAMES)}"
-    )
+    make = resolve_name(_BUILTIN_SPECS, name)
+    if make is None:
+        raise ValueError(
+            f"unknown built-in spec {name!r}; available: {', '.join(BUILTIN_SPEC_NAMES)}"
+        )
+    return make()

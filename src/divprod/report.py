@@ -1,14 +1,15 @@
 """Pass/fail reports for coefficient and identity checks.
 
 A failed check is data, not an exception: reports carry the first offending
-index together with both side values, exactly.
+index together with both side values, exactly.  ``first_mismatch`` is the one
+scan that finds that index, for the catalog and for the coefficient routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 Value = Union[int, Fraction]
 
@@ -18,6 +19,22 @@ class Failure:
     n: int
     lhs: Value
     rhs: Value
+
+
+def first_mismatch(
+    lhs: Iterable[Value], rhs: Iterable[Value], start: int = 0
+) -> Optional[Failure]:
+    """The first index where the two sides differ, counting the first pair as
+    index ``start``; None when they agree throughout.
+
+    Pairs are drawn one at a time, so a lazily computed side is never
+    evaluated past the first mismatch.  Sides of unequal length raise
+    ValueError.
+    """
+    for n, (a, b) in enumerate(zip(lhs, rhs, strict=True), start):
+        if a != b:
+            return Failure(n, a, b)
+    return None
 
 
 @dataclass(frozen=True)
@@ -30,16 +47,6 @@ class IdentityReport:
     def __post_init__(self):
         if self.passed != (self.first_failure is None):
             raise ValueError("passed must mirror the absence of a first failure")
-
-    @classmethod
-    def success(cls, identity_id: str, order: int) -> "IdentityReport":
-        return cls(identity_id, order, True)
-
-    @classmethod
-    def failure(
-        cls, identity_id: str, order: int, n: int, lhs: Value, rhs: Value
-    ) -> "IdentityReport":
-        return cls(identity_id, order, False, Failure(n, lhs, rhs))
 
     def to_dict(self) -> dict:
         failure = None

@@ -13,16 +13,10 @@ import sys
 import time
 
 from divprod.catalog import (
-    delta_m_check,
-    jacobi_square_check,
-    jacobi_square_verbatim_check,
-    p_regular_check,
-    partition_recurrence_check,
-    ramanujan_a_check,
-    ramanujan_a_verbatim_check,
-    rogers_ramanujan_check,
-    square_eta_quotient_check,
-    triangular_check,
+    delta,
+    p_regular,
+    rogers_ramanujan,
+    run_check,
 )
 from divprod.divisors import square_indicator, triangular_indicator
 from divprod.products import (
@@ -157,7 +151,7 @@ def test_03_lambert_cubic_three_routes():
 def test_04_partition_recurrence():
     started = time.perf_counter()
     spot = partition_counts(5)[5] == 7
-    report = partition_recurrence_check(2000)
+    report = run_check("partition_recurrence", 2000)
     elapsed = time.perf_counter() - started
     _criterion(
         "partition recurrence n*p(n) = sum sigma(k) p(n-k) for 1 <= n <= 2000, "
@@ -168,8 +162,8 @@ def test_04_partition_recurrence():
 
 
 def test_05_square_identity_bounds():
-    good = jacobi_square_check(10000)
-    bad = jacobi_square_verbatim_check(10000)
+    good = run_check("jacobi_square", 10000)
+    bad = run_check("jacobi_square_verbatim", 10000)
     pinned = (
         not bad.passed
         and bad.first_failure.n == 4
@@ -184,13 +178,13 @@ def test_05_square_identity_bounds():
 
 
 def test_06_triangular_identity():
-    report = triangular_check(5000)
+    report = run_check("triangular", 5000)
     _criterion("triangular-indicator identity holds for 1 <= n <= 5000", report.passed)
 
 
 def test_07_cubic_coefficient_recurrence():
-    good = ramanujan_a_check(2000)
-    bad = ramanujan_a_verbatim_check(2000)
+    good = run_check("ramanujan_a", 2000)
+    bad = run_check("ramanujan_a_verbatim", 2000)
     _criterion(
         "shift-corrected cubic-coefficient recurrence holds for 2 <= n <= 2000; "
         "unshifted form fails first at n=2",
@@ -203,7 +197,7 @@ def test_08_p_regular_recurrences():
         regular_partition_counts(2, 5)[5] == 3
         and regular_partition_counts(3, 4)[4] == 4
     )
-    ok = all(p_regular_check(p, 1000).passed for p in (2, 3, 5, 7))
+    ok = all(p_regular(p).check(1000).passed for p in (2, 3, 5, 7))
     _criterion(
         "bounded-repetition partition recurrence holds for p in {2,3,5,7}, "
         "1 <= n <= 1000, spot Q2(5)=3 Q3(4)=4",
@@ -217,8 +211,8 @@ def test_09_rogers_ramanujan_recurrences():
         and rogers_ramanujan_sum_side(2, 4)[4] == 1
     )
     ok = (
-        rogers_ramanujan_check(1, 1000).passed
-        and rogers_ramanujan_check(2, 1000).passed
+        rogers_ramanujan(1).check(1000).passed
+        and rogers_ramanujan(2).check(1000).passed
     )
     _criterion(
         "both Rogers-Ramanujan coefficient recurrences hold for 1 <= n <= 1000 "
@@ -228,10 +222,10 @@ def test_09_rogers_ramanujan_recurrences():
 
 
 def test_10_square_quotient_and_delta():
-    square_ok = square_eta_quotient_check(5000).passed
+    square_ok = run_check("square_eta_quotient", 5000).passed
     spots = triangular_rep_counts(2, 3)[1] == 2 and triangular_rep_counts(2, 3)[3] == 2
     delta_ok = all(
-        delta_m_check(m, 500).passed for m in (1, 2, 4, 6, 8, 10, 12)
+        delta(m).check(500).passed for m in (1, 2, 4, 6, 8, 10, 12)
     )
     _criterion(
         "eta-quotient square identity holds to N=5000; triangular-representation "

@@ -1,27 +1,24 @@
 """Identity catalog: hand-checked small cases, full runs, pinned negatives."""
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from divprod.catalog import (
     ALL_CHECKS,
+    CATALOG,
     NEGATIVE_CHECKS,
     POSITIVE_CHECKS,
-    delta_m_check,
-    jacobi_square_check,
-    jacobi_square_verbatim_check,
-    p_regular_check,
-    p_regular_verbatim_check,
-    partition_recurrence_check,
-    ramanujan_a_check,
-    ramanujan_a_verbatim_check,
-    rogers_ramanujan_check,
+    convolve,
+    delta,
+    p_regular,
+    p_regular_verbatim,
+    rogers_ramanujan,
     run_all,
     run_check,
-    square_eta_quotient_check,
-    triangular_check,
 )
+from divprod.cli import main
 from divprod.divisors import sigma, sigma_even, sigma_odd
 from divprod.products import (
     Factor,
@@ -39,14 +36,14 @@ from divprod.sequences import lambert_cubic_by_divisors
 def test_partition_recurrence_hand_values():
     # n=5: 5*7 = 1*5 + 3*3 + 4*2 + 7*1 + 6*1 = 35
     assert 5 * 7 == sigma(1) * 5 + sigma(2) * 3 + sigma(3) * 2 + sigma(4) * 1 + sigma(5) * 1
-    assert partition_recurrence_check(5).passed
+    assert run_check("partition_recurrence", 5).passed
 
 
 def test_jacobi_square_hand_values():
     # n=1: -1 = -(1+1)/2 with an empty sum
     # n=4:  4 = -(7+1)/2 + (sigma(3)+sigma_odd(3)) = -4 + 8
     assert -(sigma(4) + sigma_odd(4)) // 2 + (sigma(3) + sigma_odd(3)) == 4
-    assert jacobi_square_check(4).passed
+    assert run_check("jacobi_square", 4).passed
 
 
 def test_triangular_hand_values():
@@ -57,7 +54,7 @@ def test_triangular_hand_values():
         + (sigma_odd(3) - sigma_even(3))
     )
     assert acc == 6
-    assert triangular_check(6).passed
+    assert run_check("triangular", 6).passed
 
 
 def test_ramanujan_a_hand_values():
@@ -66,34 +63,34 @@ def test_ramanujan_a_hand_values():
     a = [lambert_cubic_by_divisors(n) for n in range(4)]
     assert (2 - 1) * a[2] == 8 * a[1] * (sigma_odd(1) - sigma_even(1))
     assert (3 - 1) * a[3] == 8 * (a[2] * 1 + a[1] * (sigma_odd(2) - sigma_even(2)))
-    assert ramanujan_a_check(3).passed
+    assert run_check("ramanujan_a", 3).passed
 
 
 def test_p_regular_hand_values():
     # p=2, n=2: 2*1 = 1*(sigma(2)-sigma_{0,2}(2)) + 1*(sigma(1)-sigma_{0,2}(1))
     assert 2 * 1 == (3 - 2) + (1 - 0)
-    assert p_regular_check(2, 2).passed
-    assert p_regular_check(3, 4).passed
+    assert p_regular(2).check(2).passed
+    assert p_regular(3).check(4).passed
 
 
 def test_rogers_ramanujan_hand_values():
     # which=1, n=2: 2*R1(2) = R1(0)*1 + R1(1)*1
     # which=2, n=2: 2*R2(2) = R2(0)*2 (divisor 2 is 2 mod 5)
-    assert rogers_ramanujan_check(1, 2).passed
-    assert rogers_ramanujan_check(2, 2).passed
+    assert rogers_ramanujan(1).check(2).passed
+    assert rogers_ramanujan(2).check(2).passed
 
 
 def test_square_eta_quotient_hand_values():
     # n=4: 4 = (7-15+4) + 2*(sigma(3)-0+0)
     assert 4 == (sigma(4) - 5 * sigma(2) + 4 * sigma(1)) + 2 * sigma(3)
-    assert square_eta_quotient_check(4).passed
+    assert run_check("square_eta_quotient", 4).passed
 
 
 def test_delta_hand_values():
     # m=1, n=3: 3*1 = (1-0)*0 + (1-2)*1 + (4-0)*1
     # m=2, n=1: 1*2 = 2*(1-0)*1
-    assert delta_m_check(1, 3).passed
-    assert delta_m_check(2, 1).passed
+    assert delta(1).check(3).passed
+    assert delta(2).check(1).passed
 
 
 # --- moderate full runs ----------------------------------------------------
@@ -121,19 +118,19 @@ def test_run_check_unknown_id():
 
 def test_delta_check_rejects_inadmissible_m():
     with pytest.raises(ValueError, match="admissible m"):
-        delta_m_check(3, 50)
+        delta(3).check(50)
 
 
 def test_ramanujan_a_check_needs_order_two():
     with pytest.raises(ValueError, match="order"):
-        ramanujan_a_check(1)
+        run_check("ramanujan_a", 1)
 
 
 # --- pinned negative tests -------------------------------------------------
 
 
 def test_jacobi_square_verbatim_fails_at_four():
-    report = jacobi_square_verbatim_check(10)
+    report = run_check("jacobi_square_verbatim", 10)
     assert not report.passed
     assert report.first_failure.n == 4
     assert report.first_failure.lhs == 4
@@ -141,7 +138,7 @@ def test_jacobi_square_verbatim_fails_at_four():
 
 
 def test_ramanujan_a_verbatim_fails_at_two():
-    report = ramanujan_a_verbatim_check(10)
+    report = run_check("ramanujan_a_verbatim", 10)
     assert not report.passed
     assert report.first_failure.n == 2
     assert report.first_failure.lhs == 16
@@ -149,7 +146,7 @@ def test_ramanujan_a_verbatim_fails_at_two():
 
 
 def test_p_regular_verbatim_fails_at_one():
-    report = p_regular_verbatim_check(2, 10)
+    report = p_regular_verbatim(2).check(10)
     assert not report.passed
     assert report.first_failure.n == 1
     assert report.first_failure.lhs == 1
@@ -182,14 +179,14 @@ def test_negative_ids_registered_but_not_in_all():
 
 
 def test_report_serialization_shape():
-    good = jacobi_square_check(8).to_dict()
+    good = run_check("jacobi_square", 8).to_dict()
     assert good == {
         "identity": "jacobi_square",
         "N": 8,
         "passed": True,
         "first_failure": None,
     }
-    bad = jacobi_square_verbatim_check(8).to_dict()
+    bad = run_check("jacobi_square_verbatim", 8).to_dict()
     assert bad["passed"] is False
     assert bad["first_failure"] == {"n": 4, "lhs": "4", "rhs": "3"}
 
@@ -200,3 +197,58 @@ def test_checks_are_pure_under_concurrency():
         concurrent = list(pool.map(lambda i: run_check(i, 30), ids))
     sequential = [run_check(i, 30) for i in ids]
     assert concurrent == sequential
+
+
+# --- the records ------------------------------------------------------------
+
+
+def test_records_match_the_catalog_listing(capsys):
+    assert main(["catalog"]) == 0
+    listed = json.loads(capsys.readouterr().out)["identities"]
+    assert sorted((e["id"], e["expected"]) for e in listed) == sorted(
+        (r.id, r.expected) for r in CATALOG
+    )
+    assert len(CATALOG) == len(ALL_CHECKS) == 21
+
+
+@pytest.mark.parametrize("order", [10, 500])
+@pytest.mark.parametrize(
+    "identity_id, n, lhs, rhs",
+    [
+        ("jacobi_square_verbatim", 4, 4, 3),
+        ("ramanujan_a_verbatim", 2, 16, 0),
+        ("p_regular_verbatim_2", 1, 1, -1),
+    ],
+)
+def test_expected_failures_stay_pinned(identity_id, n, lhs, rhs, order):
+    report = run_check(identity_id, order)
+    assert not report.passed
+    assert (report.first_failure.n, report.first_failure.lhs, report.first_failure.rhs) == (
+        n,
+        lhs,
+        rhs,
+    )
+
+
+def test_jacobi_square_verbatim_holds_at_one():
+    # the verbatim range k = 1..n-1 is empty at n = 1: -1 = -(1+1)/2
+    assert run_check("jacobi_square_verbatim", 1).passed
+
+
+@pytest.mark.parametrize(
+    "family, bad, message",
+    [(p_regular, 1, "p must be"), (p_regular_verbatim, 1, "p must be"),
+     (rogers_ramanujan, 3, "which must be"), (delta, 3, "admissible m")],
+)
+def test_families_reject_bad_parameters(family, bad, message):
+    with pytest.raises(ValueError, match=message):
+        family(bad)
+
+
+def test_convolve_matches_the_direct_sum():
+    kernel = [0, 2, 0, 0, -1, 0, 0, 0, 0, 3]
+    operand = [5, -1, 4, 0, 7, 2, 2, -3, 1, 6]
+    direct = [
+        sum(kernel[k] * operand[n - k] for k in range(n + 1)) for n in range(2, 10)
+    ]
+    assert list(convolve(kernel, operand, 2, 9)) == direct

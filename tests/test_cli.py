@@ -78,6 +78,23 @@ def test_compute_invalid_parameters(capsys):
     assert "non-canonical" in err
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [("q_regular(-3)", "p must be"), ("delta(-1)", "m must be"), ("sigma_rm(-1,5)", "non-canonical")],
+)
+def test_compute_negative_parameters(name, message, capsys):
+    code, _, err = run_cli(["compute", name, "--order", "5"], capsys)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("name", ["sigma(3)", "delta()", "sigma_rm(1, 5)", "q_regular(3,4)"])
+def test_compute_malformed_names(name, capsys):
+    code, _, err = run_cli(["compute", name, "--order", "5"], capsys)
+    assert code == 2
+    assert "unknown sequence" in err
+
+
 def test_compute_writes_file(tmp_path, capsys):
     target = tmp_path / "t.csv"
     code, out, _ = run_cli(

@@ -97,6 +97,16 @@ def test_weight_table_bounds():
         g[6]
 
 
+def test_table_weight_lookup_first_last_and_missing():
+    w = WeightSpec.table({9: 3, 2: Fraction(1, 2), 5: -4})
+    assert w.f_value(2) == Fraction(1, 2)
+    assert w.f_value(9) == 3
+    assert w.exponent_at(9) == Fraction(-1, 3)
+    for missing in (1, 4, 10):
+        with pytest.raises(ValueError, match=f"table weight missing for required n={missing}"):
+            w.f_value(missing)
+
+
 def test_weight_table_missing_table_entry():
     spec = ProductSpec(
         factors=(
@@ -212,6 +222,17 @@ def test_builtin_spec_lookup():
         builtin_spec("nope")
     with pytest.raises(ValueError, match="p must be"):
         builtin_spec("p_regular(1)")
+    # signed arguments parse, and the spec maker rejects the value
+    with pytest.raises(ValueError, match="p must be"):
+        builtin_spec("p_regular(-2)")
+    with pytest.raises(ValueError, match="admissible m"):
+        builtin_spec("delta(-4)")
+
+
+@pytest.mark.parametrize("name", ["delta()", "delta(m)", "delta(+8)", "gauss(1)", "p_regular(2,3)"])
+def test_builtin_spec_malformed_name(name):
+    with pytest.raises(ValueError, match="unknown built-in spec"):
+        builtin_spec(name)
 
 
 def test_delta_spec_admissibility():
