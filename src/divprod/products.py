@@ -24,7 +24,12 @@ from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from divprod.report import IdentityReport, first_mismatch
-from divprod.series import TruncatedSeries, apply_binomial_factor
+from divprod.series import (
+    TruncatedSeries,
+    apply_binomial_factor,
+    kronecker_mul,
+    kronecker_pow,
+)
 
 Rational = Union[int, Fraction]
 
@@ -303,7 +308,8 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
     shifting; never touches the recurrence.
 
     Requires every factor exponent to be an integer (linear weights with
-    integer c; table weights divisible by their n).
+    integer c; table weights divisible by their n).  The cost is bounded by
+    the order and the spec, not by the size of the exponents.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -328,11 +334,22 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
                 )
             if e:
                 exponents[n] = exponents.get(n, 0) + e.numerator
-    coeffs: list[Rational] = [0] * (inner + 1)
-    coeffs[0] = 1
+    # Unit exponents go in place, one O(N) pass each.  The other degrees are
+    # grouped by |e|: each group's unit base prod (1-x^n)^(sign e) is raised
+    # to |e| by squaring, so the cost does not grow with |e|.
+    coeffs: list[int] = [1] + [0] * inner
+    groups: dict[int, list[int]] = {}
     for n in sorted(exponents):
-        if exponents[n]:
-            apply_binomial_factor(coeffs, n, exponents[n])
+        e = exponents[n]
+        if e in (1, -1):
+            apply_binomial_factor(coeffs, n, e)
+        elif e:
+            groups.setdefault(abs(e), []).append(n)
+    for power, members in groups.items():
+        base = [1] + [0] * inner
+        for n in members:
+            apply_binomial_factor(base, n, 1 if exponents[n] > 0 else -1)
+        coeffs = kronecker_mul(coeffs, kronecker_pow(base, power, inner), inner)
     return TruncatedSeries((0,) * spec.shift + tuple(coeffs))
 
 
@@ -351,6 +368,12 @@ def cross_check(
 # ---------------------------------------------------------------------------
 
 
+# Decimal digits only: int() and Fraction() also take "1_0", " 3", "+3",
+# "1.5e0" and non-ASCII digits, which the wire format does not.
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _rational_from_json(value, path: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise SpecFormatError(
@@ -359,6 +382,10 @@ def _rational_from_json(value, path: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _RATIONAL.fullmatch(value) is None:
+            raise SpecFormatError(
+                f"{path}: cannot parse rational {value!r}: expected \"p/q\" or \"p\""
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -424,15 +451,17 @@ def _weight_from_dict(doc, path: str) -> WeightSpec:
         raw = doc.get("values")
         if not isinstance(raw, dict):
             raise SpecFormatError(f"{path}.values: expected an object mapping n to rationals")
-        values = {}
+        values = []
         for key, v in raw.items():
             try:
-                n = int(key)
+                if _INTEGER.fullmatch(key) is None:
+                    raise ValueError
+                n = int(key)  # raises past the interpreter's digit limit too
             except ValueError:
                 raise SpecFormatError(f"{path}.values: key {key!r} is not an integer")
-            values[n] = _rational_from_json(v, f"{path}.values[{key}]")
+            values.append((n, _rational_from_json(v, f"{path}.values[{key}]")))
         try:
-            return WeightSpec.table(values)
+            return WeightSpec(WEIGHT_TABLE, values=tuple(values))
         except ValueError as exc:
             raise SpecFormatError(f"{path}.values: {exc}")
     raise SpecFormatError(f"{path}.kind: unknown weight kind {kind!r}")

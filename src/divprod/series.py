@@ -216,3 +216,60 @@ def apply_binomial_factor(coeffs: list, n: int, e: int) -> None:
         for _ in range(-e):
             for i in range(n, top + 1):
                 coeffs[i] += coeffs[i - n]
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum c_i * 256**(width*i): the positive and the negative parts are
+    packed as unsigned slots and the second is subtracted from the first."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
+    """Coefficients 0..order of the product of the integer polynomials a and b.
+
+    Kronecker substitution: each operand is packed into one int with a
+    coefficient per ``width``-byte slot, the two ints are multiplied once,
+    and the low order+1 slots are read back.  A slot holds a coefficient of
+    the product exactly when its magnitude stays below half the slot, which
+    the width guarantees from max|a| * max|b| * (number of terms in a sum).
+    Adding half a slot to every digit makes each one nonnegative, so the
+    borrows of negative coefficients resolve before unpacking.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    square = b is a
+    a, b = a[: order + 1], b[: order + 1]
+    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0)
+    if not bound:
+        return [0] * (order + 1)
+    bound *= min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8  # one spare bit for the sign
+    packed = _pack(a, width)
+    product = packed * packed if square else packed * _pack(b, width)
+    size = width * (order + 1)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * (order + 1), "little")
+    low = (product + bias) & ((1 << (8 * size)) - 1)
+    raw = memoryview(low.to_bytes(size, "little"))
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, size, width)
+    ]
+
+
+def kronecker_pow(a: list[int], e: int, order: int) -> list[int]:
+    """Coefficients 0..order of a**e for an integer polynomial a and e >= 0,
+    by repeated squaring through kronecker_mul."""
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = None
+    base = (list(a) + [0] * order)[: order + 1]
+    while e:
+        if e & 1:
+            result = base if result is None else kronecker_mul(result, base, order)
+        e >>= 1
+        if e:
+            base = kronecker_mul(base, base, order)
+    return [1] + [0] * order if result is None else result

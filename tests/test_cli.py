@@ -165,6 +165,46 @@ def test_expand_missing_file(tmp_path, capsys):
     assert "absent.json" in err
 
 
+@pytest.mark.parametrize(
+    "weight,needle",
+    [
+        ('{"kind": "table", "values": {"3": "3", "03": "-3"}}',
+         "factors[0].weight.values: duplicate table entry for n=3"),
+        ('{"kind": "table", "values": {"+3": "3"}}',
+         "factors[0].weight.values: key '+3' is not an integer"),
+        ('{"kind": "linear", "c": "1.5e0"}',
+         "factors[0].weight.c: cannot parse rational '1.5e0'"),
+    ],
+)
+def test_expand_rejects_spec_outside_grammar(tmp_path, capsys, weight, needle):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"factors": [{"set": {"kind": "explicit", "members": [3]}, '
+        f'"weight": {weight}}}]}}'
+    )
+    code, out, err = run_cli(["expand", "--spec", str(path), "--order", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert needle in err
+
+
+@pytest.mark.parametrize("c", ["-200000", "200000"])
+def test_expand_cost_does_not_grow_with_exponent(tmp_path, capsys, c):
+    # (1-x^n)^(-c) over all n: one group raised by squaring, not |c| passes.
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"factors": [{"set": {"kind": "all"}, '
+        f'"weight": {{"kind": "linear", "c": "{c}"}}}}]}}'
+    )
+    code, out, _ = run_cli(
+        ["expand", "--spec", str(path), "--order", "200", "--algo", "both"], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["agree"] is True
+    assert len(doc["coefficients"]) == 201
+
+
 def test_expand_fractional_exponent_spec(tmp_path, capsys):
     path = tmp_path / "half.json"
     path.write_text(

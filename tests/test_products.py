@@ -246,6 +246,10 @@ def test_delta_spec_admissibility():
 # --- properties ------------------------------------------------------------
 
 
+# Table weights cover 1..TABLE_SPAN, the highest order the tests below use.
+TABLE_SPAN = 50
+
+
 @st.composite
 def random_specs(draw, max_shift=3):
     factors = []
@@ -277,8 +281,19 @@ def random_specs(draw, max_shift=3):
                     )
                 )
             )
-        c = draw(st.integers(min_value=-8, max_value=8))
-        factors.append(Factor(s, WeightSpec.linear(c)))
+        if draw(st.booleans()):
+            c = draw(st.integers(min_value=-8, max_value=8))
+            weight = WeightSpec.linear(c)
+        else:
+            # f(n) = n*e(n): the factor (1-x^n)^(-e(n)) with its own exponent
+            # per n, so one spec spans many exponent groups.
+            exps = draw(
+                st.lists(st.integers(-12, 12), min_size=TABLE_SPAN, max_size=TABLE_SPAN)
+            )
+            weight = WeightSpec.table(
+                {n: n * exps[n - 1] for n in s.members_upto(TABLE_SPAN)}
+            )
+        factors.append(Factor(s, weight))
     return ProductSpec(factors=tuple(factors), shift=draw(st.integers(0, max_shift)))
 
 
@@ -373,6 +388,25 @@ def test_load_spec_file(tmp_path):
     assert load_spec(path) == gauss_spec()
 
 
+def _explicit_table_doc(values, members=(3,)):
+    return json.dumps(
+        {
+            "factors": [
+                {
+                    "set": {"kind": "explicit", "members": list(members)},
+                    "weight": {"kind": "table", "values": values},
+                }
+            ]
+        }
+    )
+
+
+def _linear_doc(c):
+    return json.dumps(
+        {"factors": [{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": c}}]}
+    )
+
+
 @pytest.mark.parametrize(
     "doc,needle",
     [
@@ -400,8 +434,60 @@ def test_load_spec_file(tmp_path):
             '{"shift": -1, "factors": [{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "1"}}]}',
             "shift",
         ),
+        # The grammar: table keys match -?[0-9]+ and rationals
+        # -?[0-9]+(/[0-9]+)?; each rejection names its field.
+        (
+            _explicit_table_doc({"3": "3", "03": "-3"}),
+            r"factors\[0\]\.weight\.values: duplicate table entry for n=3",
+        ),
+        (
+            _explicit_table_doc({"1_0": "10"}, members=(10,)),
+            r"factors\[0\]\.weight\.values: key '1_0' is not an integer",
+        ),
+        (
+            _explicit_table_doc({" 3": "3"}),
+            r"factors\[0\]\.weight\.values: key ' 3' is not an integer",
+        ),
+        (
+            _explicit_table_doc({"+3": "3"}),
+            r"factors\[0\]\.weight\.values: key '\+3' is not an integer",
+        ),
+        (
+            _explicit_table_doc({"\u0663": "3"}),
+            r"factors\[0\]\.weight\.values: key '\u0663' is not an integer",
+        ),
+        (
+            _explicit_table_doc({"-3": "3"}),
+            r"factors\[0\]\.weight\.values: table keys must be positive integers",
+        ),
+        (
+            _explicit_table_doc({"3": "1.5e0"}),
+            r"factors\[0\]\.weight\.values\[3\]: cannot parse rational '1\.5e0'",
+        ),
+        (
+            _linear_doc(" 1/2 "),
+            r"factors\[0\]\.weight\.c: cannot parse rational ' 1/2 '",
+        ),
+        (_linear_doc("+1"), r"factors\[0\]\.weight\.c: cannot parse rational '\+1'"),
+        (_linear_doc("1/-2"), r"factors\[0\]\.weight\.c: cannot parse rational"),
+        pytest.param(
+            _explicit_table_doc({"1" * 5000: "1"}),
+            r"factors\[0\]\.weight\.values: key '1{5000}' is not an integer",
+            id="key-past-int-digit-limit",
+        ),
+        pytest.param(
+            _linear_doc("1" * 5000),
+            r"factors\[0\]\.weight\.c: cannot parse rational",
+            id="rational-past-int-digit-limit",
+        ),
     ],
 )
 def test_spec_parse_errors(doc, needle):
     with pytest.raises(SpecFormatError, match=needle):
         spec_from_json(doc)
+
+
+def test_spec_grammar_accepts_documented_forms():
+    spec = spec_from_json(_explicit_table_doc({"3": "-6", "04": "8/3"}, members=(3, 4)))
+    assert spec.factors[0].weight.values == ((3, Fraction(-6)), (4, Fraction(8, 3)))
+    assert spec_from_json(_linear_doc("-0")).factors[0].weight.c == 0

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divprod.series import TruncatedSeries, apply_binomial_factor, binomial_factor
+from divprod.series import (
+    TruncatedSeries,
+    apply_binomial_factor,
+    binomial_factor,
+    kronecker_mul,
+    kronecker_pow,
+)
 
 S = TruncatedSeries
 
@@ -162,3 +168,56 @@ def test_inplace_binomial_matches_series_product(n, e, a):
     coeffs = list(a.coeffs)
     apply_binomial_factor(coeffs, n, e)
     assert S(coeffs) == a * binomial_factor(n, e, a.order)
+
+
+# --- packed product: differential tests against the schoolbook __mul__ -----
+
+
+def schoolbook(a, b, order):
+    """Coefficients 0..order of a*b by TruncatedSeries.__mul__."""
+    return list((S(a[: order + 1], order) * S(b[: order + 1], order)).coeffs)
+
+
+big_ints = st.integers(min_value=-(2**256), max_value=2**256)
+signed_lists = st.one_of(
+    st.lists(st.just(0), min_size=1, max_size=8),
+    st.lists(big_ints, min_size=1, max_size=1),
+    st.lists(st.one_of(small_ints, big_ints), min_size=1, max_size=24),
+)
+
+
+@settings(max_examples=300)
+@given(signed_lists, signed_lists, st.integers(min_value=0, max_value=30))
+def test_kronecker_mul_matches_schoolbook(a, b, order):
+    assert kronecker_mul(a, b, order) == schoolbook(a, b, order)
+    assert kronecker_mul(a, a, order) == schoolbook(a, a, order)
+
+
+@settings(max_examples=100)
+@given(signed_lists, signed_lists)
+def test_kronecker_mul_order_below_both_lengths(a, b):
+    order = min(len(a), len(b)) // 2
+    assert kronecker_mul(a, b, order) == schoolbook(a, b, order)
+
+
+def test_kronecker_mul_cancelling_signs():
+    # (1 - x)(1 + x) = 1 - x^2: every borrow between slots must resolve.
+    assert kronecker_mul([1, -1], [1, 1], 3) == [1, 0, -1, 0]
+    assert kronecker_mul([-(2**256)], [2**256], 0) == [-(2**512)]
+    assert kronecker_mul([0, 0], [5], 2) == [0, 0, 0]
+
+
+@settings(max_examples=100)
+@given(signed_lists, st.integers(min_value=0, max_value=9), st.integers(0, 20))
+def test_kronecker_pow_matches_repeated_schoolbook(a, e, order):
+    expected = [1] + [0] * order
+    for _ in range(e):
+        expected = schoolbook(expected, a, order)
+    assert kronecker_pow(a, e, order) == expected
+
+
+def test_kronecker_rejects_negative_arguments():
+    with pytest.raises(ValueError, match="order"):
+        kronecker_mul([1], [1], -1)
+    with pytest.raises(ValueError, match="exponent"):
+        kronecker_pow([1], -1, 3)
