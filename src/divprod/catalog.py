@@ -15,8 +15,9 @@ many fields name it.  Tables look the oracles, the divisor sieves and the
 coefficient routes up among this module's globals when the check runs, and
 nothing is kept from one check to the next.  The oracles never go through the
 recurrence engine.  A check reports the first index at which two sides
-differ (``report.first_mismatch``); the right-hand side is summed one n at a
-time, so an expected failure at n = 2 costs nothing past n = 2.
+differ (``report.first_mismatch``).  The convolution is summed one n at a
+time and the scan stops at the first mismatch, so an expected failure at
+n = 2 sums nothing past n = 2; the tables it names are still built to N.
 
 Three records are expected failures, kept to pin the index-bound and
 orientation corrections the passing forms rely on: ``jacobi_square_verbatim``

@@ -23,7 +23,6 @@ from divprod.divisors import (
 )
 from divprod.products import (
     BUILTIN_SPEC_NAMES,
-    SpecFormatError,
     coeffs_via_expansion,
     coeffs_via_recurrence,
     load_spec,
@@ -223,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_order=100):
-        p.add_argument("--order", type=int, default=default_order, metavar="N",
-                       help=f"truncation order (default {default_order})")
+    def add_common(p):
+        p.add_argument("--order", type=int, default=100, metavar="N",
+                       help="truncation order (default 100)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
         p.add_argument("--out", metavar="PATH", default=None,
@@ -264,10 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (UsageError, SpecFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # UsageError and SpecFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

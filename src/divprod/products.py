@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -45,45 +45,42 @@ class SpecFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SetDescriptor:
-    """A subset of the positive integers: everything, a union of residue
-    classes r mod m (canonical 0 <= r < m), the positive multiples of m, or
-    an explicit finite list."""
+    """A subset of the positive integers: a union of residue classes r mod m
+    (canonical 0 <= r < m) or an explicit finite list.
+
+    ``kind`` is the wire label.  ``all`` is stored as the class (0, 1) and
+    ``multiples`` of m as (0, m), but each keeps its own JSON form.
+    """
 
     kind: str
     classes: tuple[tuple[int, int], ...] = ()
-    modulus: int = 0
     members: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind == SET_ALL:
-            pass
-        elif self.kind == SET_RESIDUE_UNION:
-            if not self.classes:
-                raise ValueError("residue union needs at least one (r, m) class")
-            for r, m in self.classes:
-                if m < 1:
-                    raise ValueError("residue modulus must be a positive integer")
-                if not 0 <= r < m:
-                    raise ValueError(
-                        f"non-canonical residue: need 0 <= r < m, got r={r}, m={m}"
-                    )
-            if len(set(self.classes)) != len(self.classes):
-                raise ValueError("residue union classes must be duplicate-free")
-        elif self.kind == SET_MULTIPLES:
-            if self.modulus < 1:
-                raise ValueError("multiples requires a positive modulus")
-        elif self.kind == SET_EXPLICIT:
+        if self.kind == SET_EXPLICIT:
             if any(n < 1 for n in self.members):
                 raise ValueError("explicit members must be positive integers")
             if len(set(self.members)) != len(self.members):
                 raise ValueError("explicit members must be duplicate-free")
             object.__setattr__(self, "members", tuple(sorted(self.members)))
-        else:
+            return
+        if self.kind not in (SET_ALL, SET_RESIDUE_UNION, SET_MULTIPLES):
             raise ValueError(f"unknown set kind {self.kind!r}")
+        if not self.classes:
+            raise ValueError("residue union needs at least one (r, m) class")
+        for r, m in self.classes:
+            if m < 1:
+                raise ValueError("residue modulus must be a positive integer")
+            if not 0 <= r < m:
+                raise ValueError(
+                    f"non-canonical residue: need 0 <= r < m, got r={r}, m={m}"
+                )
+        if len(set(self.classes)) != len(self.classes):
+            raise ValueError("residue union classes must be duplicate-free")
 
     @classmethod
     def all_naturals(cls) -> "SetDescriptor":
-        return cls(SET_ALL)
+        return cls(SET_ALL, classes=((0, 1),))
 
     @classmethod
     def residue_union(cls, classes: Sequence[tuple[int, int]]) -> "SetDescriptor":
@@ -91,7 +88,9 @@ class SetDescriptor:
 
     @classmethod
     def multiples(cls, m: int) -> "SetDescriptor":
-        return cls(SET_MULTIPLES, modulus=m)
+        if m < 1:
+            raise ValueError("multiples requires a positive modulus")
+        return cls(SET_MULTIPLES, classes=((0, m),))
 
     @classmethod
     def explicit(cls, members: Sequence[int]) -> "SetDescriptor":
@@ -100,38 +99,29 @@ class SetDescriptor:
     def contains(self, n: int) -> bool:
         if n < 1:
             return False
-        if self.kind == SET_ALL:
-            return True
-        if self.kind == SET_RESIDUE_UNION:
-            return any(n % m == r for r, m in self.classes)
-        if self.kind == SET_MULTIPLES:
-            return n % self.modulus == 0
-        return n in self.members
+        if self.kind == SET_EXPLICIT:
+            return n in self.members
+        return any(n % m == r for r, m in self.classes)
 
     def members_upto(self, order: int) -> Iterator[int]:
-        """Set members <= order, ascending, each once (classes may overlap)."""
-        if self.kind == SET_ALL:
-            yield from range(1, order + 1)
-        elif self.kind == SET_MULTIPLES:
-            yield from range(self.modulus, order + 1, self.modulus)
-        elif self.kind == SET_EXPLICIT:
-            for n in self.members:
-                if n > order:
-                    break
-                yield n
-        else:
-            for n in range(1, order + 1):
-                if any(n % m == r for r, m in self.classes):
-                    yield n
+        """Set members <= order, ascending, each once (classes may overlap).
+
+        Each class is walked as a range, so the cost is the sum of order/m
+        over the classes plus a sort.
+        """
+        if self.kind == SET_EXPLICIT:
+            return iter(self.members[: bisect_right(self.members, order)])
+        walk = {n for r, m in self.classes for n in range(r or m, order + 1, m)}
+        return iter(sorted(walk))
 
     def to_dict(self) -> dict:
-        if self.kind == SET_ALL:
-            return {"kind": SET_ALL}
+        if self.kind == SET_EXPLICIT:
+            return {"kind": SET_EXPLICIT, "members": list(self.members)}
         if self.kind == SET_RESIDUE_UNION:
             return {"kind": SET_RESIDUE_UNION, "classes": [list(c) for c in self.classes]}
         if self.kind == SET_MULTIPLES:
-            return {"kind": SET_MULTIPLES, "m": self.modulus}
-        return {"kind": SET_EXPLICIT, "members": list(self.members)}
+            return {"kind": SET_MULTIPLES, "m": self.classes[0][1]}
+        return {"kind": SET_ALL}
 
 
 WEIGHT_LINEAR = "linear"
@@ -493,9 +483,18 @@ def spec_from_dict(doc) -> ProductSpec:
         raise SpecFormatError(str(exc))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SpecFormatError(f"repeated key {key!r}: JSON object keys may not repeat")
+        doc[key] = value
+    return doc
+
+
 def spec_from_json(text: str) -> ProductSpec:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     return spec_from_dict(doc)

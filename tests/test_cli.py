@@ -165,23 +165,35 @@ def test_expand_missing_file(tmp_path, capsys):
     assert "absent.json" in err
 
 
-@pytest.mark.parametrize(
-    "weight,needle",
-    [
-        ('{"kind": "table", "values": {"3": "3", "03": "-3"}}',
-         "factors[0].weight.values: duplicate table entry for n=3"),
-        ('{"kind": "table", "values": {"+3": "3"}}',
-         "factors[0].weight.values: key '+3' is not an integer"),
-        ('{"kind": "linear", "c": "1.5e0"}',
-         "factors[0].weight.c: cannot parse rational '1.5e0'"),
-    ],
-)
-def test_expand_rejects_spec_outside_grammar(tmp_path, capsys, weight, needle):
-    path = tmp_path / "bad.json"
-    path.write_text(
+def _explicit_3(weight):
+    return (
         '{"factors": [{"set": {"kind": "explicit", "members": [3]}, '
         f'"weight": {weight}}}]}}'
     )
+
+
+@pytest.mark.parametrize(
+    "spec,needle",
+    [
+        (_explicit_3('{"kind": "table", "values": {"3": "3", "03": "-3"}}'),
+         "factors[0].weight.values: duplicate table entry for n=3"),
+        (_explicit_3('{"kind": "table", "values": {"+3": "3"}}'),
+         "factors[0].weight.values: key '+3' is not an integer"),
+        (_explicit_3('{"kind": "linear", "c": "1.5e0"}'),
+         "factors[0].weight.c: cannot parse rational '1.5e0'"),
+        (_explicit_3('{"kind": "table", "values": {"3": "3", "3": "-3"}}'),
+         "repeated key '3'"),
+        ('{"shift": 0, "shift": 1, "factors": [{"set": {"kind": "all"}, '
+         '"weight": {"kind": "linear", "c": "1"}}]}',
+         "repeated key 'shift'"),
+        ('{"factors": [{"set": {"kind": "all", "kind": "explicit", "members": [3]}, '
+         '"weight": {"kind": "linear", "c": "1"}}]}',
+         "repeated key 'kind'"),
+    ],
+)
+def test_expand_rejects_spec_outside_grammar(tmp_path, capsys, spec, needle):
+    path = tmp_path / "bad.json"
+    path.write_text(spec)
     code, out, err = run_cli(["expand", "--spec", str(path), "--order", "5"], capsys)
     assert code == 2
     assert out == ""

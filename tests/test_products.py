@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divprod.products import (
@@ -50,11 +50,50 @@ def test_set_membership():
     assert list(ex.members_upto(6)) == [2, 5]
 
     assert list(SetDescriptor.all_naturals().members_upto(4)) == [1, 2, 3, 4]
+    # Stored as the same classes, but the wire forms differ.
+    assert SetDescriptor.all_naturals() != SetDescriptor.residue_union([(0, 1)])
 
 
 def test_overlapping_residue_classes_yield_members_once():
     s = SetDescriptor.residue_union([(1, 2), (1, 4)])
     assert list(s.members_upto(10)) == [1, 3, 5, 7, 9]
+
+
+@st.composite
+def set_descriptors(draw):
+    which = draw(st.sampled_from(["all", "residues", "multiples", "explicit"]))
+    if which == "all":
+        return SetDescriptor.all_naturals()
+    if which == "multiples":
+        return SetDescriptor.multiples(draw(st.integers(min_value=1, max_value=12)))
+    if which == "explicit":
+        # Members run past the largest order drawn below.
+        return SetDescriptor.explicit(
+            draw(st.lists(st.integers(min_value=1, max_value=60), max_size=8, unique=True))
+        )
+    residue_class = st.integers(min_value=1, max_value=12).flatmap(
+        lambda m: st.tuples(st.integers(min_value=0, max_value=m - 1), st.just(m))
+    )
+    return SetDescriptor.residue_union(
+        draw(st.lists(residue_class, min_size=1, max_size=6, unique=True))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_descriptors(), st.integers(min_value=0, max_value=50))
+@example(SetDescriptor.residue_union([(0, 1), (1, 2), (0, 4)]), 12)
+@example(SetDescriptor.residue_union([(1, 2), (1, 4), (3, 6)]), 30)
+@example(SetDescriptor.explicit([40, 3, 55]), 10)
+@example(SetDescriptor.all_naturals(), 0)
+@example(SetDescriptor.multiples(3), 0)
+def test_members_upto_walks_the_membership_predicate(s, order):
+    assert list(s.members_upto(order)) == [n for n in range(1, order + 1) if s.contains(n)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 10**6])
+def test_multiples_keeps_its_wire_form(m):
+    assert SetDescriptor.multiples(m).to_dict() == {"kind": "multiples", "m": m}
+    assert SetDescriptor.multiples(m) != SetDescriptor.residue_union([(0, m)])
 
 
 def test_set_validation():
@@ -470,6 +509,22 @@ def _linear_doc(c):
         ),
         (_linear_doc("+1"), r"factors\[0\]\.weight\.c: cannot parse rational '\+1'"),
         (_linear_doc("1/-2"), r"factors\[0\]\.weight\.c: cannot parse rational"),
+        # json.loads would keep the last of two equal keys; the spec rejects them.
+        (
+            '{"factors": [{"set": {"kind": "explicit", "members": [3]}, '
+            '"weight": {"kind": "table", "values": {"3": "3", "3": "-3"}}}]}',
+            "repeated key '3'",
+        ),
+        (
+            '{"shift": 0, "shift": 1, "factors": [{"set": {"kind": "all"}, '
+            '"weight": {"kind": "linear", "c": "1"}}]}',
+            "repeated key 'shift'",
+        ),
+        (
+            '{"factors": [{"set": {"kind": "all", "kind": "explicit", "members": [3]}, '
+            '"weight": {"kind": "linear", "c": "1"}}]}',
+            "repeated key 'kind'",
+        ),
         pytest.param(
             _explicit_table_doc({"1" * 5000: "1"}),
             r"factors\[0\]\.weight\.values: key '1{5000}' is not an integer",
