@@ -52,6 +52,7 @@ from divprod.sequences import (
     rogers_ramanujan_sum_side,
     triangular_rep_counts,
 )
+from divprod.series import convolve, sparse_table
 
 PASS = "pass"
 FAIL = "fail"
@@ -74,25 +75,6 @@ class Tables:
 # life of the process, and a class held there would keep this module alive
 # after a re-import.
 Table = Callable[["Tables"], Sequence[Value]]
-
-
-def convolve(
-    kernel: Sequence[Value], operand: Sequence[Value], start: int, order: int
-) -> Iterator[Value]:
-    """sum_k kernel[k] * operand[n - k] for n = start..order, one n at a time.
-
-    Only the kernel's nonzero terms are visited, in ascending k, and the walk
-    stops once k > n: a dense divisor-sum kernel costs O(N^2) in all, one
-    supported on the squares or the triangular numbers O(N^1.5).
-    """
-    terms = [(k, h) for k, h in enumerate(kernel) if h]
-    for n in range(start, order + 1):
-        acc = 0
-        for k, h in terms:
-            if k > n:
-                break
-            acc += h * operand[n - k]
-        yield acc
 
 
 class Pin(NamedTuple):
@@ -155,19 +137,8 @@ class Identity(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _sparse(order: int, place, coeff=lambda k: 1) -> list[Value]:
-    """coeff(k) at place(k) for k = 0, 1, ... while place(k) <= order (place
-    increasing), zero elsewhere."""
-    table = [0] * (order + 1)
-    k = 0
-    while place(k) <= order:
-        table[place(k)] = coeff(k)
-        k += 1
-    return table
-
-
 def _on_squares(coeff) -> Table:
-    return lambda t: _sparse(t.order, lambda k: k * k, coeff)
+    return lambda t: sparse_table(t.order, lambda k: k * k, coeff)
 
 
 _squares = _on_squares(lambda k: 1)  # s(n)
@@ -178,7 +149,7 @@ _square_signs = _on_squares(lambda k: (-1) ** (k + 1) if k else 0)  # at k^2, k 
 
 def _triangulars(t):
     """t(n), the indicator of the triangular numbers."""
-    return _sparse(t.order, triangular)
+    return sparse_table(t.order, triangular)
 
 
 def _expansion(spec: ProductSpec) -> Table:
@@ -361,9 +332,8 @@ CATALOG: tuple[Identity, ...] = (
 CheckFn = Callable[[int], "IdentityReport"]
 
 ALL_CHECKS: dict[str, CheckFn] = {r.id: r.check for r in CATALOG}
+# Expected failures are runnable by id but excluded from "all".
 POSITIVE_CHECKS: dict[str, CheckFn] = {r.id: r.check for r in CATALOG if r.expected == PASS}
-# Expected failures, runnable by id but excluded from "all".
-NEGATIVE_CHECKS: dict[str, CheckFn] = {r.id: r.check for r in CATALOG if r.expected == FAIL}
 
 
 def run_check(identity_id: str, order: int) -> IdentityReport:

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from divprod.catalog import ALL_CHECKS, CATALOG, FAIL, POSITIVE_CHECKS, run_check
+from divprod.catalog import ALL_CHECKS, CATALOG, FAIL, run_all, run_check
 from divprod.divisors import (
     sigma_rm_table,
     sigma_table,
@@ -119,15 +119,10 @@ def _cmd_expand(args) -> int:
     if args.order < 0:
         raise UsageError("--order must be nonnegative")
     spec = load_spec(args.spec)
-    if args.algo == "recurrence":
-        series = {"recurrence": coeffs_via_recurrence(spec, args.order)}
-    elif args.algo == "expansion":
-        series = {"expansion": coeffs_via_expansion(spec, args.order)}
-    else:
-        series = {
-            "recurrence": coeffs_via_recurrence(spec, args.order),
-            "expansion": coeffs_via_expansion(spec, args.order),
-        }
+    # Built per call, so each route is the module's name as bound at call time.
+    routes = {"recurrence": coeffs_via_recurrence, "expansion": coeffs_via_expansion}
+    names = tuple(routes) if args.algo == "both" else (args.algo,)
+    series = {name: routes[name](spec, args.order) for name in names}
     primary = next(iter(series.values()))
     disagreement = None
     if len(series) == 2:
@@ -169,7 +164,7 @@ def _cmd_verify(args) -> int:
     if "all" in ids:
         if len(ids) > 1:
             raise UsageError('"all" cannot be combined with explicit identity ids')
-        selected = sorted(POSITIVE_CHECKS)
+        reports = run_all(args.order)
     else:
         unknown = [i for i in ids if i not in ALL_CHECKS]
         if unknown:
@@ -177,8 +172,7 @@ def _cmd_verify(args) -> int:
                 f"unknown identities: {', '.join(unknown)}; "
                 f"known: {', '.join(sorted(ALL_CHECKS))}"
             )
-        selected = sorted(set(ids))
-    reports = [run_check(i, args.order) for i in selected]
+        reports = [run_check(i, args.order) for i in sorted(set(ids))]
 
     if args.format == "csv":
         lines = ["identity,N,passed,failure_n,lhs,rhs"]

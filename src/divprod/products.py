@@ -605,7 +605,7 @@ def square_quotient_spec() -> ProductSpec:
     )
 
 
-_CALL = re.compile(r"(\w+)(?:\((-?\d+(?:,-?\d+)*)\))?")
+_CALL = re.compile(r"(\w+)(?:\((-?[0-9]+(?:,-?[0-9]+)*)\))?", re.ASCII)
 
 
 def resolve_name(table: Mapping[str, Callable], name: str) -> Optional[Callable]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from divprod.divisors import divisors, triangular
-from divprod.series import TruncatedSeries, binomial_factor
+from divprod.series import TruncatedSeries, binomial_factor, sparse_table
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,7 @@ def triangular_rep_counts(m: int, order: int) -> SequencePrefix:
         raise ValueError("m must be a positive integer")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    theta = [0] * (order + 1)
-    k = 0
-    while triangular(k) <= order:
-        theta[triangular(k)] = 1
-        k += 1
-    theta_series = TruncatedSeries(theta)
+    theta_series = TruncatedSeries(sparse_table(order, triangular))
     acc = TruncatedSeries.one(order)
     for _ in range(m):
         acc = acc * theta_series

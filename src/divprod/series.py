@@ -15,13 +15,47 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Coefficient = Union[int, Fraction]
 
 
-def _nonzero_terms(coeffs: tuple, upto: int) -> list[tuple[int, Coefficient]]:
-    return [(i, c) for i, c in enumerate(coeffs[: upto + 1]) if c]
+def convolve(
+    kernel: Sequence[Coefficient], operand: Sequence[Coefficient], start: int, order: int
+) -> Iterator[Coefficient]:
+    """sum_k kernel[k] * operand[n - k] for n = start..order, one n at a time.
+
+    This is the one schoolbook convolution; the recurrence in
+    ``products.coeffs_via_recurrence`` keeps its own loop on purpose.  Only
+    the kernel's nonzero terms are visited, in ascending k, and the walk
+    stops once k > n: a dense divisor-sum kernel costs O(N^2) in all, one
+    supported on the squares or the triangular numbers O(N^1.5).
+
+    The operand may be fixed, or filled online: the caller writes
+    operand[n] after it receives the n-th sum.  This works because
+    operand[m] is read only when a sum needs it, and it requires
+    kernel[0] == 0, so that the n-th sum reads operand[0..n-1] only.
+    """
+    terms = [(k, h) for k, h in enumerate(kernel) if h]
+    for n in range(start, order + 1):
+        acc = 0
+        for k, h in terms:
+            if k > n:
+                break
+            acc += h * operand[n - k]
+        yield acc
+
+
+def sparse_table(order: int, place, coeff=lambda k: 1) -> list[Coefficient]:
+    """coeff(k) at place(k) for k = 0, 1, ... while place(k) <= order (place
+    increasing), zero elsewhere: a table supported on the squares k*k, the
+    triangular numbers T(k), ..."""
+    table = [0] * (order + 1)
+    k = 0
+    while place(k) <= order:
+        table[place(k)] = coeff(k)
+        k += 1
+    return table
 
 
 class TruncatedSeries:
@@ -105,20 +139,12 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        # Cauchy product; iterate the sparser operand's nonzero terms on the
-        # outside so products against binomial/theta factors stay cheap.
-        anz = _nonzero_terms(self.coeffs, n)
-        bnz = _nonzero_terms(other.coeffs, n)
-        if len(anz) > len(bnz):
-            anz, bnz = bnz, anz
-        out: list[Coefficient] = [0] * (n + 1)
-        for i, ci in anz:
-            lim = n - i
-            for j, cj in bnz:
-                if j > lim:
-                    break
-                out[i + j] += ci * cj
-        return TruncatedSeries(tuple(out))
+        # Cauchy product with the sparser operand as the kernel (self on a
+        # tie), so products against binomial/theta factors stay cheap.
+        kernel, operand = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        if kernel.count(0) < operand.count(0):
+            kernel, operand = operand, kernel
+        return TruncatedSeries(tuple(convolve(kernel, operand, 0, n)))
 
     def __rmul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
@@ -128,7 +154,8 @@ class TruncatedSeries:
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse up to this series' order.
 
-        Forward substitution on a0*b_i = -sum_{k=1}^{i} a_k b_{i-k}.
+        Forward substitution on a0*b_i = -sum_{k=1}^{i} a_k b_{i-k}, the
+        sums taken by ``convolve`` with b as its online operand.
         Raises ValueError if the constant term is zero.
         """
         a = self.coeffs
@@ -142,15 +169,9 @@ class TruncatedSeries:
         else:
             inv0 = Fraction(1) / a0
         n = self.order
-        tail = [(k, a[k]) for k in range(1, n + 1) if a[k]]
         b: list[Coefficient] = [0] * (n + 1)
         b[0] = inv0
-        for i in range(1, n + 1):
-            s: Coefficient = 0
-            for k, ak in tail:
-                if k > i:
-                    break
-                s += ak * b[i - k]
+        for i, s in enumerate(convolve((0,) + a[1:], b, 1, n), 1):
             if s:
                 b[i] = -(inv0 * s)
         return TruncatedSeries(tuple(b))

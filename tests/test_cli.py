@@ -88,7 +88,11 @@ def test_compute_negative_parameters(name, message, capsys):
     assert message in err
 
 
-@pytest.mark.parametrize("name", ["sigma(3)", "delta()", "sigma_rm(1, 5)", "q_regular(3,4)"])
+# Arguments are ASCII digits: an Arabic-Indic three and a fullwidth eight are not.
+@pytest.mark.parametrize(
+    "name",
+    ["sigma(3)", "delta()", "sigma_rm(1, 5)", "q_regular(3,4)", "q_regular(\u0663)", "delta(\uff18)"],
+)
 def test_compute_malformed_names(name, capsys):
     code, _, err = run_cli(["compute", name, "--order", "5"], capsys)
     assert code == 2

@@ -268,7 +268,14 @@ def test_builtin_spec_lookup():
         builtin_spec("delta(-4)")
 
 
-@pytest.mark.parametrize("name", ["delta()", "delta(m)", "delta(+8)", "gauss(1)", "p_regular(2,3)"])
+# Arguments are ASCII digits: an Arabic-Indic three and a fullwidth eight are not.
+@pytest.mark.parametrize(
+    "name",
+    [
+        "delta()", "delta(m)", "delta(+8)", "gauss(1)", "p_regular(2,3)",
+        "q_regular(\u0663)", "p_regular(\u0663)", "delta(\uff18)",
+    ],
+)
 def test_builtin_spec_malformed_name(name):
     with pytest.raises(ValueError, match="unknown built-in spec"):
         builtin_spec(name)

@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divprod.series import (
     TruncatedSeries,
     apply_binomial_factor,
     binomial_factor,
+    convolve,
     kronecker_mul,
     kronecker_pow,
 )
@@ -170,6 +171,75 @@ def test_inplace_binomial_matches_series_product(n, e, a):
     assert S(coeffs) == a * binomial_factor(n, e, a.order)
 
 
+# --- the schoolbook convolution and __mul__ against direct sums -------------
+
+
+def test_convolve_matches_the_direct_sum():
+    operand = [5, -1, 4, 0, 7, 2, 2, -3, 1, 6]
+    kernels = (
+        [0, 2, 0, 0, -1, 0, 0, 0, 0, 3],
+        [Fraction(1, 2), 0, Fraction(-3, 4), 0, 0, 1, 0, 0, 0, Fraction(5, 3)],
+        [0] * 10,
+    )
+    for kernel in kernels:
+        for start in (0, 2, 9):
+            direct = [
+                sum(kernel[k] * operand[n - k] for k in range(n + 1))
+                for n in range(start, 10)
+            ]
+            assert list(convolve(kernel, operand, start, 9)) == direct
+    # Online: b = 1/(1 - x - x^2), each b[n] written after its sum arrives.
+    b = [1] + [0] * 9
+    for n, s in enumerate(convolve([0, 1, 1], b, 1, 9), 1):
+        b[n] = s
+    assert b == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    # The same with a Fraction kernel: b = 1/(1 - x/2), so b[n] = 2^-n.
+    b = [1] + [0] * 5
+    for n, s in enumerate(convolve([0, Fraction(1, 2)], b, 1, 5), 1):
+        b[n] = s
+    assert b == [Fraction(1, 2**n) for n in range(6)]
+
+
+def direct_product(a, b):
+    """a*b truncated to the shorter operand, as the plain double sum."""
+    n = min(len(a), len(b)) - 1
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+big_ints = st.integers(min_value=-(2**256), max_value=2**256)
+exact_lists = st.one_of(
+    st.lists(st.just(0), min_size=1, max_size=8),
+    st.lists(small_ints, min_size=1, max_size=16),
+    st.lists(st.one_of(small_ints, rationals, big_ints), min_size=1, max_size=16),
+)
+
+
+# Unrelated pairs, and pairs whose second operand permutes the first, so
+# that both operands have the same number of nonzero terms.
+operand_pairs = st.one_of(
+    st.tuples(exact_lists, exact_lists),
+    exact_lists.flatmap(lambda a: st.tuples(st.just(a), st.permutations(a))),
+)
+
+
+@settings(max_examples=300)
+@given(operand_pairs)
+@example(([0, 0, 0], [1, -2, 3, 4]))  # an all-zero operand
+@example(([1, 0, 2], [0, 3, -4]))  # equal nonzero counts: self is the kernel
+@example(([1, 2, 0, 0, 0], [3, 0, 0, 4]))  # unequal orders, equal counts below both
+@example(([Fraction(1, 2), 0, -3], [0, Fraction(2, 3), 5, 0, 1]))
+def test_mul_matches_the_direct_double_sum(pair):
+    a, b = pair
+    product = (S(a) * S(b)).coeffs
+    assert list(product) == direct_product(a, b)
+    if all(type(c) is int for c in a + b):
+        assert all(type(c) is int for c in product)
+
+
 # --- packed product: differential tests against the schoolbook __mul__ -----
 
 
@@ -178,7 +248,6 @@ def schoolbook(a, b, order):
     return list((S(a[: order + 1], order) * S(b[: order + 1], order)).coeffs)
 
 
-big_ints = st.integers(min_value=-(2**256), max_value=2**256)
 signed_lists = st.one_of(
     st.lists(st.just(0), min_size=1, max_size=8),
     st.lists(big_ints, min_size=1, max_size=1),
