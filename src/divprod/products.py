@@ -3,7 +3,8 @@ and two independent ways to get their truncated coefficients:
 
 * a divisor-sum recurrence driven by the weight table
   g(k) = sum_i sum_{d | k, d in A_i} f_i(d), via
-  n*p(n) = sum_{k=1..n} g(k) * p(n-k) with p(0) = 1;
+  n*p(n) = sum_{k=1..n} g(k) * p(n-k) with p(0) = 1, run on the integers
+  D * p(n) over the lcm D of the denominators met so far;
 * direct expansion of the binomial factors (integer exponents only).
 
 The two routes share nothing past the spec itself, so their agreement is the
@@ -20,6 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -266,30 +268,41 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
     """Coefficients 0..order of the spec's product via the divisor-sum
     recurrence n*p(n) = sum_{k=1..n} g(k) p(n-k), then the monomial shift.
 
-    Division by n is exact rational arithmetic; integer values stay integers
-    whenever the division comes out even.
+    The loop runs on integers only: P(j) = D p(j) over one common
+    denominator D, with the integer kernel b*g(k) for b the lcm of g's
+    denominators, so b*n*D*p(n) = sum_k b g(k) P(n-k).  When b*n does not
+    divide that sum, D grows by the least factor that makes P(n) an integer
+    and every earlier P(j) is multiplied by it.  D stays the lcm of the
+    denominators of p(0..n), so the cost follows the size of the
+    coefficients, not of the exponents' denominators.  The output is P(n)
+    itself when D = 1, else P(n)/D, an int wherever it is integral.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     inner = order - spec.shift
     if inner < 0:
         return TruncatedSeries.zero(order)
-    p: list[Rational] = [0] * (inner + 1)
-    p[0] = 1
+    p = [1] + [0] * inner
+    den = 1
     if inner >= 1:
         g = weight_table(spec, inner).values
-        kernel = [(k, g[k]) for k in range(1, inner + 1) if g[k]]
+        b = lcm(*(v.denominator for v in g))
+        kernel = [(k, (g[k] * b).numerator) for k in range(1, inner + 1) if g[k]]
         for n in range(1, inner + 1):
-            acc: Rational = 0
-            for k, gk in kernel:
+            acc = 0
+            for k, hk in kernel:
                 if k > n:
                     break
-                acc += gk * p[n - k]
-            if isinstance(acc, int):
-                q, r = divmod(acc, n)
-                p[n] = q if r == 0 else Fraction(acc, n)
-            else:
-                p[n] = _tighten(acc / n)
+                acc += hk * p[n - k]
+            m = b * n
+            p[n], r = divmod(acc, m)
+            if r:
+                t = m // gcd(r, m)
+                den *= t
+                p[:n] = [c * t for c in p[:n]]
+                p[n] = acc * t // m
+    if den > 1:
+        p = [_tighten(Fraction(c, den)) for c in p]
     return TruncatedSeries((0,) * spec.shift + tuple(p))
 
 

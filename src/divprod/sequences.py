@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from divprod.divisors import divisors, triangular
 from divprod.series import TruncatedSeries, binomial_factor, sparse_table
@@ -134,13 +135,21 @@ def rogers_ramanujan_sum_side(which: int, order: int) -> SequencePrefix:
 
 def triangular_rep_counts(m: int, order: int) -> SequencePrefix:
     """Number of ordered m-tuples of triangular numbers summing to n, for
-    0..order: the m-th power of the theta series sum_k x^{T(k)}."""
+    0..order: the m-th power of the theta series sum_k x^{T(k)}.
+
+    theta^m = sum_j C(m, j) (theta - 1)^j, and (theta - 1)^j starts at x^j,
+    so j stops at min(m, order): the cost does not grow with m.
+    """
     if m < 1:
         raise ValueError("m must be a positive integer")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    theta_series = TruncatedSeries(sparse_table(order, triangular))
-    acc = TruncatedSeries.one(order)
-    for _ in range(m):
-        acc = acc * theta_series
-    return SequencePrefix(f"delta({m})", _int_terms(acc.coeffs))
+    theta_minus_one = TruncatedSeries([0] + sparse_table(order, triangular)[1:])
+    power = TruncatedSeries.one(order)
+    acc = [1] + [0] * order
+    for j in range(1, min(m, order) + 1):
+        power = power * theta_minus_one
+        c = comb(m, j)
+        for n in range(j, order + 1):
+            acc[n] += c * power[n]
+    return SequencePrefix(f"delta({m})", tuple(acc))

@@ -1,5 +1,6 @@
 """CLI contract: selectors, formats, exit codes, byte stability."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -232,6 +233,39 @@ def test_expand_fractional_exponent_spec(tmp_path, capsys):
     )
     assert code == 2
     assert "integer exponents" in err
+
+
+_LINEAR_THIRDS = (
+    '{"factors": [{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "1/3"}}, '
+    '{"set": {"kind": "residueUnion", "classes": [[1, 4]]}, '
+    '"weight": {"kind": "linear", "c": "-5/6"}}]}'
+)
+_TABLE_SHIFTED = (
+    '{"shift": 2, "factors": [{"set": {"kind": "explicit", "members": [3, 5]}, '
+    '"weight": {"kind": "table", "values": {"3": "1", "5": "7/2"}}}, '
+    '{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "2/3"}}]}'
+)
+
+
+# sha256 of json.dumps(coefficients), pinned from the Fraction recurrence
+# that the integer loop replaced.
+@pytest.mark.parametrize(
+    "spec,order,digest",
+    [
+        (_LINEAR_THIRDS, 120, "ad9c05121c78fee04d6527d9500cb1a8205d15f6d9d1b9f97bbfd33a1d226cc0"),
+        (_TABLE_SHIFTED, 80, "2681566c151e9937d0ccf068a36b0b8a0f128327301e185b8514bd09fc75ef1e"),
+    ],
+)
+def test_expand_recurrence_rational_output_is_pinned(tmp_path, capsys, spec, order, digest):
+    path = tmp_path / "rational.json"
+    path.write_text(spec)
+    code, out, err = run_cli(
+        ["expand", "--spec", str(path), "--order", str(order), "--algo", "recurrence"], capsys
+    )
+    assert (code, err) == (0, "")
+    coefficients = json.loads(out)["coefficients"]
+    assert len(coefficients) == order + 1
+    assert hashlib.sha256(json.dumps(coefficients).encode()).hexdigest() == digest
 
 
 # --- verify ------------------------------------------------------------------

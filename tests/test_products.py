@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -388,6 +389,129 @@ def test_expansion_matches_naive_binomial_product(spec):
             e = factor.weight.exponent_at(n)
             acc = acc * binomial_factor(n, e.numerator, order)
     assert coeffs_via_expansion(spec, order) == acc
+
+
+# --- rational exponents ----------------------------------------------------
+
+
+RATIONAL_SPAN = 30
+
+
+@st.composite
+def rational_specs(draw):
+    """Rational c with denominators 1..6, and table weights that mix rational
+    f(n) with integer f(n) that n need not divide; shift 0..3."""
+    factors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        s = draw(
+            st.one_of(
+                st.just(SetDescriptor.all_naturals()),
+                st.integers(min_value=2, max_value=6).map(SetDescriptor.multiples),
+                st.lists(
+                    st.integers(min_value=1, max_value=12), min_size=1, max_size=4, unique=True
+                ).map(SetDescriptor.explicit),
+            )
+        )
+        ratio = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+        if draw(st.booleans()):
+            weight = WeightSpec.linear(draw(ratio))
+        else:
+            f = st.one_of(st.integers(-6, 6), ratio)
+            weight = WeightSpec.table(
+                {n: draw(f) for n in s.members_upto(RATIONAL_SPAN)}
+            )
+        factors.append(Factor(s, weight))
+    return ProductSpec(factors=tuple(factors), shift=draw(st.integers(0, 3)))
+
+
+def _exponent_scale(spec, order):
+    """q from the spec: the lcm of the exponent denominators over n <= order."""
+    q = 1
+    for factor in spec.factors:
+        for n in factor.set.members_upto(order):
+            q = lcm(q, factor.weight.exponent_at(n).denominator)
+    return q
+
+
+def _scaled_weights(spec, q):
+    """The spec with every weight times q, shift 0: the q-th power of its product."""
+
+    def scaled(w):
+        if w.kind == "linear":
+            return WeightSpec.linear(w.c * q)
+        return WeightSpec.table({n: v * q for n, v in w.values})
+
+    return ProductSpec(factors=tuple(Factor(f.set, scaled(f.weight)) for f in spec.factors))
+
+
+def _power(series, e):
+    """series**e by squaring with TruncatedSeries.__mul__."""
+    acc = TruncatedSeries.one(series.order)
+    while e:
+        if e & 1:
+            acc = acc * series
+        e >>= 1
+        if e:
+            series = series * series
+    return acc
+
+
+# {3} with f(3) = 1: g is integral but the exponent is -1/3.
+TABLE_THIRD = ProductSpec(factors=(Factor(SetDescriptor.explicit([3]), WeightSpec.table({3: 1})),))
+# f(3) = 1 and f(5) = 7/2 on {3, 5}, c = 2/3 on all n: q = 30 (exponents
+# -1/3, -7/10 and -2/3), while g's denominators have lcm 6.
+TABLE_MIXED = ProductSpec(
+    factors=(
+        Factor(SetDescriptor.explicit([3, 5]), WeightSpec.table({3: 1, 5: Fraction(7, 2)})),
+        Factor(SetDescriptor.all_naturals(), WeightSpec.linear(Fraction(2, 3))),
+    )
+)
+# f(n) = 1 on all n: q = lcm(1..N), far more than the lcm of p's denominators.
+TABLE_ONES = ProductSpec(
+    factors=(
+        Factor(
+            SetDescriptor.all_naturals(),
+            WeightSpec.table({n: 1 for n in range(1, RATIONAL_SPAN + 1)}),
+        ),
+    )
+)
+# No member <= N, so the product is 1 and q = 1.
+FAR_THIRD = ProductSpec(
+    factors=(Factor(SetDescriptor.explicit([50]), WeightSpec.linear(Fraction(1, 3))),)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_specs(), st.integers(min_value=0, max_value=RATIONAL_SPAN))
+@example(TABLE_THIRD, 30)
+@example(TABLE_MIXED, 30)
+@example(ProductSpec(factors=TABLE_MIXED.factors, shift=2), 30)
+@example(TABLE_ONES, RATIONAL_SPAN)
+@example(FAR_THIRD, 10)
+def test_recurrence_power_matches_scaled_expansion(spec, order):
+    # p(0) = 1, so p is the only series with p^q equal to the product
+    # raised to q: this pins every coefficient.
+    out = coeffs_via_recurrence(spec, order)
+    assert all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction) for c in out
+    )
+    inner = order - spec.shift
+    if inner < 0:
+        assert out == TruncatedSeries.zero(order)
+        return
+    assert out.coeffs[: spec.shift] == (0,) * spec.shift
+    q = _exponent_scale(spec, inner)
+    # Any multiple of q will do; the expansion wants every linear c*e to be
+    # an integer, also on a factor with no member <= N.
+    e = lcm(q, *(f.weight.c.denominator for f in spec.factors))
+    p = TruncatedSeries(out.coeffs[spec.shift :])
+    assert _power(p, e) == coeffs_via_expansion(_scaled_weights(spec, e), inner)
+
+
+def test_recurrence_of_an_integral_g_with_rational_exponent():
+    # (1-x^3)^(-1/3) = 1 + x^3/3 + 2x^6/9 + 14x^9/81 + ...
+    out = coeffs_via_recurrence(TABLE_THIRD, 9)
+    assert out.coeffs == (1, 0, 0, Fraction(1, 3), 0, 0, Fraction(2, 9), 0, 0, Fraction(14, 81))
 
 
 # --- JSON wire format ------------------------------------------------------

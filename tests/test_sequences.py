@@ -5,6 +5,8 @@ nested tuple loops) so the dynamic programs and series expansions are checked
 against something with no shared machinery.
 """
 
+from math import comb
+
 import pytest
 
 from divprod.divisors import triangular, triangular_indicator
@@ -16,6 +18,7 @@ from divprod.sequences import (
     rogers_ramanujan_sum_side,
     triangular_rep_counts,
 )
+from divprod.series import TruncatedSeries, sparse_table
 
 
 def count_partitions(n, parts, max_uses=None):
@@ -153,6 +156,24 @@ def test_delta_matches_tuple_enumeration(m):
     dm = triangular_rep_counts(m, 50)
     for n in range(51):
         assert dm[n] == count_triangular_tuples(m, n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 13])
+@pytest.mark.parametrize("order", [0, 1, 7, 40])
+def test_delta_matches_repeated_theta_product(m, order):
+    theta = TruncatedSeries(sparse_table(order, triangular))
+    acc = TruncatedSeries.one(order)
+    for _ in range(m):
+        acc = acc * theta
+    assert triangular_rep_counts(m, order).terms == acc.coeffs
+
+
+@pytest.mark.parametrize("m", [10**6, 10**30])
+def test_delta_closed_forms_at_huge_m(m):
+    # n = 2 is two 1s; n = 3 is one 3 or three 1s.  The cost is bounded by
+    # the order, so m = 10**30 runs as fast as m = 20.
+    r = triangular_rep_counts(m, 20)
+    assert r.terms[:4] == (1, m, comb(m, 2), m + comb(m, 3))
 
 
 def test_delta_rejects_nonpositive_m():
