@@ -15,9 +15,9 @@ many fields name it.  Tables look the oracles, the divisor sieves and the
 coefficient routes up among this module's globals when the check runs, and
 nothing is kept from one check to the next.  The oracles never go through the
 recurrence engine.  A check reports the first index at which two sides
-differ (``report.first_mismatch``).  The convolution is summed one n at a
-time and the scan stops at the first mismatch, so an expected failure at
-n = 2 sums nothing past n = 2; the tables it names are still built to N.
+differ (``report.first_mismatch``).  A relation's right side is one packed
+product (``series.kronecker_mul``); its left side is an oracle, a sieve or a
+sparse table, none of which a packed product computes.
 
 Three records are expected failures, kept to pin the index-bound and
 orientation corrections the passing forms rely on: ``jacobi_square_verbatim``
@@ -52,7 +52,7 @@ from divprod.sequences import (
     rogers_ramanujan_sum_side,
     triangular_rep_counts,
 )
-from divprod.series import convolve, sparse_table
+from divprod.series import kronecker_mul, sparse_table
 
 PASS = "pass"
 FAIL = "fail"
@@ -97,13 +97,14 @@ class Relation(NamedTuple):
     start: int = 1
 
     def sides(self, t: Tables) -> tuple[Iterator[Value], Iterator[Value]]:
-        """Both sides for n = start..N, one n at a time."""
+        """Both sides for n = start..N: the right side's sums from one packed
+        product to N, all else one n at a time as the scan asks for it."""
         ns = range(self.start, t.order + 1)
         lhs = t(self.lhs)
         left = ((n - self.shift) * lhs[n] for n in ns)
-        sums = convolve(t(self.kernel), t(self.operand), self.start, t.order)
+        sums = kronecker_mul(t(self.kernel), t(self.operand), t.order)
         diagonal = t(self.diagonal) if self.diagonal else [0] * (t.order + 1)
-        right = (self.scale * s + diagonal[n] for n, s in zip(ns, sums))
+        right = (self.scale * sums[n] + diagonal[n] for n in ns)
         return left, right
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from divprod.report import IdentityReport, first_mismatch
 from divprod.series import (
@@ -105,16 +105,18 @@ class SetDescriptor:
             return n in self.members
         return any(n % m == r for r, m in self.classes)
 
-    def members_upto(self, order: int) -> Iterator[int]:
+    def members_upto(self, order: int) -> Sequence[int]:
         """Set members <= order, ascending, each once (classes may overlap).
 
-        Each class is walked as a range, so the cost is the sum of order/m
-        over the classes plus a sort.
+        One class is its range.  Several are walked as ranges and merged, so
+        the cost is the sum of order/m over the classes plus a sort.
         """
         if self.kind == SET_EXPLICIT:
-            return iter(self.members[: bisect_right(self.members, order)])
-        walk = {n for r, m in self.classes for n in range(r or m, order + 1, m)}
-        return iter(sorted(walk))
+            return self.members[: bisect_right(self.members, order)]
+        if len(self.classes) == 1:
+            (r, m), = self.classes
+            return range(r or m, order + 1, m)
+        return sorted({n for r, m in self.classes for n in range(r or m, order + 1, m)})
 
     def to_dict(self) -> dict:
         if self.kind == SET_EXPLICIT:
@@ -310,21 +312,21 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
     """Coefficients 0..order by multiplying out the binomial factors, then
     shifting; never touches the recurrence.
 
-    Requires every factor exponent to be an integer (linear weights with
-    integer c; table weights divisible by their n).  The cost is bounded by
-    the order and the spec, not by the size of the exponents.
+    Requires an integer exponent at every degree <= order - shift (linear
+    weights with integer c; table weights divisible by their n).  The cost is
+    bounded by the order and the spec, not by the size of the exponents.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    for factor in spec.factors:
-        w = factor.weight
-        if w.kind == WEIGHT_LINEAR and w.c.denominator != 1:
-            raise ValueError(
-                f"expansion oracle requires integer exponents; linear weight c={w.c}"
-            )
     inner = order - spec.shift
     if inner < 0:
         return TruncatedSeries.zero(order)
+    for factor in spec.factors:
+        w = factor.weight
+        if w.kind == WEIGHT_LINEAR and w.c.denominator != 1 and factor.set.members_upto(inner):
+            raise ValueError(
+                f"expansion oracle requires integer exponents; linear weight c={w.c}"
+            )
     exponents: dict[int, int] = {}
     for factor in spec.factors:
         w = factor.weight

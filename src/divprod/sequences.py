@@ -9,11 +9,13 @@ so none of them may go through the recurrence engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import count, repeat, takewhile
 from math import comb
+from operator import add, mul
 
 from divprod.divisors import divisors, triangular
-from divprod.series import TruncatedSeries, binomial_factor, sparse_table
+# Unused, but perfbench's --trace 1 patches it here and fails without it.
+from divprod.series import binomial_factor  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -32,17 +34,6 @@ class SequencePrefix:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def _int_terms(coeffs) -> tuple[int, ...]:
-    out = []
-    for c in coeffs:
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError(f"non-integer term {c} in an integer sequence")
-            c = c.numerator
-        out.append(c)
-    return tuple(out)
 
 
 def lambert_cubic_by_divisors(n: int) -> int:
@@ -123,14 +114,18 @@ def rogers_ramanujan_sum_side(which: int, order: int) -> SequencePrefix:
     def head(n: int) -> int:
         return n * n if which == 1 else n * (n + 1)
 
-    total = TruncatedSeries.one(order)
-    inv_pochhammer = TruncatedSeries.one(order)
+    # inv holds 1/prod_{j<=n}(1-x^j), kept only as far as the summand
+    # x^{E(n)} * inv can reach, so each pass is over N+1-E(n) terms.
+    total = [1] + [0] * order
+    inv = total[:]
     n = 1
     while head(n) <= order:
-        inv_pochhammer = inv_pochhammer * binomial_factor(n, -1, order)
-        total = total + inv_pochhammer.shift(head(n))
+        del inv[order + 1 - head(n):]
+        for i in range(n, len(inv)):
+            inv[i] += inv[i - n]
+        total[head(n):] = map(add, total[head(n):], inv)
         n += 1
-    return SequencePrefix(f"rr{which}", _int_terms(total.coeffs))
+    return SequencePrefix(f"rr{which}", tuple(total))
 
 
 def triangular_rep_counts(m: int, order: int) -> SequencePrefix:
@@ -144,12 +139,13 @@ def triangular_rep_counts(m: int, order: int) -> SequencePrefix:
         raise ValueError("m must be a positive integer")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    theta_minus_one = TruncatedSeries([0] + sparse_table(order, triangular)[1:])
-    power = TruncatedSeries.one(order)
-    acc = [1] + [0] * order
+    # (theta - 1)^j is (theta - 1)^(j-1) shifted to every triangular place
+    # T(k) >= 1 and summed: one slice per place, padded with order zeros.
+    places = list(takewhile(lambda t: t <= order, map(triangular, count(1))))
+    power = [1] + [0] * order
+    acc = power[:]
     for j in range(1, min(m, order) + 1):
-        power = power * theta_minus_one
-        c = comb(m, j)
-        for n in range(j, order + 1):
-            acc[n] += c * power[n]
+        padded = [0] * order + power
+        power = list(map(sum, zip(*(padded[order - t : 2 * order + 1 - t] for t in places))))
+        acc = list(map(add, acc, map(mul, power, repeat(comb(m, j)))))
     return SequencePrefix(f"delta({m})", tuple(acc))

@@ -25,11 +25,11 @@ def convolve(
 ) -> Iterator[Coefficient]:
     """sum_k kernel[k] * operand[n - k] for n = start..order, one n at a time.
 
-    This is the one schoolbook convolution; the recurrence in
-    ``products.coeffs_via_recurrence`` keeps its own loop on purpose.  Only
-    the kernel's nonzero terms are visited, in ascending k, and the walk
-    stops once k > n: a dense divisor-sum kernel costs O(N^2) in all, one
-    supported on the squares or the triangular numbers O(N^1.5).
+    The schoolbook convolution of ``TruncatedSeries.__mul__`` and
+    ``inverse``; the catalog's relation sums use ``kronecker_mul`` and the
+    recurrence keeps its own loop.  Only the kernel's nonzero terms are
+    visited, in ascending k, and the walk stops once k > n: O(N^2) for a
+    dense kernel, O(N^1.5) for one on the squares or triangular numbers.
 
     The operand may be fixed, or filled online: the caller writes
     operand[n] after it receives the n-th sum.  This works because

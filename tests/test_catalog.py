@@ -10,6 +10,7 @@ from divprod.catalog import (
     CATALOG,
     FAIL,
     POSITIVE_CHECKS,
+    Tables,
     delta,
     p_regular,
     p_regular_verbatim,
@@ -123,6 +124,31 @@ def test_delta_check_rejects_inadmissible_m():
 def test_ramanujan_a_check_needs_order_two():
     with pytest.raises(ValueError, match="order"):
         run_check("ramanujan_a", 1)
+
+
+# --- packed relation sums against the schoolbook sum -----------------------
+
+
+def schoolbook_right_side(relation, t):
+    """scale * sum_k kernel[k] * operand[n - k] + diagonal[n] for n = start..N,
+    summed term by term."""
+    kernel, operand = t(relation.kernel), t(relation.operand)
+    diagonal = t(relation.diagonal) if relation.diagonal else [0] * (t.order + 1)
+    return [
+        relation.scale * sum(kernel[k] * operand[n - k] for k in range(n + 1)) + diagonal[n]
+        for n in range(relation.start, t.order + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "identity", [r for r in CATALOG if r.relation is not None], ids=lambda r: r.id
+)
+def test_relation_right_side_matches_schoolbook_sum(identity):
+    relation = identity.relation
+    for order in (relation.start, relation.start + 1, 7, 60, 300):
+        t = Tables(order)
+        _, right = relation.sides(t)
+        assert list(right) == schoolbook_right_side(relation, t)
 
 
 # --- pinned negative tests -------------------------------------------------

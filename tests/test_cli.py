@@ -235,6 +235,23 @@ def test_expand_fractional_exponent_spec(tmp_path, capsys):
     assert "integer exponents" in err
 
 
+def test_expand_both_on_a_fractional_factor_past_the_order(tmp_path, capsys):
+    path = tmp_path / "third.json"
+    path.write_text(
+        '{"factors": [{"set": {"kind": "explicit", "members": [50]}, '
+        '"weight": {"kind": "linear", "c": "1/3"}}]}'
+    )
+    argv = ["expand", "--spec", str(path), "--algo", "both", "--order"]
+    code, out, err = run_cli(argv + ["10"], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["agree"] is True
+    assert doc["coefficients"] == ["1"] + ["0"] * 10
+    code, _, err = run_cli(argv + ["50"], capsys)
+    assert code == 2
+    assert "requires integer exponents; linear weight c=1/3" in err
+
+
 _LINEAR_THIRDS = (
     '{"factors": [{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "1/3"}}, '
     '{"set": {"kind": "residueUnion", "classes": [[1, 4]]}, '

@@ -60,6 +60,12 @@ def test_overlapping_residue_classes_yield_members_once():
     assert list(s.members_upto(10)) == [1, 3, 5, 7, 9]
 
 
+def test_single_class_members_are_its_range():
+    assert SetDescriptor.all_naturals().members_upto(400) == range(1, 401)
+    assert SetDescriptor.multiples(4).members_upto(10) == range(4, 11, 4)
+    assert SetDescriptor.residue_union([(3, 5)]).members_upto(20) == range(3, 21, 5)
+
+
 @st.composite
 def set_descriptors(draw):
     which = draw(st.sampled_from(["all", "residues", "multiples", "explicit"]))
@@ -190,6 +196,19 @@ def test_expansion_rejects_fractional_linear_weight():
     )
     with pytest.raises(ValueError, match="integer exponents"):
         coeffs_via_expansion(spec, 5)
+
+
+def test_expansion_checks_linear_weights_only_on_members_in_range():
+    # (1-x^50)^(-1/3) does not reach x^10 (nor x^51 past a shift of 2).
+    spec = ProductSpec(
+        factors=(Factor(SetDescriptor.explicit([50]), WeightSpec.linear(Fraction(1, 3))),)
+    )
+    one = TruncatedSeries.one(10)
+    assert coeffs_via_expansion(spec, 10) == coeffs_via_recurrence(spec, 10) == one
+    shifted = ProductSpec(factors=spec.factors, shift=2)
+    assert coeffs_via_expansion(shifted, 51) == coeffs_via_recurrence(shifted, 51)
+    with pytest.raises(ValueError, match="linear weight c=1/3"):
+        coeffs_via_expansion(spec, 50)
 
 
 def test_expansion_rejects_fractional_table_exponent():

@@ -18,7 +18,7 @@ from divprod.sequences import (
     rogers_ramanujan_sum_side,
     triangular_rep_counts,
 )
-from divprod.series import TruncatedSeries, sparse_table
+from divprod.series import TruncatedSeries, binomial_factor, sparse_table
 
 
 def count_partitions(n, parts, max_uses=None):
@@ -135,6 +135,26 @@ def test_rogers_ramanujan_matches_residue_partition_counts():
         assert r2[n] == count_partitions(n, parts23)
 
 
+def rogers_ramanujan_by_series(which, order):
+    """The sum side by TruncatedSeries products: each 1/(1-x^n) is a
+    schoolbook __mul__ by binomial_factor(n, -1)."""
+    total = inv = TruncatedSeries.one(order)
+    n = 1
+    while (head := n * n if which == 1 else n * (n + 1)) <= order:
+        inv = inv * binomial_factor(n, -1, order)
+        total = total + inv.shift(head)
+        n += 1
+    return total.coeffs
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_rogers_ramanujan_matches_series_products(which):
+    for order in range(81):
+        assert rogers_ramanujan_sum_side(which, order).terms == rogers_ramanujan_by_series(
+            which, order
+        )
+
+
 def test_rogers_ramanujan_rejects_bad_selector():
     with pytest.raises(ValueError):
         rogers_ramanujan_sum_side(3, 10)
@@ -166,6 +186,24 @@ def test_delta_matches_repeated_theta_product(m, order):
     for _ in range(m):
         acc = acc * theta
     assert triangular_rep_counts(m, order).terms == acc.coeffs
+
+
+def triangular_power_by_series(m, order):
+    """sum_j C(m, j) (theta - 1)^j for j <= min(m, order), each power a
+    schoolbook TruncatedSeries.__mul__."""
+    theta_minus_one = TruncatedSeries([0] + sparse_table(order, triangular)[1:])
+    power = acc = TruncatedSeries.one(order)
+    for j in range(1, min(m, order) + 1):
+        power = power * theta_minus_one
+        acc = acc + power * comb(m, j)
+    return acc.coeffs
+
+
+@pytest.mark.parametrize("m", range(1, 16))
+def test_delta_matches_binomial_series_form(m):
+    # Orders below m cover the j <= min(m, order) bound.
+    for order in range(81):
+        assert triangular_rep_counts(m, order).terms == triangular_power_by_series(m, order)
 
 
 @pytest.mark.parametrize("m", [10**6, 10**30])
