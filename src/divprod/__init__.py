@@ -25,7 +25,6 @@ from divprod.products import (
 )
 from divprod.report import IdentityReport
 from divprod.sequences import (
-    SequencePrefix,
     lambert_cubic_by_divisors,
     lambert_cubic_prefix,
     partition_counts,
@@ -39,7 +38,6 @@ __all__ = [
     "Factor",
     "IdentityReport",
     "ProductSpec",
-    "SequencePrefix",
     "SetDescriptor",
     "TruncatedSeries",
     "WeightSpec",

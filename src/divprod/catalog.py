@@ -43,7 +43,7 @@ from divprod.products import (
     rogers_ramanujan_spec,
     square_quotient_spec,
 )
-from divprod.report import IdentityReport, Value, first_mismatch
+from divprod.report import IdentityReport, first_mismatch
 from divprod.sequences import (
     lambert_cubic_by_divisors,
     lambert_cubic_prefix,
@@ -52,7 +52,7 @@ from divprod.sequences import (
     rogers_ramanujan_sum_side,
     triangular_rep_counts,
 )
-from divprod.series import kronecker_mul, sparse_table
+from divprod.series import Rational, kronecker_mul, sparse_table
 
 PASS = "pass"
 FAIL = "fail"
@@ -63,9 +63,9 @@ class Tables:
 
     def __init__(self, order: int):
         self.order = order
-        self._built: dict[Table, Sequence[Value]] = {}
+        self._built: dict[Table, Sequence[Rational]] = {}
 
-    def __call__(self, table: Table) -> Sequence[Value]:
+    def __call__(self, table: Table) -> Sequence[Rational]:
         if table not in self._built:
             self._built[table] = table(self)
         return self._built[table]
@@ -74,7 +74,7 @@ class Tables:
 # Forward references as strings: typing caches subscripted aliases for the
 # life of the process, and a class held there would keep this module alive
 # after a re-import.
-Table = Callable[["Tables"], Sequence[Value]]
+Table = Callable[["Tables"], Sequence[Rational]]
 
 
 class Pin(NamedTuple):
@@ -96,7 +96,7 @@ class Relation(NamedTuple):
     shift: int = 0
     start: int = 1
 
-    def sides(self, t: Tables) -> tuple[Iterator[Value], Iterator[Value]]:
+    def sides(self, t: Tables) -> tuple[Iterator[Rational], Iterator[Rational]]:
         """Both sides for n = start..N: the right side's sums from one packed
         product to N, all else one n at a time as the scan asks for it."""
         ns = range(self.start, t.order + 1)
@@ -187,7 +187,7 @@ def _eta_quotient_h(t):
 
 
 def _partitions(t):
-    return partition_counts(t.order).terms
+    return partition_counts(t.order).coeffs
 
 
 def _cubic(t):
@@ -217,7 +217,7 @@ def p_regular(p: int) -> Identity:
     kernel is sigma - sigma_{0,p}."""
     return _oracle_recurrence(
         f"p_regular_{p}",
-        lambda t: regular_partition_counts(p, t.order).terms,
+        lambda t: regular_partition_counts(p, t.order).coeffs,
         p_regular_spec(p),  # raises for p < 2
         lambda t: list(map(sub, sigma_table(t.order), sigma_rm_table(t.order, 0, p))),
     )
@@ -230,7 +230,7 @@ def rogers_ramanujan(which: int) -> Identity:
     r1, r2 = (1, 4) if which == 1 else (2, 3)
     return _oracle_recurrence(
         f"rogers_ramanujan_{which}",
-        lambda t: rogers_ramanujan_sum_side(which, t.order).terms,
+        lambda t: rogers_ramanujan_sum_side(which, t.order).coeffs,
         rogers_ramanujan_spec(which),  # raises unless which is 1 or 2
         lambda t: list(map(add, sigma_rm_table(t.order, r1, 5), sigma_rm_table(t.order, r2, 5))),
     )
@@ -242,7 +242,7 @@ def delta(m: int) -> Identity:
     admissible m carry the product formula."""
     return _oracle_recurrence(
         f"delta_{m}",
-        lambda t: triangular_rep_counts(m, t.order).terms,
+        lambda t: triangular_rep_counts(m, t.order).coeffs,
         delta_spec(m),  # raises for inadmissible m
         _odd_minus_even,
         scale=m,
@@ -259,7 +259,7 @@ def p_regular_verbatim(p: int) -> Identity:
     return Identity(
         f"p_regular_verbatim_{p}",
         expected=FAIL,
-        pins=(Pin(lambda t: regular_partition_counts(p, t.order).terms, _expansion(reciprocal)),),
+        pins=(Pin(lambda t: regular_partition_counts(p, t.order).coeffs, _expansion(reciprocal)),),
     )
 
 
@@ -287,7 +287,7 @@ CATALOG: tuple[Identity, ...] = (
         "ramanujan_a",
         min_order=2,
         pins=(
-            Pin(_cubic, lambda t: lambert_cubic_prefix(t.order).terms),
+            Pin(_cubic, lambda t: lambert_cubic_prefix(t.order).coeffs),
             Pin(_cubic_shifted, lambda t: coeffs_via_recurrence(ramanujan_spec(), t.order).coeffs),
         ),
         relation=Relation(_cubic, _odd_minus_even, _cubic_shifted, scale=8, shift=1, start=2),

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Union
 
-Rational = Union[int, Fraction]
+from divprod.series import Rational
 
 
 def divisors(n: int) -> list[int]:
@@ -50,9 +49,7 @@ def sigma_ext(q: Rational) -> int:
         q = q.numerator
     elif not isinstance(q, int):
         raise TypeError(f"expected an exact rational, got {type(q).__name__}")
-    if q < 0:
-        return 0
-    return sigma(q)
+    return 0 if q < 0 else sigma(q)
 
 
 def _check_residue(r: int, m: int) -> None:

@@ -23,17 +23,16 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from divprod.report import IdentityReport, first_mismatch
 from divprod.series import (
+    Rational,
     TruncatedSeries,
     apply_binomial_factor,
     kronecker_mul,
     kronecker_pow,
 )
-
-Rational = Union[int, Fraction]
 
 SET_ALL = "all"
 SET_RESIDUE_UNION = "residueUnion"
@@ -358,14 +357,10 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries((0,) * spec.shift + tuple(coeffs))
 
 
-def cross_check(
-    spec: ProductSpec, order: int, label: str = "cross_check"
-) -> IdentityReport:
+def cross_check(spec: ProductSpec, order: int) -> IdentityReport:
     """Run both coefficient algorithms and report the first disagreement."""
-    by_recurrence = coeffs_via_recurrence(spec, order)
-    by_expansion = coeffs_via_expansion(spec, order)
-    miss = first_mismatch(by_recurrence.coeffs, by_expansion.coeffs)
-    return IdentityReport(label, order, miss is None, miss)
+    miss = first_mismatch(coeffs_via_recurrence(spec, order), coeffs_via_expansion(spec, order))
+    return IdentityReport("cross_check", order, miss is None, miss)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +413,9 @@ def _set_from_dict(doc, path: str) -> SetDescriptor:
             classes = []
             for i, pair in enumerate(raw):
                 if not isinstance(pair, list) or len(pair) != 2:
-                    raise SpecFormatError(
-                        f"{path}.classes[{i}]: expected a [r, m] pair"
-                    )
+                    raise SpecFormatError(f"{path}.classes[{i}]: expected a [r, m] pair")
                 classes.append(
-                    (
-                        _int_from_json(pair[0], f"{path}.classes[{i}][0]"),
-                        _int_from_json(pair[1], f"{path}.classes[{i}][1]"),
-                    )
+                    [_int_from_json(v, f"{path}.classes[{i}][{j}]") for j, v in enumerate(pair)]
                 )
             return SetDescriptor.residue_union(classes)
         if kind == SET_MULTIPLES:
@@ -475,8 +465,7 @@ def _weight_from_dict(doc, path: str) -> WeightSpec:
 def spec_from_dict(doc) -> ProductSpec:
     if not isinstance(doc, dict):
         raise SpecFormatError("top level: expected an object")
-    shift = doc.get("shift", 0)
-    shift = _int_from_json(shift, "shift")
+    shift = _int_from_json(doc.get("shift", 0), "shift")
     raw_factors = doc.get("factors")
     if not isinstance(raw_factors, list) or not raw_factors:
         raise SpecFormatError("factors: expected a nonempty list")
@@ -494,24 +483,51 @@ def spec_from_dict(doc) -> ProductSpec:
         )
     try:
         return ProductSpec(factors=tuple(factors), shift=shift)
-    except ValueError as exc:
-        raise SpecFormatError(str(exc))
+    except ValueError as exc:  # factors is nonempty, so the shift is negative
+        raise SpecFormatError(f"shift: {exc}")
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise SpecFormatError(f"repeated key {key!r}: JSON object keys may not repeat")
-        doc[key] = value
-    return doc
+class _Repeated(NamedTuple):
+    """Stands in for a JSON object in which ``key`` repeats."""
+
+    key: str
+
+
+def _reject_repeated_keys(doc) -> None:
+    """Raise at the first object, in document order, whose keys repeat,
+    naming its path; the walk also covers fields the spec does not read."""
+    stack = [("", doc)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, _Repeated):
+            raise SpecFormatError(
+                f"{path or 'top level'}: repeated key {node.key!r}: "
+                "JSON object keys may not repeat"
+            )
+        if isinstance(node, dict):
+            stack.extend((f"{path}.{k}" if path else k, v) for k, v in reversed(node.items()))
+        elif isinstance(node, list):
+            stack.extend((f"{path}[{i}]", node[i]) for i in reversed(range(len(node))))
 
 
 def spec_from_json(text: str) -> ProductSpec:
+    repeats = []
+
+    def unique_keys(pairs: list[tuple[str, object]]):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                repeats.append(key)
+                return _Repeated(key)
+            doc[key] = value
+        return doc
+
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    if repeats:
+        _reject_repeated_keys(doc)
     return spec_from_dict(doc)
 
 

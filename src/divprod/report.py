@@ -8,21 +8,20 @@ scan that finds that index, for the catalog and for the coefficient routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-Value = Union[int, Fraction]
+from divprod.series import Rational
 
 
 @dataclass(frozen=True)
 class Failure:
     n: int
-    lhs: Value
-    rhs: Value
+    lhs: Rational
+    rhs: Rational
 
 
 def first_mismatch(
-    lhs: Iterable[Value], rhs: Iterable[Value], start: int = 0
+    lhs: Iterable[Rational], rhs: Iterable[Rational], start: int = 0
 ) -> Optional[Failure]:
     """The first index where the two sides differ, counting the first pair as
     index ``start``; None when they agree throughout.
@@ -49,13 +48,8 @@ class IdentityReport:
             raise ValueError("passed must mirror the absence of a first failure")
 
     def to_dict(self) -> dict:
-        failure = None
-        if self.first_failure is not None:
-            failure = {
-                "n": self.first_failure.n,
-                "lhs": str(self.first_failure.lhs),
-                "rhs": str(self.first_failure.rhs),
-            }
+        f = self.first_failure
+        failure = None if f is None else {"n": f.n, "lhs": str(f.lhs), "rhs": str(f.rhs)}
         return {
             "identity": self.identity_id,
             "N": self.order_checked,

@@ -3,37 +3,20 @@ recurrence: partition dynamic programs, a Lambert-series double sum, the
 Rogers-Ramanujan sum sides, and theta-power convolutions.
 
 These are the arbiters the identity catalog checks everything else against,
-so none of them may go through the recurrence engine.
+so none of them may go through the recurrence engine.  Each returns its terms
+0..N as a ``TruncatedSeries``, the type of the coefficient routes, so an
+oracle and the product expansion it is pinned to compare with ``==``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, repeat, takewhile
 from math import comb
 from operator import add, mul
 
 from divprod.divisors import divisors, triangular
-# Unused, but perfbench's --trace 1 patches it here and fails without it.
-from divprod.series import binomial_factor  # noqa: F401
-
-
-@dataclass(frozen=True)
-class SequencePrefix:
-    """A named prefix of an integer sequence, terms indexed 0..N."""
-
-    name: str
-    terms: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.terms) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.terms[n]
-
-    def __len__(self) -> int:
-        return len(self.terms)
+# binomial_factor: unused, but perfbench's --trace 1 patches it here and fails without it.
+from divprod.series import TruncatedSeries, binomial_factor  # noqa: F401
 
 
 def lambert_cubic_by_divisors(n: int) -> int:
@@ -46,7 +29,7 @@ def lambert_cubic_by_divisors(n: int) -> int:
     return sum((n // d) ** 3 for d in divisors(n) if d % 2 == 1)
 
 
-def lambert_cubic_prefix(order: int) -> SequencePrefix:
+def lambert_cubic_prefix(order: int) -> TruncatedSeries:
     """Coefficients of sum_{n>=1} n^3 x^n / (1 - x^{2n}) up to ``order``,
     expanded as the double sum over n^3 x^{n(2j+1)}; index 0 is set to 1
     to match the sequence convention."""
@@ -61,10 +44,10 @@ def lambert_cubic_prefix(order: int) -> SequencePrefix:
         while e <= order:
             terms[e] += cube
             e += step
-    return SequencePrefix("lambert_cubic", tuple(terms))
+    return TruncatedSeries(terms)
 
 
-def partition_counts(order: int) -> SequencePrefix:
+def partition_counts(order: int) -> TruncatedSeries:
     """p(0..order) by the part-by-part dynamic program."""
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -73,10 +56,10 @@ def partition_counts(order: int) -> SequencePrefix:
     for part in range(1, order + 1):
         for i in range(part, order + 1):
             dp[i] += dp[i - part]
-    return SequencePrefix("partition", tuple(dp))
+    return TruncatedSeries(dp)
 
 
-def regular_partition_counts(p: int, order: int) -> SequencePrefix:
+def regular_partition_counts(p: int, order: int) -> TruncatedSeries:
     """Partitions whose parts each repeat fewer than p times, for 0..order.
 
     Same dynamic program as partition_counts but each part may be used at
@@ -97,10 +80,10 @@ def regular_partition_counts(p: int, order: int) -> SequencePrefix:
             if i >= window:
                 new[i] -= dp[i - window]
         dp = new
-    return SequencePrefix(f"q_regular({p})", tuple(dp))
+    return TruncatedSeries(dp)
 
 
-def rogers_ramanujan_sum_side(which: int, order: int) -> SequencePrefix:
+def rogers_ramanujan_sum_side(which: int, order: int) -> TruncatedSeries:
     """Coefficients of 1 + sum_{n>=1} x^{E(n)} / prod_{j=1..n} (1 - x^j)
     with E(n) = n^2 (which=1) or n(n+1) (which=2).
 
@@ -125,10 +108,10 @@ def rogers_ramanujan_sum_side(which: int, order: int) -> SequencePrefix:
             inv[i] += inv[i - n]
         total[head(n):] = map(add, total[head(n):], inv)
         n += 1
-    return SequencePrefix(f"rr{which}", tuple(total))
+    return TruncatedSeries(total)
 
 
-def triangular_rep_counts(m: int, order: int) -> SequencePrefix:
+def triangular_rep_counts(m: int, order: int) -> TruncatedSeries:
     """Number of ordered m-tuples of triangular numbers summing to n, for
     0..order: the m-th power of the theta series sum_k x^{T(k)}.
 
@@ -148,4 +131,4 @@ def triangular_rep_counts(m: int, order: int) -> SequencePrefix:
         padded = [0] * order + power
         power = list(map(sum, zip(*(padded[order - t : 2 * order + 1 - t] for t in places))))
         acc = list(map(add, acc, map(mul, power, repeat(comb(m, j)))))
-    return SequencePrefix(f"delta({m})", tuple(acc))
+    return TruncatedSeries(acc)

@@ -17,12 +17,12 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Sequence, Union
 
-Coefficient = Union[int, Fraction]
+Rational = Union[int, Fraction]
 
 
 def convolve(
-    kernel: Sequence[Coefficient], operand: Sequence[Coefficient], start: int, order: int
-) -> Iterator[Coefficient]:
+    kernel: Sequence[Rational], operand: Sequence[Rational], start: int, order: int
+) -> Iterator[Rational]:
     """sum_k kernel[k] * operand[n - k] for n = start..order, one n at a time.
 
     The schoolbook convolution of ``TruncatedSeries.__mul__`` and
@@ -46,7 +46,7 @@ def convolve(
         yield acc
 
 
-def sparse_table(order: int, place, coeff=lambda k: 1) -> list[Coefficient]:
+def sparse_table(order: int, place, coeff=lambda k: 1) -> list[Rational]:
     """coeff(k) at place(k) for k = 0, 1, ... while place(k) <= order (place
     increasing), zero elsewhere: a table supported on the squares k*k, the
     triangular numbers T(k), ..."""
@@ -66,15 +66,13 @@ class TruncatedSeries:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coefficient], order: int | None = None):
+    def __init__(self, coeffs: Iterable[Rational], order: int | None = None):
         cs = tuple(coeffs)
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")
             if len(cs) > order + 1:
-                raise ValueError(
-                    f"{len(cs)} coefficients exceed order {order}"
-                )
+                raise ValueError(f"{len(cs)} coefficients exceed order {order}")
             if len(cs) < order + 1:
                 cs = cs + (0,) * (order + 1 - len(cs))
         elif not cs:
@@ -96,13 +94,13 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         return cls((1,) + (0,) * order)
 
-    def __getitem__(self, i: int) -> Coefficient:
+    def __getitem__(self, i: int) -> Rational:
         return self.coeffs[i]
 
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __iter__(self) -> Iterator[Coefficient]:
+    def __iter__(self) -> Iterator[Rational]:
         return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
@@ -146,10 +144,7 @@ class TruncatedSeries:
             kernel, operand = operand, kernel
         return TruncatedSeries(tuple(convolve(kernel, operand, 0, n)))
 
-    def __rmul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__  # scalars commute; a series on the left uses its own __mul__
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse up to this series' order.
@@ -163,13 +158,13 @@ class TruncatedSeries:
         if a0 == 0:
             raise ValueError("not invertible as a formal series: zero constant term")
         if a0 == 1:
-            inv0: Coefficient = 1
+            inv0: Rational = 1
         elif a0 == -1:
             inv0 = -1
         else:
             inv0 = Fraction(1) / a0
         n = self.order
-        b: list[Coefficient] = [0] * (n + 1)
+        b: list[Rational] = [0] * (n + 1)
         b[0] = inv0
         for i, s in enumerate(convolve((0,) + a[1:], b, 1, n), 1):
             if s:

@@ -187,13 +187,16 @@ def _explicit_3(weight):
         (_explicit_3('{"kind": "linear", "c": "1.5e0"}'),
          "factors[0].weight.c: cannot parse rational '1.5e0'"),
         (_explicit_3('{"kind": "table", "values": {"3": "3", "3": "-3"}}'),
-         "repeated key '3'"),
+         "factors[0].weight.values: repeated key '3'"),
         ('{"shift": 0, "shift": 1, "factors": [{"set": {"kind": "all"}, '
          '"weight": {"kind": "linear", "c": "1"}}]}',
-         "repeated key 'shift'"),
+         "top level: repeated key 'shift'"),
         ('{"factors": [{"set": {"kind": "all", "kind": "explicit", "members": [3]}, '
          '"weight": {"kind": "linear", "c": "1"}}]}',
-         "repeated key 'kind'"),
+         "factors[0].set: repeated key 'kind'"),
+        ('{"shift": -1, "factors": [{"set": {"kind": "all"}, '
+         '"weight": {"kind": "linear", "c": "1"}}]}',
+         "error: shift: shift must be nonnegative\n"),
     ],
 )
 def test_expand_rejects_spec_outside_grammar(tmp_path, capsys, spec, needle):

@@ -187,7 +187,7 @@ def test_expansion_gauss():
 def test_expansion_p_regular_2():
     out = coeffs_via_expansion(p_regular_spec(2), 5)
     assert out == TruncatedSeries([1, 1, 1, 2, 2, 3])
-    assert out.coeffs == regular_partition_counts(2, 5).terms
+    assert out.coeffs == regular_partition_counts(2, 5).coeffs
 
 
 def test_expansion_rejects_fractional_linear_weight():
@@ -663,17 +663,24 @@ def _linear_doc(c):
         (
             '{"factors": [{"set": {"kind": "explicit", "members": [3]}, '
             '"weight": {"kind": "table", "values": {"3": "3", "3": "-3"}}}]}',
-            "repeated key '3'",
+            r"factors\[0\]\.weight\.values: repeated key '3'",
         ),
         (
             '{"shift": 0, "shift": 1, "factors": [{"set": {"kind": "all"}, '
             '"weight": {"kind": "linear", "c": "1"}}]}',
-            "repeated key 'shift'",
+            "top level: repeated key 'shift'",
         ),
         (
             '{"factors": [{"set": {"kind": "all", "kind": "explicit", "members": [3]}, '
             '"weight": {"kind": "linear", "c": "1"}}]}',
-            "repeated key 'kind'",
+            r"factors\[0\]\.set: repeated key 'kind'",
+        ),
+        # Also in a field the parser ignores, and before the checks of
+        # spec_from_dict (an empty factor list).
+        ('{"note": {"k": 1, "k": 2}, "factors": []}', "^note: repeated key 'k'"),
+        (
+            '{"shift": -1, "factors": [{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "1"}}]}',
+            "^shift: shift must be nonnegative$",
         ),
         pytest.param(
             _explicit_table_doc({"1" * 5000: "1"}),

@@ -2,14 +2,26 @@
 
 The enumerators here are deliberately naive (recursive multiset counting,
 nested tuple loops) so the dynamic programs and series expansions are checked
-against something with no shared machinery.
+against something with no shared machinery.  The last test compares each
+oracle, by ``==``, with the product expansion the catalog pins it to.
 """
 
+from functools import partial
 from math import comb
 
 import pytest
 
 from divprod.divisors import triangular, triangular_indicator
+from divprod.products import (
+    Factor,
+    ProductSpec,
+    SetDescriptor,
+    WeightSpec,
+    coeffs_via_expansion,
+    delta_spec,
+    p_regular_spec,
+    rogers_ramanujan_spec,
+)
 from divprod.sequences import (
     lambert_cubic_by_divisors,
     lambert_cubic_prefix,
@@ -77,7 +89,7 @@ def test_lambert_routes_agree():
 def test_partition_spot_values():
     p = partition_counts(10)
     assert p[5] == 7
-    assert p.terms == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
+    assert p.coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
 
 
 def test_partition_matches_enumeration():
@@ -94,7 +106,7 @@ def test_partition_monotone():
 def test_regular_partition_spot_values():
     assert regular_partition_counts(2, 5)[5] == 3  # 5, 4+1, 3+2
     assert regular_partition_counts(3, 4)[4] == 4  # 4, 3+1, 2+2, 2+1+1
-    assert regular_partition_counts(2, 5).terms == (1, 1, 1, 2, 2, 3)
+    assert regular_partition_counts(2, 5).coeffs == (1, 1, 1, 2, 2, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -120,7 +132,7 @@ def test_rogers_ramanujan_spot_values():
     r1 = rogers_ramanujan_sum_side(1, 4)
     r2 = rogers_ramanujan_sum_side(2, 4)
     assert r1[0] == 1
-    assert r1.terms == (1, 1, 1, 1, 2)
+    assert r1.coeffs == (1, 1, 1, 1, 2)
     assert r2[4] == 1
 
 
@@ -150,7 +162,7 @@ def rogers_ramanujan_by_series(which, order):
 @pytest.mark.parametrize("which", [1, 2])
 def test_rogers_ramanujan_matches_series_products(which):
     for order in range(81):
-        assert rogers_ramanujan_sum_side(which, order).terms == rogers_ramanujan_by_series(
+        assert rogers_ramanujan_sum_side(which, order).coeffs == rogers_ramanujan_by_series(
             which, order
         )
 
@@ -185,7 +197,7 @@ def test_delta_matches_repeated_theta_product(m, order):
     acc = TruncatedSeries.one(order)
     for _ in range(m):
         acc = acc * theta
-    assert triangular_rep_counts(m, order).terms == acc.coeffs
+    assert triangular_rep_counts(m, order).coeffs == acc.coeffs
 
 
 def triangular_power_by_series(m, order):
@@ -203,7 +215,7 @@ def triangular_power_by_series(m, order):
 def test_delta_matches_binomial_series_form(m):
     # Orders below m cover the j <= min(m, order) bound.
     for order in range(81):
-        assert triangular_rep_counts(m, order).terms == triangular_power_by_series(m, order)
+        assert triangular_rep_counts(m, order).coeffs == triangular_power_by_series(m, order)
 
 
 @pytest.mark.parametrize("m", [10**6, 10**30])
@@ -211,9 +223,32 @@ def test_delta_closed_forms_at_huge_m(m):
     # n = 2 is two 1s; n = 3 is one 3 or three 1s.  The cost is bounded by
     # the order, so m = 10**30 runs as fast as m = 20.
     r = triangular_rep_counts(m, 20)
-    assert r.terms[:4] == (1, m, comb(m, 2), m + comb(m, 3))
+    assert r.coeffs[:4] == (1, m, comb(m, 2), m + comb(m, 3))
 
 
 def test_delta_rejects_nonpositive_m():
     with pytest.raises(ValueError):
         triangular_rep_counts(0, 10)
+
+
+_PINNED_PRODUCTS = [
+    pytest.param(
+        partition_counts,
+        ProductSpec((Factor(SetDescriptor.all_naturals(), WeightSpec.linear(1)),)),
+        id="partition",
+    ),
+    *(pytest.param(partial(regular_partition_counts, p), p_regular_spec(p), id=f"q_regular({p})")
+      for p in (2, 3, 5, 7)),
+    *(pytest.param(partial(rogers_ramanujan_sum_side, w), rogers_ramanujan_spec(w), id=f"rr{w}")
+      for w in (1, 2)),
+    *(pytest.param(partial(triangular_rep_counts, m), delta_spec(m), id=f"delta({m})")
+      for m in (1, 2, 4, 6, 8, 10, 12)),
+]
+
+
+@pytest.mark.parametrize("order", [0, 1, 7, 60])
+@pytest.mark.parametrize("oracle,spec", _PINNED_PRODUCTS)
+def test_oracle_equals_its_product_expansion(oracle, spec, order):
+    # An oracle returns the coefficient routes' type, so the sides compare
+    # whole; the product's expansion is the route the catalog pins it to.
+    assert oracle(order) == coeffs_via_expansion(spec, order)
