@@ -20,9 +20,10 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from itertools import repeat
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from divprod.report import IdentityReport, first_mismatch
@@ -228,13 +229,20 @@ class ProductSpec:
 
 @dataclass(frozen=True)
 class DivisorWeightTable:
-    """g(k) = sum_i sum_{d | k, d in A_i} f_i(d) for 1 <= k <= order.
+    """g(k) = sum_i sum_{d | k, d in A_i} f_i(d) for 1 <= k <= order, held as
+    the integers ``numerators[k] = scale * g(k)``; slot 0 is unused and zero.
 
-    ``values`` is indexed by k; slot 0 is unused and zero.
+    ``values`` is the exact g, an int wherever it is integral, derived on its
+    first read.  ``scale`` is as ``weight_table`` chose it.
     """
 
     order: int
-    values: tuple[Rational, ...]
+    numerators: tuple[int, ...]
+    scale: int
+
+    @cached_property
+    def values(self) -> tuple[Rational, ...]:
+        return tuple(_tighten(Fraction(h, self.scale)) for h in self.numerators)
 
     def __getitem__(self, k: int) -> Rational:
         if not 1 <= k <= self.order:
@@ -247,22 +255,31 @@ def _tighten(x: Fraction) -> Rational:
 
 
 def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
-    """The recurrence kernel g(1..order) for a spec, exactly.
+    """The recurrence kernel g(1..order) for a spec, exactly, on integers.
 
-    Each set member d contributes its weight to every multiple of d, which is
-    the divisor sum taken in sieve order.
+    ``scale`` is the lcm of c's denominator over the linear factors with a
+    member <= order and of the table values' denominators at those members.
+    Each member d adds the integer scale*f(d) to every multiple of d, which
+    is the divisor sum taken in sieve order.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    g: list[Rational] = [0] * (order + 1)
+    walks = []  # per factor: (d, numerator, denominator) of f(d) at each member d <= order
     for factor in spec.factors:
-        w = factor.weight
-        for d in factor.set.members_upto(order):
-            val = _tighten(w.f_value(d))
-            if val:
+        w, members = factor.weight, factor.set.members_upto(order)
+        if w.kind == WEIGHT_LINEAR:
+            walks.append([(d, w.c.numerator * d, w.c.denominator) for d in members])
+        else:
+            walks.append([(d, *w.f_value(d).as_integer_ratio()) for d in members])
+    scale = lcm(*{den for walk in walks for _, _, den in walk})
+    g = [0] * (order + 1)
+    for walk in walks:
+        for d, num, den in walk:
+            if num:
+                h = num * (scale // den)
                 for k in range(d, order + 1, d):
-                    g[k] += val
-    return DivisorWeightTable(order, tuple(g))
+                    g[k] += h
+    return DivisorWeightTable(order, tuple(g), scale)
 
 
 def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
@@ -270,10 +287,11 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
     recurrence n*p(n) = sum_{k=1..n} g(k) p(n-k), then the monomial shift.
 
     The loop runs on integers only: P(j) = D p(j) over one common
-    denominator D, with the integer kernel b*g(k) for b the lcm of g's
-    denominators, so b*n*D*p(n) = sum_k b g(k) P(n-k).  When b*n does not
+    denominator D, with the weight table's integer kernel b*g(k) for b its
+    ``scale``, so b*n*D*p(n) = sum_k b g(k) P(n-k).  When b*n does not
     divide that sum, D grows by the least factor that makes P(n) an integer
-    and every earlier P(j) is multiplied by it.  D stays the lcm of the
+    and every earlier P(j) is multiplied by it.  That factor is the
+    denominator of D*p(n), whatever b is.  D stays the lcm of the
     denominators of p(0..n), so the cost follows the size of the
     coefficients, not of the exponents' denominators.  The output is P(n)
     itself when D = 1, else P(n)/D, an int wherever it is integral.
@@ -286,9 +304,9 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
     p = [1] + [0] * inner
     den = 1
     if inner >= 1:
-        g = weight_table(spec, inner).values
-        b = lcm(*(v.denominator for v in g))
-        kernel = [(k, (g[k] * b).numerator) for k in range(1, inner + 1) if g[k]]
+        table = weight_table(spec, inner)
+        b = table.scale
+        kernel = [(k, hk) for k, hk in enumerate(table.numerators) if hk]
         for n in range(1, inner + 1):
             acc = 0
             for k, hk in kernel:
@@ -300,7 +318,7 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
             if r:
                 t = m // gcd(r, m)
                 den *= t
-                p[:n] = [c * t for c in p[:n]]
+                p[:n] = map(mul, p[:n], repeat(t))
                 p[n] = acc * t // m
     if den > 1:
         p = [_tighten(Fraction(c, den)) for c in p]
@@ -526,6 +544,8 @@ def spec_from_json(text: str) -> ProductSpec:
         doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise SpecFormatError("top level: JSON nests deeper than the parser's recursion limit")
     if repeats:
         _reject_repeated_keys(doc)
     return spec_from_dict(doc)
@@ -545,35 +565,24 @@ _ODDS = SetDescriptor.residue_union([(1, 2)])
 _ALL = SetDescriptor.all_naturals()
 
 
+def _linear_spec(*families: tuple[SetDescriptor, int], shift: int = 0) -> ProductSpec:
+    """prod over the (set, c) families of prod_{n in set} (1-x^n)^(-c)."""
+    return ProductSpec(tuple(Factor(s, WeightSpec.linear(c)) for s, c in families), shift)
+
+
 def gauss_spec() -> ProductSpec:
     """prod (1-x^{2n}) (1-x^{2n-1})^{-1}: the triangular-number indicator series."""
-    return ProductSpec(
-        factors=(
-            Factor(_EVENS, WeightSpec.linear(-1)),
-            Factor(_ODDS, WeightSpec.linear(1)),
-        )
-    )
+    return _linear_spec((_EVENS, -1), (_ODDS, 1))
 
 
 def jacobi_spec() -> ProductSpec:
     """prod (1-x^{2n}) (1-x^{2n-1})^2: 1 + 2 sum (-1)^n x^{n^2}."""
-    return ProductSpec(
-        factors=(
-            Factor(_EVENS, WeightSpec.linear(-1)),
-            Factor(_ODDS, WeightSpec.linear(-2)),
-        )
-    )
+    return _linear_spec((_EVENS, -1), (_ODDS, -2))
 
 
 def ramanujan_spec() -> ProductSpec:
     """x * prod (1-x^{2n})^8 (1-x^{2n-1})^{-8}: the cubic Lambert coefficients."""
-    return ProductSpec(
-        factors=(
-            Factor(_EVENS, WeightSpec.linear(-8)),
-            Factor(_ODDS, WeightSpec.linear(8)),
-        ),
-        shift=1,
-    )
+    return _linear_spec((_EVENS, -8), (_ODDS, 8), shift=1)
 
 
 def rogers_ramanujan_spec(which: int) -> ProductSpec:
@@ -584,21 +593,14 @@ def rogers_ramanujan_spec(which: int) -> ProductSpec:
         classes = [(2, 5), (3, 5)]
     else:
         raise ValueError("which must be 1 or 2")
-    return ProductSpec(
-        factors=(Factor(SetDescriptor.residue_union(classes), WeightSpec.linear(1)),)
-    )
+    return _linear_spec((SetDescriptor.residue_union(classes), 1))
 
 
 def p_regular_spec(p: int) -> ProductSpec:
     """prod (1-x^{pn}) (1-x^n)^{-1}: partitions with parts repeating < p times."""
     if p < 2:
         raise ValueError("p must be an integer >= 2")
-    return ProductSpec(
-        factors=(
-            Factor(_ALL, WeightSpec.linear(1)),
-            Factor(SetDescriptor.multiples(p), WeightSpec.linear(-1)),
-        )
-    )
+    return _linear_spec((_ALL, 1), (SetDescriptor.multiples(p), -1))
 
 
 def delta_product_admissible(m: int) -> bool:
@@ -617,23 +619,12 @@ def delta_spec(m: int) -> ProductSpec:
             f"no triangular-representation product formula for m={m}; "
             "admissible m: 1, 2, 6, 10, or any multiple of 4"
         )
-    return ProductSpec(
-        factors=(
-            Factor(_EVENS, WeightSpec.linear(-2 * m)),
-            Factor(_ALL, WeightSpec.linear(m)),
-        )
-    )
+    return _linear_spec((_EVENS, -2 * m), (_ALL, m))
 
 
 def square_quotient_spec() -> ProductSpec:
     """prod (1-x^{2n})^5 (1-x^n)^{-2} (1-x^{4n})^{-2}: 1 + 2 sum x^{n^2}."""
-    return ProductSpec(
-        factors=(
-            Factor(_EVENS, WeightSpec.linear(-5)),
-            Factor(_ALL, WeightSpec.linear(2)),
-            Factor(SetDescriptor.multiples(4), WeightSpec.linear(2)),
-        )
-    )
+    return _linear_spec((_EVENS, -5), (_ALL, 2), (SetDescriptor.multiples(4), 2))
 
 
 _CALL = re.compile(r"(\w+)(?:\((-?[0-9]+(?:,-?[0-9]+)*)\))?", re.ASCII)

@@ -9,6 +9,7 @@ built without the packed product that sums its right side.
 
 import importlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,16 @@ import pytest
 import divprod.catalog as catalog
 import divprod.products as products
 import divprod.sequences as sequences
-from divprod.products import builtin_spec, coeffs_via_expansion, coeffs_via_recurrence
+from divprod.products import (
+    Factor,
+    ProductSpec,
+    SetDescriptor,
+    WeightSpec,
+    builtin_spec,
+    coeffs_via_expansion,
+    coeffs_via_recurrence,
+    weight_table,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -78,3 +88,30 @@ def test_benchmark_trace_targets_are_bound(monkeypatch, capsys):
             "sequences.triangular_rep_counts", "divisors.sieve"} <= spans
     for name, mod in mods.items():
         assert dict(vars(mod)) == originals[name], name
+
+
+# g(k) = 0 at k = 1, 5, ... (no member divides k) and at k = 4, 6, ... (the
+# weights cancel, as f(2) + f(4) = 0).
+RATIONAL = ProductSpec(
+    factors=(
+        Factor(SetDescriptor.multiples(3), WeightSpec.linear(Fraction(1, 3))),
+        Factor(SetDescriptor.residue_union([(3, 4)]), WeightSpec.linear(Fraction(-5, 6))),
+        Factor(SetDescriptor.explicit([2, 4]), WeightSpec.table({2: Fraction(-1, 2), 4: Fraction(1, 2)})),
+    )
+)
+
+
+@pytest.mark.parametrize("spec", [RATIONAL, builtin_spec("delta(8)")], ids=["rational", "delta(8)"])
+def test_benchmark_recurrence_terms_reads_the_weight_table(monkeypatch, spec):
+    """perfbench counts the recurrence's kernel terms from the table that
+    ``weight_table`` returns: the terms with k <= n, summed over n."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    order = 60
+    nonzero = [
+        k for k in range(1, order + 1)
+        if sum(f.weight.f_value(d) for f in spec.factors
+               for d in range(1, k + 1) if k % d == 0 and f.set.contains(d))
+    ]
+    expected = sum(order - k + 1 for k in nonzero)
+    assert layers.recurrence_terms(weight_table(spec, order)) == expected

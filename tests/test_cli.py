@@ -162,6 +162,20 @@ def test_expand_malformed_json(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def test_expand_rejects_nesting_past_the_recursion_limit(tmp_path):
+    # json.loads recurses once per level, so this depth raises RecursionError
+    # inside the parser; a fresh process shows whether a traceback escapes.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli_subprocess(["expand", "--spec", str(path), "--order", "5"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: top level: JSON nests deeper than the parser's recursion limit\n"
+    )
+    assert "Traceback" not in proc.stderr
+
+
 def test_expand_missing_file(tmp_path, capsys):
     code, _, err = run_cli(
         ["expand", "--spec", str(tmp_path / "absent.json"), "--order", "5"], capsys

@@ -527,6 +527,80 @@ def test_recurrence_power_matches_scaled_expansion(spec, order):
     assert _power(p, e) == coeffs_via_expansion(_scaled_weights(spec, e), inner)
 
 
+def _divisor_sums(spec, order):
+    """g(0..order) as Fractions, summed over each k's divisors directly."""
+    g = [Fraction(0)] * (order + 1)
+    for k in range(1, order + 1):
+        for factor in spec.factors:
+            for d in range(1, k + 1):
+                if k % d == 0 and factor.set.contains(d):
+                    g[k] += factor.weight.f_value(d)
+    return g
+
+
+def _weight_scale(spec, order):
+    """lcm of c's denominator over linear factors with a member <= order, and
+    of the table values' denominators at those members."""
+    scale = 1
+    for factor in spec.factors:
+        w, members = factor.weight, factor.set.members_upto(order)
+        if w.kind == "linear" and members:
+            scale = lcm(scale, w.c.denominator)
+        elif w.kind == "table":
+            scale = lcm(scale, *(w.f_value(d).denominator for d in members))
+    return scale
+
+
+def _single_linear(s, c):
+    return ProductSpec(factors=(Factor(s, WeightSpec.linear(c)),))
+
+
+def _single_table(s, values):
+    return ProductSpec(factors=(Factor(s, WeightSpec.table(values)),))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rational_specs(), random_specs()), st.integers(min_value=1, max_value=RATIONAL_SPAN))
+# c = 1/3 on multiples of 3: every g(k) is an integer, yet scale is 3.
+@example(_single_linear(SetDescriptor.multiples(3), Fraction(1, 3)), 30)
+# A table value of 0 adds nothing, but its denominator 1 is read.
+@example(_single_table(SetDescriptor.explicit([2, 3]), {2: 0, 3: Fraction(1, 2)}), 12)
+# Integer f(d) that d does not divide: integral g, rational exponent.
+@example(_single_table(SetDescriptor.explicit([3, 4]), {3: 1, 4: 7}), 20)
+# Members above N are never read, so c = 1/5 on {40} leaves scale 1.
+@example(
+    ProductSpec(
+        factors=(
+            Factor(SetDescriptor.explicit([2, 40]), WeightSpec.table({2: 3, 40: Fraction(1, 7)})),
+            Factor(SetDescriptor.explicit([40]), WeightSpec.linear(Fraction(1, 5))),
+        )
+    ),
+    30,
+)
+@example(TABLE_MIXED, 1)
+def test_weight_table_matches_direct_divisor_sums(spec, order):
+    table = weight_table(spec, order)
+    g = _divisor_sums(spec, order)
+    assert table.order == order
+    assert table.scale == _weight_scale(spec, order)
+    assert len(table.values) == len(table.numerators) == order + 1
+    assert table.values[0] == table.numerators[0] == 0
+    for k in range(1, order + 1):
+        assert table[k] == g[k]
+        assert type(table.values[k]) is (int if g[k].denominator == 1 else Fraction)
+        assert table.values[k] == g[k]
+        assert type(table.numerators[k]) is int
+        assert table.numerators[k] == table.scale * g[k]
+
+
+def test_weight_table_of_a_third_on_multiples_of_three():
+    table = weight_table(_single_linear(SetDescriptor.multiples(3), Fraction(1, 3)), 9)
+    assert table.scale == 3
+    assert table.numerators == (0, 0, 0, 3, 0, 0, 9, 0, 0, 12)
+    assert table.values == (0, 0, 0, 1, 0, 0, 3, 0, 0, 4)
+    assert all(type(v) is int for v in table.values)
+
+
 def test_recurrence_of_an_integral_g_with_rational_exponent():
     # (1-x^3)^(-1/3) = 1 + x^3/3 + 2x^6/9 + 14x^9/81 + ...
     out = coeffs_via_recurrence(TABLE_THIRD, 9)
