@@ -125,12 +125,12 @@ class Identity(NamedTuple):
 
     def check(self, order: int) -> IdentityReport:
         if order < self.min_order:
-            raise ValueError(f"order must be >= {self.min_order}")
+            raise ValueError(f"{self.id}: order must be >= {self.min_order}")
         for lhs, rhs, start in self._comparisons(Tables(order)):
             miss = first_mismatch(lhs, rhs, start)
             if miss is not None:
-                return IdentityReport(self.id, order, False, miss)
-        return IdentityReport(self.id, order, True)
+                return IdentityReport(self.id, order, miss)
+        return IdentityReport(self.id, order)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,11 @@ def first_mismatch(
 class IdentityReport:
     identity_id: str
     order_checked: int
-    passed: bool
     first_failure: Optional[Failure] = None
 
-    def __post_init__(self):
-        if self.passed != (self.first_failure is None):
-            raise ValueError("passed must mirror the absence of a first failure")
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
     def to_dict(self) -> dict:
         f = self.first_failure

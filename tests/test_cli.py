@@ -1,14 +1,18 @@
 """CLI contract: selectors, formats, exit codes, byte stability."""
 
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from divprod.cli import main
 from divprod.products import gauss_spec, jacobi_spec
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(argv, capsys):
@@ -350,6 +354,14 @@ def test_verify_unknown_id_rejected_before_running(capsys, tmp_path):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("selector", ["all", "ramanujan_a"])
+def test_verify_below_a_minimum_order_names_the_identity(selector, capsys):
+    code, out, err = run_cli(["verify", selector, "--order", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: ramanujan_a: order must be >= 2\n"
+
+
 def test_verify_all_not_combinable(capsys):
     code, _, err = run_cli(["verify", "all", "jacobi_square"], capsys)
     assert code == 2
@@ -393,6 +405,33 @@ def test_catalog_listing(capsys):
     assert ids["jacobi_square_verbatim"] == "fail"
     assert "gauss" in doc["specs"]
     assert "partition" in doc["sequences"]
+
+
+# --- default output bytes ----------------------------------------------------
+
+
+def test_default_output_matches_the_benchmark_reference(monkeypatch, tmp_path):
+    """Every seed-independent operation of the benchmark, run in process,
+    against the digest and exit code that perfbench/reference.json pins."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    reference = checks.load_reference()
+    out = tmp_path / "out.json"
+    replayed = set()
+    for name in ("catalog", "expand_both"):
+        wl = workloads.build(name, 0)
+        for spec, doc in wl.specs.items():
+            (tmp_path / f"{spec}.json").write_bytes(workloads.spec_bytes(doc))
+        for op in (op for op in wl.ops if not op.seeded):
+            argv = [*op.argv, "--out", str(out)]
+            if op.spec is not None:
+                argv += ["--spec", str(tmp_path / f"{op.spec}.json")]
+            out.unlink(missing_ok=True)
+            assert main(argv) == checks.expected_exit(op), op.key
+            assert checks.digest(op, out.read_bytes()) == reference[op.key], op.key
+            replayed.add(op.key)
+    assert replayed == set(reference)
 
 
 # --- process-level behavior --------------------------------------------------

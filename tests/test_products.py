@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import divprod.products as products
 from divprod.products import (
     Factor,
     ProductSpec,
@@ -31,7 +32,7 @@ from divprod.products import (
     weight_table,
 )
 from divprod.sequences import lambert_cubic_by_divisors, regular_partition_counts
-from divprod.series import TruncatedSeries
+from divprod.series import TruncatedSeries, kronecker_mul
 
 
 # --- set descriptors -------------------------------------------------------
@@ -143,6 +144,19 @@ def test_weight_table_bounds():
         g[6]
 
 
+def test_weight_table_of_order_zero():
+    third = ProductSpec(
+        factors=(Factor(SetDescriptor.all_naturals(), WeightSpec.linear(Fraction(1, 3))),)
+    )
+    for spec in (gauss_spec(), third):
+        g = weight_table(spec, 0)
+        assert (g.order, g.numerators, g.scale) == (0, (0,), 1)
+        assert coeffs_via_recurrence(spec, 0) == TruncatedSeries.one(0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            weight_table(spec, -1)
+    assert coeffs_via_recurrence(ramanujan_spec(), 1) == TruncatedSeries([0, 1])
+
+
 def test_table_weight_lookup_first_last_and_missing():
     w = WeightSpec.table({9: 3, 2: Fraction(1, 2), 5: -4})
     assert w.f_value(2) == Fraction(1, 2)
@@ -188,6 +202,25 @@ def test_expansion_p_regular_2():
     out = coeffs_via_expansion(p_regular_spec(2), 5)
     assert out == TruncatedSeries([1, 1, 1, 2, 2, 3])
     assert out.coeffs == regular_partition_counts(2, 5).coeffs
+
+
+@pytest.mark.parametrize(
+    "name, products_multiplied",
+    [("gauss", 0), ("ramanujan", 0), ("delta(8)", 0), ("jacobi", 1), ("square_quotient", 2)],
+)
+def test_expansion_multiplies_in_each_exponent_group_past_the_first(
+    monkeypatch, name, products_multiplied
+):
+    spec = builtin_spec(name)
+    calls = []
+
+    def counted(a, b, order):
+        calls.append(order)
+        return kronecker_mul(a, b, order)
+
+    monkeypatch.setattr(products, "kronecker_mul", counted)
+    assert coeffs_via_expansion(spec, 40) == coeffs_via_recurrence(spec, 40)
+    assert len(calls) == products_multiplied
 
 
 def test_expansion_rejects_fractional_linear_weight():

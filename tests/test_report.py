@@ -1,10 +1,11 @@
-"""The first-mismatch scan shared by the catalog and the coefficient routes."""
+"""The first-mismatch scan shared by the catalog and the coefficient routes,
+and the reports built from it."""
 
 from fractions import Fraction
 
 import pytest
 
-from divprod.report import Failure, first_mismatch
+from divprod.report import Failure, IdentityReport, first_mismatch
 
 
 def test_no_mismatch():
@@ -40,3 +41,20 @@ def test_stops_at_the_first_mismatch():
 def test_unequal_lengths_raise():
     with pytest.raises(ValueError):
         first_mismatch([1, 2], [1])
+
+
+def test_report_without_a_failure_passed():
+    report = IdentityReport("x", 5)
+    assert report.passed
+    assert report.to_dict() == {"identity": "x", "N": 5, "passed": True, "first_failure": None}
+
+
+def test_report_with_a_failure_did_not_pass():
+    report = IdentityReport("x", 5, Failure(2, 16, Fraction(1, 2)))
+    assert not report.passed
+    assert report.to_dict() == {
+        "identity": "x",
+        "N": 5,
+        "passed": False,
+        "first_failure": {"n": 2, "lhs": "16", "rhs": "1/2"},
+    }
