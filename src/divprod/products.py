@@ -41,6 +41,14 @@ SET_MULTIPLES = "multiples"
 SET_EXPLICIT = "explicit"
 
 
+def _exact(x, what: str) -> Fraction:
+    """x as a Fraction; a float or a bool is refused rather than read as the
+    binary fraction or the truth value it holds."""
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
+
+
 class SpecFormatError(ValueError):
     """A product spec document failed validation; message carries the field path."""
 
@@ -60,7 +68,7 @@ class SetDescriptor:
 
     def __post_init__(self):
         if self.kind == SET_EXPLICIT:
-            if any(n < 1 for n in self.members):
+            if not all(type(n) is int and n > 0 for n in self.members):
                 raise ValueError("explicit members must be positive integers")
             if len(set(self.members)) != len(self.members):
                 raise ValueError("explicit members must be duplicate-free")
@@ -71,6 +79,8 @@ class SetDescriptor:
         if not self.classes:
             raise ValueError("residue union needs at least one (r, m) class")
         for r, m in self.classes:
+            if type(r) is not int or type(m) is not int:
+                raise ValueError(f"residue class ({r!r}, {m!r}) must be a pair of integers")
             if m < 1:
                 raise ValueError("residue modulus must be a positive integer")
             if not 0 <= r < m:
@@ -90,7 +100,7 @@ class SetDescriptor:
 
     @classmethod
     def multiples(cls, m: int) -> "SetDescriptor":
-        if m < 1:
+        if type(m) is not int or m < 1:
             raise ValueError("multiples requires a positive modulus")
         return cls(SET_MULTIPLES, classes=((0, m),))
 
@@ -142,15 +152,15 @@ class WeightSpec:
 
     def __post_init__(self):
         if self.kind == WEIGHT_LINEAR:
-            object.__setattr__(self, "c", Fraction(self.c))
+            object.__setattr__(self, "c", _exact(self.c, "linear weight c"))
         elif self.kind == WEIGHT_TABLE:
             seen = {}
             for n, v in self.values:
-                if n < 1:
+                if not (type(n) is int and n > 0):
                     raise ValueError("table keys must be positive integers")
                 if n in seen:
                     raise ValueError(f"duplicate table entry for n={n}")
-                seen[n] = Fraction(v)
+                seen[n] = _exact(v, f"table value at n={n}")
             object.__setattr__(
                 self, "values", tuple(sorted(seen.items()))
             )
@@ -159,11 +169,11 @@ class WeightSpec:
 
     @classmethod
     def linear(cls, c: Rational) -> "WeightSpec":
-        return cls(WEIGHT_LINEAR, c=Fraction(c))
+        return cls(WEIGHT_LINEAR, c=c)
 
     @classmethod
     def table(cls, values: Mapping[int, Rational]) -> "WeightSpec":
-        return cls(WEIGHT_TABLE, values=tuple((n, Fraction(v)) for n, v in values.items()))
+        return cls(WEIGHT_TABLE, values=tuple(values.items()))
 
     def _lookup(self, n: int) -> Fraction:
         i = bisect_left(self.values, n, key=itemgetter(0))
@@ -243,11 +253,6 @@ class DivisorWeightTable:
     @cached_property
     def values(self) -> tuple[Rational, ...]:
         return tuple(_tighten(Fraction(h, self.scale)) for h in self.numerators)
-
-    def __getitem__(self, k: int) -> Rational:
-        if not 1 <= k <= self.order:
-            raise IndexError(f"k={k} outside 1..{self.order}")
-        return self.values[k]
 
 
 def _tighten(x: Fraction) -> Rational:

@@ -1,49 +1,22 @@
-"""Exact truncated formal power series over arbitrary-precision rationals.
+"""Exact truncated formal power series, and the kernels that build them.
 
 A series of order N carries coefficients for x^0 .. x^N inclusive and nothing
-beyond.  All arithmetic is exact: coefficients are Python ints or
-`fractions.Fraction` values (always in lowest terms, positive denominator),
-and no floating point is used anywhere.  Binary operations on series of
-different orders truncate to the smaller order, so precision loss is always
-explicit in the result's order.
-
-Instances are immutable; every operation is a pure function returning a new
-series, so values can be shared freely between threads.
+beyond.  Coefficients are Python ints or `fractions.Fraction` values (always
+in lowest terms, positive denominator), and no floating point is used
+anywhere.  ``TruncatedSeries`` is the value type of the coefficient routes
+and the oracles: an immutable container whose ``==`` compares every
+coefficient.  The arithmetic lives in list kernels: the in-place binomial
+pass ``apply_binomial_factor`` and the packed product ``kronecker_mul``.
+``TruncatedSeries.__mul__`` keeps a plain double sum as their reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 Rational = Union[int, Fraction]
-
-
-def convolve(
-    kernel: Sequence[Rational], operand: Sequence[Rational], start: int, order: int
-) -> Iterator[Rational]:
-    """sum_k kernel[k] * operand[n - k] for n = start..order, one n at a time.
-
-    The schoolbook convolution of ``TruncatedSeries.__mul__`` and
-    ``inverse``; the catalog's relation sums use ``kronecker_mul`` and the
-    recurrence keeps its own loop.  Only the kernel's nonzero terms are
-    visited, in ascending k, and the walk stops once k > n: O(N^2) for a
-    dense kernel, O(N^1.5) for one on the squares or triangular numbers.
-
-    The operand may be fixed, or filled online: the caller writes
-    operand[n] after it receives the n-th sum.  This works because
-    operand[m] is read only when a sum needs it, and it requires
-    kernel[0] == 0, so that the n-th sum reads operand[0..n-1] only.
-    """
-    terms = [(k, h) for k, h in enumerate(kernel) if h]
-    for n in range(start, order + 1):
-        acc = 0
-        for k, h in terms:
-            if k > n:
-                break
-            acc += h * operand[n - k]
-        yield acc
 
 
 def sparse_table(order: int, place, coeff=lambda k: 1) -> list[Rational]:
@@ -66,16 +39,9 @@ class TruncatedSeries:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Rational], order: int | None = None):
+    def __init__(self, coeffs: Iterable[Rational]):
         cs = tuple(coeffs)
-        if order is not None:
-            if order < 0:
-                raise ValueError("order must be nonnegative")
-            if len(cs) > order + 1:
-                raise ValueError(f"{len(cs)} coefficients exceed order {order}")
-            if len(cs) < order + 1:
-                cs = cs + (0,) * (order + 1 - len(cs))
-        elif not cs:
+        if not cs:
             raise ValueError("a truncated series needs at least the x^0 coefficient")
         object.__setattr__(self, "coeffs", cs)
 
@@ -89,10 +55,6 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         return cls((0,) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls((1,) + (0,) * order)
 
     def __getitem__(self, i: int) -> Rational:
         return self.coeffs[i]
@@ -114,83 +76,22 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(tuple(a[i] + b[i] for i in range(n + 1)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(tuple(a[i] - b[i] for i in range(n + 1)))
-
     def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(tuple(other * c for c in self.coeffs))
+        """The Cauchy product to the smaller order, as the schoolbook double
+        sum over the nonzero terms of both operands; the reference that the
+        tests check ``kronecker_mul`` against.  Int operands give ints."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        # Cauchy product with the sparser operand as the kernel (self on a
-        # tie), so products against binomial/theta factors stay cheap.
-        kernel, operand = self.coeffs[: n + 1], other.coeffs[: n + 1]
-        if kernel.count(0) < operand.count(0):
-            kernel, operand = operand, kernel
-        return TruncatedSeries(tuple(convolve(kernel, operand, 0, n)))
-
-    __rmul__ = __mul__  # scalars commute; a series on the left uses its own __mul__
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse up to this series' order.
-
-        Forward substitution on a0*b_i = -sum_{k=1}^{i} a_k b_{i-k}, the
-        sums taken by ``convolve`` with b as its online operand.
-        Raises ValueError if the constant term is zero.
-        """
-        a = self.coeffs
-        a0 = a[0]
-        if a0 == 0:
-            raise ValueError("not invertible as a formal series: zero constant term")
-        if a0 == 1:
-            inv0: Rational = 1
-        elif a0 == -1:
-            inv0 = -1
-        else:
-            inv0 = Fraction(1) / a0
-        n = self.order
-        b: list[Rational] = [0] * (n + 1)
-        b[0] = inv0
-        for i, s in enumerate(convolve((0,) + a[1:], b, 1, n), 1):
-            if s:
-                b[i] = -(inv0 * s)
-        return TruncatedSeries(tuple(b))
-
-    def shift(self, s: int) -> "TruncatedSeries":
-        """Multiply by x^s: coefficients move up s slots, order stays fixed,
-        and the top s coefficients fall off the truncation edge."""
-        if s < 0:
-            raise ValueError("shift must be nonnegative")
-        if s == 0:
-            return self
-        n = self.order
-        kept = self.coeffs[: max(n + 1 - s, 0)]
-        return TruncatedSeries((0,) * min(s, n + 1) + kept)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Drop coefficients above ``order`` (which must not exceed self.order)."""
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def is_integral(self) -> bool:
-        """True when every coefficient has denominator 1."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        terms = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b]
+        out = [0] * (n + 1)
+        for i, a in enumerate(self.coeffs[: n + 1]):
+            if a:
+                for j, b in terms:
+                    if i + j > n:
+                        break
+                    out[i + j] += a * b
+        return TruncatedSeries(out)
 
 
 def binomial_factor(n: int, e: int, order: int) -> TruncatedSeries:

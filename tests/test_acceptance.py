@@ -235,17 +235,17 @@ def test_10_square_quotient_and_delta():
 
 
 def test_11_recurrence_integrality():
-    ok = all(
-        coeffs_via_recurrence(builtin_spec(name), 500).is_integral()
-        for name in BUILTIN_NAMES
-    )
+    def integral(series):
+        return all(type(c) is int for c in series)
+
+    ok = all(integral(coeffs_via_recurrence(builtin_spec(name), 500)) for name in BUILTIN_NAMES)
     rng = random.Random(RANDOM_SEED)
     ok = ok and all(
-        coeffs_via_recurrence(_random_spec(rng), 200).is_integral() for _ in range(100)
+        integral(coeffs_via_recurrence(_random_spec(rng), 200)) for _ in range(100)
     )
     _criterion(
-        "every recurrence coefficient of an integer-exponent spec has "
-        "denominator 1 (built-ins at N=500, 100 random specs at N=200)",
+        "every recurrence coefficient of an integer-exponent spec is an int "
+        "(built-ins at N=500, 100 random specs at N=200)",
         ok,
     )
 

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import divprod.cli as cli
 from divprod.cli import main
-from divprod.products import gauss_spec, jacobi_spec
+from divprod.products import coeffs_via_expansion, gauss_spec, jacobi_spec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -134,6 +135,28 @@ def test_expand_both_agrees(gauss_file, capsys):
     assert doc["coefficients"] == ["1", "1", "0", "1", "0", "0", "1"]
     assert doc["agree"] is True
     assert doc["first_disagreement"] is None
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_expand_both_reports_a_disagreement(gauss_file, monkeypatch, capsys, fmt):
+    # The routes agree on every integer spec, so the expansion is patched to
+    # return jacobi's: gauss is 1 + x + x^3 + ..., jacobi is 1 - 2x + ...
+    jacobi = coeffs_via_expansion(jacobi_spec(), 6)
+    monkeypatch.setattr(cli, "coeffs_via_expansion", lambda spec, order: jacobi)
+    code, out, err = run_cli(
+        ["expand", "--spec", str(gauss_file), "--algo", "both", "--order", "6", "--format", fmt],
+        capsys,
+    )
+    assert code == 1
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["coefficients"] == ["1", "1", "0", "1", "0", "0", "1"]
+        assert doc["agree"] is False
+        assert doc["first_disagreement"] == {"n": 1, "recurrence": "1", "expansion": "-2"}
+        assert err == ""
+    else:
+        assert out == "n,value\n0,1\n1,1\n2,0\n3,1\n4,0\n5,0\n6,1\n"
+        assert err == "error: algorithms disagree at n=1: recurrence=1 expansion=-2\n"
 
 
 def test_expand_recurrence_only(tmp_path, capsys):

@@ -149,14 +149,17 @@ def test_rogers_ramanujan_matches_residue_partition_counts():
 
 def rogers_ramanujan_by_series(which, order):
     """The sum side by TruncatedSeries products: each 1/(1-x^n) is a
-    schoolbook __mul__ by binomial_factor(n, -1)."""
-    total = inv = TruncatedSeries.one(order)
+    schoolbook __mul__ by binomial_factor(n, -1), and each term x^head/(...)
+    is added into a plain list."""
+    inv = TruncatedSeries([1] + [0] * order)
+    total = list(inv.coeffs)
     n = 1
     while (head := n * n if which == 1 else n * (n + 1)) <= order:
         inv = inv * binomial_factor(n, -1, order)
-        total = total + inv.shift(head)
+        for i in range(head, order + 1):
+            total[i] += inv[i - head]
         n += 1
-    return total.coeffs
+    return tuple(total)
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -194,7 +197,7 @@ def test_delta_matches_tuple_enumeration(m):
 @pytest.mark.parametrize("order", [0, 1, 7, 40])
 def test_delta_matches_repeated_theta_product(m, order):
     theta = TruncatedSeries(sparse_table(order, triangular))
-    acc = TruncatedSeries.one(order)
+    acc = TruncatedSeries([1] + [0] * order)
     for _ in range(m):
         acc = acc * theta
     assert triangular_rep_counts(m, order).coeffs == acc.coeffs
@@ -204,11 +207,12 @@ def triangular_power_by_series(m, order):
     """sum_j C(m, j) (theta - 1)^j for j <= min(m, order), each power a
     schoolbook TruncatedSeries.__mul__."""
     theta_minus_one = TruncatedSeries([0] + sparse_table(order, triangular)[1:])
-    power = acc = TruncatedSeries.one(order)
+    power = TruncatedSeries([1] + [0] * order)
+    acc = list(power.coeffs)
     for j in range(1, min(m, order) + 1):
         power = power * theta_minus_one
-        acc = acc + power * comb(m, j)
-    return acc.coeffs
+        acc = [a + comb(m, j) * c for a, c in zip(acc, power)]
+    return tuple(acc)
 
 
 @pytest.mark.parametrize("m", range(1, 16))
