@@ -2,14 +2,15 @@
 indicators.
 
 Per-value queries use trial division up to sqrt(n); full prefixes 1..N come
-from a harmonic-progression sieve (every d adds itself to its multiples),
-which is O(N log N) total.  Everything returns plain ints.
+from the one harmonic sieve, ``divisor_sums`` (each d adds its weight to its
+multiples), which is O(N log N) total.  Everything returns plain ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from typing import Iterable
 
 from divprod.series import Rational
 
@@ -81,6 +82,17 @@ def sigma_even(n: int) -> int:
     return sigma_rm(n, 0, 2)
 
 
+def divisor_sums(order: int, weights: Iterable[tuple[int, int]]) -> list[int]:
+    """Sum of w over the pairs (d >= 1, w) with d | k, for 1 <= k <= order; slot 0
+    stays 0.  Each pair adds w to every multiple of d: cost sum of order/d."""
+    table = [0] * (order + 1)
+    for d, w in weights:
+        if w:
+            for k in range(d, order + 1, d):
+                table[k] += w
+    return table
+
+
 def sigma_table(order: int) -> list[int]:
     """sigma(k) for 1 <= k <= order as a list indexed by k; slot 0 is unused (0)."""
     return sigma_rm_table(order, 0, 1)
@@ -89,12 +101,7 @@ def sigma_table(order: int) -> list[int]:
 def sigma_rm_table(order: int, r: int, m: int) -> list[int]:
     """sigma_rm(k, r, m) for 1 <= k <= order; slot 0 is unused (0)."""
     _check_residue(r, m)
-    table = [0] * (order + 1)
-    first = r if r >= 1 else m
-    for d in range(first, order + 1, m):
-        for k in range(d, order + 1, d):
-            table[k] += d
-    return table
+    return divisor_sums(order, ((d, d) for d in range(r or m, order + 1, m)))
 
 
 def square_indicator(n: int) -> int:

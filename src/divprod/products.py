@@ -26,6 +26,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
+from divprod.divisors import divisor_sums
 from divprod.report import IdentityReport, first_mismatch
 from divprod.series import (
     Rational,
@@ -68,6 +69,8 @@ class SetDescriptor:
 
     def __post_init__(self):
         if self.kind == SET_EXPLICIT:
+            if self.classes:
+                raise ValueError("an explicit set takes members, not classes")
             if not all(type(n) is int and n > 0 for n in self.members):
                 raise ValueError("explicit members must be positive integers")
             if len(set(self.members)) != len(self.members):
@@ -76,6 +79,8 @@ class SetDescriptor:
             return
         if self.kind not in (SET_ALL, SET_RESIDUE_UNION, SET_MULTIPLES):
             raise ValueError(f"unknown set kind {self.kind!r}")
+        if self.members:
+            raise ValueError(f"a {self.kind} set takes classes, not members")
         if not self.classes:
             raise ValueError("residue union needs at least one (r, m) class")
         for r, m in self.classes:
@@ -89,6 +94,10 @@ class SetDescriptor:
                 )
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("residue union classes must be duplicate-free")
+        if self.kind == SET_ALL and self.classes != ((0, 1),):
+            raise ValueError(f"the set of all naturals is the class (0, 1), got {self.classes!r}")
+        if self.kind == SET_MULTIPLES and (len(self.classes) != 1 or self.classes[0][0] != 0):
+            raise ValueError(f"multiples of m are one class (0, m), got {self.classes!r}")
 
     @classmethod
     def all_naturals(cls) -> "SetDescriptor":
@@ -152,8 +161,12 @@ class WeightSpec:
 
     def __post_init__(self):
         if self.kind == WEIGHT_LINEAR:
+            if self.values:
+                raise ValueError("a linear weight takes c, not table values")
             object.__setattr__(self, "c", _exact(self.c, "linear weight c"))
         elif self.kind == WEIGHT_TABLE:
+            if self.c != 0:
+                raise ValueError(f"a table weight takes values, not c; got c={self.c!r}")
             seen = {}
             for n, v in self.values:
                 if not (type(n) is int and n > 0):
@@ -224,6 +237,8 @@ class ProductSpec:
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("a product spec needs at least one factor")
+        if type(self.shift) is not int:
+            raise ValueError(f"shift must be an integer, got {self.shift!r}")
         if self.shift < 0:
             raise ValueError("shift must be nonnegative")
 
@@ -264,27 +279,20 @@ def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
 
     ``scale`` is the lcm of c's denominator over the linear factors with a
     member <= order and of the table values' denominators at those members.
-    Each member d adds the integer scale*f(d) to every multiple of d, which
-    is the divisor sum taken in sieve order.  Order 0 has no k to sieve: it
-    gives numerators (0,) and scale 1.
+    The table is ``divisor_sums`` over the pairs (d, scale*f(d)) at those
+    members.  Order 0 has no k to sieve: it gives numerators (0,), scale 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    walks = []  # per factor: (d, numerator, denominator) of f(d) at each member d <= order
+    walk = []  # (d, numerator, denominator) of f(d) at each member d <= order, factor by factor
     for factor in spec.factors:
         w, members = factor.weight, factor.set.members_upto(order)
         if w.kind == WEIGHT_LINEAR:
-            walks.append([(d, w.c.numerator * d, w.c.denominator) for d in members])
+            walk += [(d, w.c.numerator * d, w.c.denominator) for d in members]
         else:
-            walks.append([(d, *w.f_value(d).as_integer_ratio()) for d in members])
-    scale = lcm(*{den for walk in walks for _, _, den in walk})
-    g = [0] * (order + 1)
-    for walk in walks:
-        for d, num, den in walk:
-            if num:
-                h = num * (scale // den)
-                for k in range(d, order + 1, d):
-                    g[k] += h
+            walk += [(d, *w.f_value(d).as_integer_ratio()) for d in members]
+    scale = lcm(*{den for _, _, den in walk})
+    g = divisor_sums(order, ((d, num * (scale // den)) for d, num, den in walk))
     return DivisorWeightTable(order, tuple(g), scale)
 
 

@@ -47,39 +47,38 @@ def lambert_cubic_prefix(order: int) -> TruncatedSeries:
     return TruncatedSeries(terms)
 
 
+def _divide(c: list[int], n: int) -> None:
+    """Divide c by (1 - x^n) in place, truncated to its own length."""
+    for i in range(n, len(c)):
+        c[i] += c[i - n]
+
+
 def partition_counts(order: int) -> TruncatedSeries:
     """p(0..order) by the part-by-part dynamic program."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    dp = [0] * (order + 1)
-    dp[0] = 1
+    dp = [1] + [0] * order
     for part in range(1, order + 1):
-        for i in range(part, order + 1):
-            dp[i] += dp[i - part]
+        _divide(dp, part)
     return TruncatedSeries(dp)
 
 
 def regular_partition_counts(p: int, order: int) -> TruncatedSeries:
     """Partitions whose parts each repeat fewer than p times, for 0..order.
 
-    Same dynamic program as partition_counts but each part may be used at
-    most p-1 times, via the sliding-window recurrence
-    new[i] = dp[i] + new[i-part] - dp[i-p*part].
+    Same dynamic program as partition_counts, but each part is used at most
+    p-1 times: a downward pass multiplies by 1 - x^{p*part}, then _divide.
     """
     if p < 2:
         raise ValueError("p must be an integer >= 2")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    dp = [0] * (order + 1)
-    dp[0] = 1
+    dp = [1] + [0] * order
     for part in range(1, order + 1):
-        new = dp[:]
         window = p * part
-        for i in range(part, order + 1):
-            new[i] += new[i - part]
-            if i >= window:
-                new[i] -= dp[i - window]
-        dp = new
+        for i in range(order, window - 1, -1):
+            dp[i] -= dp[i - window]
+        _divide(dp, part)
     return TruncatedSeries(dp)
 
 
@@ -104,8 +103,7 @@ def rogers_ramanujan_sum_side(which: int, order: int) -> TruncatedSeries:
     n = 1
     while head(n) <= order:
         del inv[order + 1 - head(n):]
-        for i in range(n, len(inv)):
-            inv[i] += inv[i - n]
+        _divide(inv, n)
         total[head(n):] = map(add, total[head(n):], inv)
         n += 1
     return TruncatedSeries(total)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from divprod.divisors import (
+    divisor_sums,
     divisors,
     sigma,
     sigma_even,
@@ -91,6 +92,27 @@ def test_tables_match_per_value_functions():
         assert odd[n] == sigma_odd(n)
         assert even[n] == sigma_even(n)
         assert r25[n] == sigma_rm(n, 2, 5)
+
+
+def scan_divisor_sums(order, pairs):
+    """Per value k: the sum of w over the pairs (d, w) with d | k."""
+    return [0] + [sum(w for d, w in pairs if k % d == 0) for k in range(1, order + 1)]
+
+
+@pytest.mark.parametrize(
+    "order, pairs",
+    [
+        (0, [(1, 5), (3, 2)]),  # nothing to sieve: only slot 0
+        (12, []),  # no pairs
+        (6, [(7, 1), (100, -3), (2, 1)]),  # d past the order reaches no k
+        (10, [(2, 0), (3, 4), (1, 0)]),  # zero weights
+        (15, [(3, 2), (5, -1), (3, 7), (3, -9)]),  # repeated d
+        (30, [(d, d * d - 7) for d in range(1, 31)]),
+    ],
+)
+def test_divisor_sums_matches_per_value_scan(order, pairs):
+    assert divisor_sums(order, pairs) == scan_divisor_sums(order, pairs)
+    assert divisor_sums(order, iter(pairs)) == scan_divisor_sums(order, pairs)
 
 
 def test_square_indicator():

@@ -133,11 +133,38 @@ def test_set_validation():
         (lambda: WeightSpec.table({2: 0.5}), "table value at n=2 must be an int or a Fraction"),
         (lambda: WeightSpec.table({2: False}), "table value at n=2 must be an int or a Fraction"),
         (lambda: WeightSpec.table({2.0: 1}), "table keys must be positive integers"),
+        (lambda: ProductSpec(gauss_spec().factors, shift=True), "shift must be an integer, got True"),
+        (lambda: ProductSpec(gauss_spec().factors, shift=1.5), "shift must be an integer, got 1.5"),
+        (lambda: ProductSpec(gauss_spec().factors, shift=2.0), "shift must be an integer, got 2.0"),
+        (lambda: ProductSpec(gauss_spec().factors, shift="2"), "shift must be an integer, got '2'"),
     ],
 )
 def test_constructors_reject_inexact_weights_and_non_int_members(make, needle):
     # A float is a binary fraction (0.1 would be 3602879701896397/2**55) and a
-    # bool a truth value; neither is an exact weight or a set member.
+    # bool a truth value; neither is an exact weight, a set member or a shift.
+    with pytest.raises(ValueError, match=needle):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, needle",
+    [
+        # all walks 1, 4, 7, ... here, but its JSON form is all naturals.
+        (lambda: SetDescriptor("all", classes=((1, 3),)), "all naturals is the class"),
+        # walks 2, 3, 4, 6, ..., but its JSON form is the multiples of 2.
+        (lambda: SetDescriptor("multiples", classes=((0, 2), (0, 3))), r"one class \(0, m\)"),
+        (lambda: SetDescriptor("multiples", classes=((1, 3),)), r"one class \(0, m\)"),
+        (lambda: SetDescriptor("all", classes=((0, 1),), members=(2,)), "all set takes classes"),
+        (lambda: SetDescriptor("multiples", classes=((0, 2),), members=(2,)), "multiples set"),
+        (lambda: SetDescriptor("residueUnion", classes=((1, 2),), members=(3,)), "residueUnion set"),
+        (lambda: SetDescriptor("explicit", classes=((0, 1),), members=(2,)), "explicit set takes"),
+        (lambda: WeightSpec("linear", c=1, values=((1, 1),)), "linear weight takes c"),
+        (lambda: WeightSpec("table", c=1, values=((1, 1),)), "table weight takes values"),
+    ],
+)
+def test_constructors_reject_fields_the_kind_does_not_carry(make, needle):
+    # to_dict writes only the fields of the kind, so such a value would not
+    # equal its own JSON round trip.
     with pytest.raises(ValueError, match=needle):
         make()
 

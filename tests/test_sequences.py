@@ -109,11 +109,20 @@ def test_regular_partition_spot_values():
     assert regular_partition_counts(2, 5).coeffs == (1, 1, 1, 2, 2, 3)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_regular_partition_matches_enumeration(p):
     q = regular_partition_counts(p, 16)
     for n in range(17):
         assert q[n] == count_partitions(n, list(range(1, n + 1)), max_uses=p - 1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 12, 40])
+def test_regular_partition_past_the_order_is_partition(order):
+    # No part can repeat p > order times, and the pass that removes the
+    # p-fold repeats is empty.
+    p = partition_counts(order)
+    for k in sorted({max(2, order + 1), order + 2, 2 * order + 3, 10**30}):
+        assert regular_partition_counts(k, order) == p
 
 
 def test_regular_partition_bounded_by_partition():
