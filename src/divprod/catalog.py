@@ -251,7 +251,7 @@ def delta(m: int) -> Identity:
 
 def p_regular_verbatim(p: int) -> Identity:
     """The reciprocal of the p-regular product, prod (1-x^n)(1-x^{pn})^{-1},
-    expanded against the bounded-multiplicity DP.  Known failing: the
+    expanded against the p-regular partition oracle.  Known failing: the
     reciprocal has negative coefficients, so the first mismatch is n=1."""
     reciprocal = ProductSpec(
         tuple(Factor(f.set, WeightSpec.linear(-f.weight.c)) for f in p_regular_spec(p).factors)
@@ -268,7 +268,7 @@ def p_regular_verbatim(p: int) -> Identity:
 # ---------------------------------------------------------------------------
 
 CATALOG: tuple[Identity, ...] = (
-    # n p(n) = sum_{k=1..n} sigma(k) p(n-k), with p from the partition DP.
+    # n p(n) = sum_{k=1..n} sigma(k) p(n-k), with p from the pentagonal recurrence.
     Identity("partition_recurrence", relation=Relation(_partitions, _sigma, _partitions)),
     # (-1)^n s(n) n = -(sigma(n)+sigma_odd(n))/2
     #   + sum_{k>=1, k^2<=n-1} (-1)^(k+1) (sigma(n-k^2)+sigma_odd(n-k^2)).

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from divprod.catalog import ALL_CHECKS, CATALOG, FAIL, run_all, run_check
 from divprod.divisors import (
@@ -209,6 +210,7 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divprod",

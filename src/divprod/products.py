@@ -165,8 +165,9 @@ class WeightSpec:
                 raise ValueError("a linear weight takes c, not table values")
             object.__setattr__(self, "c", _exact(self.c, "linear weight c"))
         elif self.kind == WEIGHT_TABLE:
-            if self.c != 0:
+            if _exact(self.c, "table weight c") != 0:
                 raise ValueError(f"a table weight takes values, not c; got c={self.c!r}")
+            object.__setattr__(self, "c", Fraction(0))
             seen = {}
             for n, v in self.values:
                 if not (type(n) is int and n > 0):
@@ -417,8 +418,9 @@ def _rational_from_json(value, path: str) -> Fraction:
             raise SpecFormatError(
                 f"{path}: cannot parse rational {value!r}: expected \"p/q\" or \"p\""
             )
+        num, _, den = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecFormatError(f"{path}: cannot parse rational {value!r}: {exc}")
     raise SpecFormatError(f"{path}: expected a rational, got {type(value).__name__}")

@@ -1,6 +1,7 @@
 """Integer sequence oracles computed by routes independent of the divisor-sum
-recurrence: partition dynamic programs, a Lambert-series double sum, the
-Rogers-Ramanujan sum sides, and theta-power convolutions.
+recurrence: Euler's pentagonal theorem for the partition numbers, plain and
+p-regular, a Lambert-series double sum, the Rogers-Ramanujan sum sides, and
+theta-power convolutions.
 
 These are the arbiters the identity catalog checks everything else against,
 so none of them may go through the recurrence engine.  Each returns its terms
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from itertools import count, repeat, takewhile
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 
 from divprod.divisors import divisors, triangular
 # binomial_factor: unused, but perfbench's --trace 1 patches it here and fails without it.
@@ -53,33 +54,47 @@ def _divide(c: list[int], n: int) -> None:
         c[i] += c[i - n]
 
 
+def _pentagonal(order: int):
+    """(place, sign) of each term of prod_{n>=1} (1 - x^n) past its leading 1,
+    up to x^order, the sign as ``add`` or ``sub``.  By Euler's pentagonal
+    theorem the terms are (-1)^k at k(3k-1)/2 and k(3k+1)/2, k >= 1."""
+    for k in count(1):
+        for place in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if place > order:
+                return
+            yield place, sub if k % 2 else add
+
+
 def partition_counts(order: int) -> TruncatedSeries:
-    """p(0..order) by the part-by-part dynamic program."""
+    """p(0..order) by Euler's pentagonal recurrence, O(order^1.5).  p is 1
+    over prod (1 - x^n), so p(n) = -(sum of sign * p(n - place) over the
+    terms placed at 1..n)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    dp = [1] + [0] * order
-    for part in range(1, order + 1):
-        _divide(dp, part)
-    return TruncatedSeries(dp)
+    terms = list(_pentagonal(order))
+    p = [1]
+    for n in range(1, order + 1):
+        total = 0
+        for place, sign in terms:
+            if place > n:
+                break
+            total = sign(total, p[n - place])
+        p.append(-total)
+    return TruncatedSeries(p)
 
 
 def regular_partition_counts(p: int, order: int) -> TruncatedSeries:
-    """Partitions whose parts each repeat fewer than p times, for 0..order.
-
-    Same dynamic program as partition_counts, but each part is used at most
-    p-1 times: a downward pass multiplies by 1 - x^{p*part}, then _divide.
-    """
+    """Partitions whose parts each repeat fewer than p times, for 0..order:
+    prod (1 - x^{pn}) / (1 - x^n), the partition numbers times the pentagonal
+    series at x^p, one shifted slice of p(n) per term."""
     if p < 2:
         raise ValueError("p must be an integer >= 2")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    dp = [1] + [0] * order
-    for part in range(1, order + 1):
-        window = p * part
-        for i in range(order, window - 1, -1):
-            dp[i] -= dp[i - window]
-        _divide(dp, part)
-    return TruncatedSeries(dp)
+    parts = partition_counts(order).coeffs  # raises for a negative order
+    c = list(parts)
+    for place, sign in _pentagonal(order // p):
+        at = p * place
+        c[at:] = map(sign, c[at:], parts[: order + 1 - at])
+    return TruncatedSeries(c)
 
 
 def rogers_ramanujan_sum_side(which: int, order: int) -> TruncatedSeries:

@@ -238,6 +238,11 @@ def _explicit_3(weight):
         ('{"shift": -1, "factors": [{"set": {"kind": "all"}, '
          '"weight": {"kind": "linear", "c": "1"}}]}',
          "error: shift: shift must be nonnegative\n"),
+        # Inside the grammar, but with a zero denominator.
+        (_explicit_3('{"kind": "linear", "c": "1/0"}'),
+         "error: factors[0].weight.c: cannot parse rational '1/0': Fraction(1, 0)\n"),
+        (_explicit_3('{"kind": "table", "values": {"3": "-0/00"}}'),
+         "error: factors[0].weight.values[3]: cannot parse rational '-0/00': Fraction(0, 0)\n"),
     ],
 )
 def test_expand_rejects_spec_outside_grammar(tmp_path, capsys, spec, needle):
@@ -458,6 +463,43 @@ def test_default_output_matches_the_benchmark_reference(monkeypatch, tmp_path):
 
 
 # --- process-level behavior --------------------------------------------------
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process call; an argparse exit
+    is recorded as ("SystemExit", code)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_answers_like_a_fresh_one(gauss_file, capsys):
+    # main builds its parser once per process; each call in a sequence must
+    # give what the same call gives on a freshly built parser.
+    calls = [
+        ["expand", "--spec", str(gauss_file), "--order", "12"],
+        ["verify", "partition_recurrence", "p_regular_2", "--order", "40", "--format", "csv"],
+        ["verify", "no_such_identity", "--order", "5"],
+        ["verify", "--order", "5"],
+        ["expand", "--spec", str(gauss_file), "--order", "7", "--algo", "recurrence"],
+        ["compute", "q_regular(3)", "--order", "9", "--format", "csv"],
+        ["catalog", "--order", "x"],
+        ["verify", "all", "--order", "20"],
+    ]
+    cli.build_parser.cache_clear()
+    reused = [_outcome(argv, capsys) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [
+        0, 0, 2, ("SystemExit", 2), 0, 0, ("SystemExit", 2), 0,
+    ]
 
 
 def test_exit_codes_and_byte_stability_subprocess():

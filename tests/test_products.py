@@ -133,6 +133,10 @@ def test_set_validation():
         (lambda: WeightSpec.table({2: 0.5}), "table value at n=2 must be an int or a Fraction"),
         (lambda: WeightSpec.table({2: False}), "table value at n=2 must be an int or a Fraction"),
         (lambda: WeightSpec.table({2.0: 1}), "table keys must be positive integers"),
+        (lambda: WeightSpec("table", c=0.0, values=((1, 1),)),
+         "table weight c must be an int or a Fraction, got 0.0"),
+        (lambda: WeightSpec("table", c=False, values=((1, 1),)),
+         "table weight c must be an int or a Fraction, got False"),
         (lambda: ProductSpec(gauss_spec().factors, shift=True), "shift must be an integer, got True"),
         (lambda: ProductSpec(gauss_spec().factors, shift=1.5), "shift must be an integer, got 1.5"),
         (lambda: ProductSpec(gauss_spec().factors, shift=2.0), "shift must be an integer, got 2.0"),
@@ -144,6 +148,12 @@ def test_constructors_reject_inexact_weights_and_non_int_members(make, needle):
     # bool a truth value; neither is an exact weight, a set member or a shift.
     with pytest.raises(ValueError, match=needle):
         make()
+
+
+def test_table_weight_stores_an_exact_zero_c():
+    for zero in (0, Fraction(0)):
+        c = WeightSpec("table", c=zero, values=((1, 1),)).c
+        assert c == 0 and type(c) is Fraction
 
 
 @pytest.mark.parametrize(

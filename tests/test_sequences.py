@@ -1,9 +1,11 @@
 """Sequence oracles against independent brute-force enumeration.
 
 The enumerators here are deliberately naive (recursive multiset counting,
-nested tuple loops) so the dynamic programs and series expansions are checked
-against something with no shared machinery.  The last test compares each
-oracle, by ``==``, with the product expansion the catalog pins it to.
+nested tuple loops) so the oracles' recurrences and series expansions are
+checked against something with no shared machinery.  The partition oracles are
+also checked against the part-by-part dynamic programs they replaced, kept
+here as references.  The last test compares each oracle, by ``==``, with the
+product expansion the catalog pins it to.
 """
 
 from functools import partial
@@ -51,6 +53,28 @@ def count_partitions(n, parts, max_uses=None):
         return total
 
     return rec(n, 0)
+
+
+def partition_dp(order):
+    """p(0..order) part by part: divide by (1 - x^part) for each part."""
+    dp = [1] + [0] * order
+    for part in range(1, order + 1):
+        for i in range(part, order + 1):
+            dp[i] += dp[i - part]
+    return dp
+
+
+def regular_partition_dp(p, order):
+    """The p-regular counts part by part: multiply by (1 - x^{p*part})
+    downward, then divide by (1 - x^part) upward."""
+    dp = [1] + [0] * order
+    for part in range(1, order + 1):
+        window = p * part
+        for i in range(order, window - 1, -1):
+            dp[i] -= dp[i - window]
+        for i in range(part, order + 1):
+            dp[i] += dp[i - part]
+    return dp
 
 
 def count_triangular_tuples(m, n):
@@ -103,6 +127,29 @@ def test_partition_monotone():
     assert all(p[n] >= p[n - 1] for n in range(1, 201))
 
 
+def test_partition_matches_the_dp_at_every_order():
+    # A DP's terms do not depend on its order, so one table holds them all.
+    reference = partition_dp(300)
+    for order in range(301):
+        assert list(partition_counts(order)) == reference[: order + 1]
+    assert list(partition_counts(2000)) == partition_dp(2000)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 10**30])
+def test_regular_partition_matches_the_dp_at_every_order(p):
+    reference = regular_partition_dp(p, 300)
+    for order in range(301):
+        assert list(regular_partition_counts(p, order)) == reference[: order + 1]
+    assert list(regular_partition_counts(p, 2000)) == regular_partition_dp(p, 2000)
+
+
+def test_regular_partition_matches_the_dp_one_past_the_order():
+    for order in range(301):
+        p = max(2, order + 1)
+        assert list(regular_partition_counts(p, order)) == regular_partition_dp(p, order)
+    assert list(regular_partition_counts(2001, 2000)) == regular_partition_dp(2001, 2000)
+
+
 def test_regular_partition_spot_values():
     assert regular_partition_counts(2, 5)[5] == 3  # 5, 4+1, 3+2
     assert regular_partition_counts(3, 4)[4] == 4  # 4, 3+1, 2+2, 2+1+1
@@ -118,8 +165,8 @@ def test_regular_partition_matches_enumeration(p):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 5, 12, 40])
 def test_regular_partition_past_the_order_is_partition(order):
-    # No part can repeat p > order times, and the pass that removes the
-    # p-fold repeats is empty.
+    # No part can repeat p > order times: the pentagonal series at x^p has
+    # no term past its leading 1 up to x^order.
     p = partition_counts(order)
     for k in sorted({max(2, order + 1), order + 2, 2 * order + 3, 10**30}):
         assert regular_partition_counts(k, order) == p
