@@ -1,10 +1,12 @@
 """Command-line front end: compute sequences, expand product specs, and run
 the identity catalog with machine-readable reports.
 
-Exit codes: 0 success / all identities passed, 1 an identity or agreement
-check failed, 2 usage or configuration error.  Output is deterministic and
-byte-stable for a fixed invocation; values are printed exactly (full decimal
-integers, rationals as p/q).
+One writer, ``_write``, prints every command in either ``--format``, from
+a JSON document and CSV rows built on the same strings.  Exit codes: 0
+success / all identities passed, 1 an identity or agreement check failed, 2
+usage or configuration error.  Output is deterministic and byte-stable for a
+fixed invocation; values are printed exactly (full decimal integers,
+rationals as p/q).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import chain
 
 from divprod.catalog import ALL_CHECKS, CATALOG, FAIL, run_all, run_check
 from divprod.divisors import (
@@ -37,10 +40,6 @@ from divprod.sequences import (
     rogers_ramanujan_sum_side,
     triangular_rep_counts,
 )
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _from_one(table: list[int]) -> list[tuple[int, int]]:
@@ -72,141 +71,95 @@ _SEQUENCES = {
 
 SEQUENCE_NAMES = tuple(_SEQUENCES)
 
-
-def _sequence_rows(name: str, order: int) -> list[tuple[int, int]]:
-    make = resolve_name(_SEQUENCES, name)
-    if make is None:
-        raise UsageError(
-            f"unknown sequence {name!r}; available: {', '.join(SEQUENCE_NAMES)}"
-        )
-    return make(order)
+_NO_FAILURE = {"n": "", "lhs": "", "rhs": ""}
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _write(args, doc, header: str, rows) -> None:
+    """``doc`` as indented JSON, or the CSV ``header`` and one line per row,
+    to stdout or ``--out``.  Only the CSV path iterates the ``rows``."""
+    if args.format == "csv":
+        lines = chain([header], (",".join(map(str, row)) for row in rows))
+        text = "".join(f"{line}\n" for line in lines)
+    else:
+        text = json.dumps(doc, indent=2) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _rows_as_csv(rows: list[tuple[int, object]]) -> str:
-    lines = ["n,value"]
-    lines.extend(f"{n},{v}" for n, v in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _as_json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _cmd_compute(args) -> int:
     if args.order < 0:
-        raise UsageError("--order must be nonnegative")
-    rows = _sequence_rows(args.name, args.order)
-    if args.format == "csv":
-        _emit(_rows_as_csv(rows), args.out)
-    else:
-        doc = {
-            "name": args.name,
-            "order": args.order,
-            "rows": [[n, str(v)] for n, v in rows],
-        }
-        _emit(_as_json(doc), args.out)
+        raise ValueError("--order must be nonnegative")
+    make = resolve_name(_SEQUENCES, args.name, "sequence")
+    rows = [(n, str(v)) for n, v in make(args.order)]
+    _write(args, {"name": args.name, "order": args.order, "rows": rows}, "n,value", rows)
     return 0
 
 
 def _cmd_expand(args) -> int:
     if args.order < 0:
-        raise UsageError("--order must be nonnegative")
+        raise ValueError("--order must be nonnegative")
     spec = load_spec(args.spec)
-    # Built per call, so each route is the module's name as bound at call time.
-    routes = {"recurrence": coeffs_via_recurrence, "expansion": coeffs_via_expansion}
-    names = tuple(routes) if args.algo == "both" else (args.algo,)
-    series = {name: routes[name](spec, args.order) for name in names}
-    primary = next(iter(series.values()))
-    disagreement = None
-    if len(series) == 2:
-        miss = first_mismatch(series["recurrence"].coeffs, series["expansion"].coeffs)
-        if miss is not None:
-            disagreement = {
-                "n": miss.n,
-                "recurrence": str(miss.lhs),
-                "expansion": str(miss.rhs),
-            }
-
-    if args.format == "csv":
-        _emit(_rows_as_csv(list(enumerate(primary.coeffs))), args.out)
-        if disagreement is not None:
-            print(
-                f"error: algorithms disagree at n={disagreement['n']}: "
-                f"recurrence={disagreement['recurrence']} "
-                f"expansion={disagreement['expansion']}",
-                file=sys.stderr,
-            )
-    else:
-        doc = {
-            "spec": str(args.spec),
-            "order": args.order,
-            "algorithm": args.algo,
-            "coefficients": [str(c) for c in primary.coeffs],
-        }
-        if len(series) == 2:
-            doc["agree"] = disagreement is None
-            doc["first_disagreement"] = disagreement
-        _emit(_as_json(doc), args.out)
-    return 1 if disagreement is not None else 0
+    route = coeffs_via_expansion if args.algo == "expansion" else coeffs_via_recurrence
+    primary = route(spec, args.order)
+    coefficients = [str(c) for c in primary.coeffs]
+    doc = {"spec": str(args.spec), "order": args.order, "algorithm": args.algo,
+           "coefficients": coefficients}
+    miss = None
+    if args.algo == "both":
+        miss = first_mismatch(primary.coeffs, coeffs_via_expansion(spec, args.order).coeffs)
+        doc["agree"] = miss is None
+        doc["first_disagreement"] = None if miss is None else {
+            "n": miss.n, "recurrence": str(miss.lhs), "expansion": str(miss.rhs)}
+    _write(args, doc, "n,value", enumerate(coefficients))
+    if miss is not None and args.format == "csv":
+        d = doc["first_disagreement"]
+        print(f"error: algorithms disagree at n={d['n']}: recurrence={d['recurrence']} "
+              f"expansion={d['expansion']}", file=sys.stderr)
+    return 1 if miss is not None else 0
 
 
 def _cmd_verify(args) -> int:
     if args.order < 1:
-        raise UsageError("--order must be >= 1")
+        raise ValueError("--order must be >= 1")
     ids = args.identities
     if "all" in ids:
         if len(ids) > 1:
-            raise UsageError('"all" cannot be combined with explicit identity ids')
+            raise ValueError('"all" cannot be combined with explicit identity ids')
         reports = run_all(args.order)
     else:
         unknown = [i for i in ids if i not in ALL_CHECKS]
         if unknown:
-            raise UsageError(
+            raise ValueError(
                 f"unknown identities: {', '.join(unknown)}; "
                 f"known: {', '.join(sorted(ALL_CHECKS))}"
             )
         reports = [run_check(i, args.order) for i in sorted(set(ids))]
-
-    if args.format == "csv":
-        lines = ["identity,N,passed,failure_n,lhs,rhs"]
-        for r in reports:
-            if r.first_failure is None:
-                lines.append(f"{r.identity_id},{r.order_checked},true,,,")
-            else:
-                f = r.first_failure
-                lines.append(
-                    f"{r.identity_id},{r.order_checked},false,{f.n},{f.lhs},{f.rhs}"
-                )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_as_json([r.to_dict() for r in reports]), args.out)
+    doc = [r.to_dict() for r in reports]
+    rows = (
+        (d["identity"], d["N"], json.dumps(d["passed"]),
+         *(d["first_failure"] or _NO_FAILURE).values())
+        for d in doc
+    )
+    _write(args, doc, "identity,N,passed,failure_n,lhs,rhs", rows)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_catalog(args) -> int:
     listed = sorted(CATALOG, key=lambda r: (r.expected == FAIL, r.id))
-    identities = [{"id": r.id, "expected": r.expected} for r in listed]
-    if args.format == "csv":
-        lines = ["kind,name,expected"]
-        lines.extend(f"identity,{e['id']},{e['expected']}" for e in identities)
-        lines.extend(f"spec,{name}," for name in BUILTIN_SPEC_NAMES)
-        lines.extend(f"sequence,{name}," for name in SEQUENCE_NAMES)
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        doc = {
-            "identities": identities,
-            "specs": list(BUILTIN_SPEC_NAMES),
-            "sequences": list(SEQUENCE_NAMES),
-        }
-        _emit(_as_json(doc), args.out)
+    doc = {
+        "identities": [{"id": r.id, "expected": r.expected} for r in listed],
+        "specs": list(BUILTIN_SPEC_NAMES),
+        "sequences": list(SEQUENCE_NAMES),
+    }
+    rows = chain(
+        (("identity", r.id, r.expected) for r in listed),
+        (("spec", name, "") for name in BUILTIN_SPEC_NAMES),
+        (("sequence", name, "") for name in SEQUENCE_NAMES),
+    )
+    _write(args, doc, "kind,name,expected", rows)
     return 0
 
 
@@ -218,48 +171,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run):
         p.add_argument("--order", type=int, default=100, metavar="N",
                        help="truncation order (default 100)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
         p.add_argument("--out", metavar="PATH", default=None,
                        help="write output to PATH instead of stdout")
+        p.set_defaults(run=run)
 
     p_compute = sub.add_parser("compute", help="emit n,value rows of a named sequence")
     p_compute.add_argument("name", help="sequence name, e.g. sigma, a, q_regular(3), delta(8)")
-    add_common(p_compute)
+    add_common(p_compute, _cmd_compute)
 
     p_expand = sub.add_parser("expand", help="expand a product spec file to coefficients")
     p_expand.add_argument("--spec", required=True, metavar="PATH",
                           help="path to a product spec JSON file")
     p_expand.add_argument("--algo", choices=("recurrence", "expansion", "both"),
                           default="both", help="coefficient algorithm (default both)")
-    add_common(p_expand)
+    add_common(p_expand, _cmd_expand)
 
     p_verify = sub.add_parser("verify", help="run identity checks and report results")
     p_verify.add_argument("identities", nargs="+", metavar="ID",
                           help='identity ids, or "all" for every expected-pass check')
-    add_common(p_verify)
+    add_common(p_verify, _cmd_verify)
 
     p_catalog = sub.add_parser("catalog", help="list identities, built-in specs, sequences")
-    add_common(p_catalog)
+    add_common(p_catalog, _cmd_catalog)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "compute": _cmd_compute,
-        "expand": _cmd_expand,
-        "verify": _cmd_verify,
-        "catalog": _cmd_catalog,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except (ValueError, OSError) as exc:  # UsageError and SpecFormatError are ValueErrors
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # a SpecFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,16 +40,17 @@ def sigma_ext(q: Rational) -> int:
     """Divisor sum extended to the rationals.
 
     sigma(q) for positive integers, 1 at q = 0, and 0 for every other
-    rational (negative, or with a nontrivial denominator).
+    rational (negative, or with a nontrivial denominator).  Anything but an
+    int or a Fraction, a bool or a float zero included, raises TypeError.
     """
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+        raise TypeError(f"expected an exact rational, got {type(q).__name__}")
     if q == 0:
         return 1
     if isinstance(q, Fraction):
         if q.denominator != 1:
             return 0
         q = q.numerator
-    elif not isinstance(q, int):
-        raise TypeError(f"expected an exact rational, got {type(q).__name__}")
     return 0 if q < 0 else sigma(q)
 
 
@@ -101,7 +102,8 @@ def sigma_table(order: int) -> list[int]:
 def sigma_rm_table(order: int, r: int, m: int) -> list[int]:
     """sigma_rm(k, r, m) for 1 <= k <= order; slot 0 is unused (0)."""
     _check_residue(r, m)
-    return divisor_sums(order, ((d, d) for d in range(r or m, order + 1, m)))
+    ds = range(r or m, order + 1, m)
+    return divisor_sums(order, zip(ds, ds))
 
 
 def square_indicator(n: int) -> int:

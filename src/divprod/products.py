@@ -24,7 +24,7 @@ from functools import cached_property, partial
 from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from divprod.divisors import divisor_sums
 from divprod.report import IdentityReport, first_mismatch
@@ -275,6 +275,19 @@ def _tighten(x: Fraction) -> Rational:
     return x.numerator if x.denominator == 1 else x
 
 
+def _members_upto(spec: ProductSpec, order: int):
+    """(weight, members <= order) of each factor in turn.  A table weight
+    needs a value at each of those members; the first one missing is
+    refused here, with its field path, for both routes."""
+    for i, factor in enumerate(spec.factors):
+        w, members = factor.weight, factor.set.members_upto(order)
+        if w.kind == WEIGHT_TABLE and (missing := set(members).difference(dict(w.values))):
+            raise SpecFormatError(
+                f"factors[{i}].weight.values: table weight missing for required n={min(missing)}"
+            )
+        yield w, members
+
+
 def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
     """The recurrence kernel g(1..order) for a spec, exactly, on integers.
 
@@ -286,8 +299,7 @@ def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
     if order < 0:
         raise ValueError("order must be nonnegative")
     walk = []  # (d, numerator, denominator) of f(d) at each member d <= order, factor by factor
-    for factor in spec.factors:
-        w, members = factor.weight, factor.set.members_upto(order)
+    for w, members in _members_upto(spec, order):
         if w.kind == WEIGHT_LINEAR:
             walk += [(d, w.c.numerator * d, w.c.denominator) for d in members]
         else:
@@ -359,9 +371,8 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
                 f"expansion oracle requires integer exponents; linear weight c={w.c}"
             )
     exponents: dict[int, int] = {}
-    for factor in spec.factors:
-        w = factor.weight
-        for n in factor.set.members_upto(inner):
+    for w, members in _members_upto(spec, inner):
+        for n in members:
             e = w.exponent_at(n)
             if e.denominator != 1:
                 raise ValueError(
@@ -645,25 +656,24 @@ def square_quotient_spec() -> ProductSpec:
 _CALL = re.compile(r"(\w+)(?:\((-?[0-9]+(?:,-?[0-9]+)*)\))?", re.ASCII)
 
 
-def resolve_name(table: Mapping[str, Callable], name: str) -> Optional[Callable]:
+def resolve_name(table: Mapping[str, Callable], name: str, what: str) -> Callable:
     """Look ``name`` up in a table keyed by signatures such as ``delta(m)``.
 
     ``delta(8)`` finds the maker under ``delta(m)`` and binds 8 as its
     first argument; a bare name finds a bare key.  Arguments are decimal
-    integers, optionally negative, which the maker validates.  None when
-    nothing matches.
+    integers, optionally negative, which the maker validates.  When nothing
+    matches, ValueError names the unknown ``what`` and lists the table.
     """
     match = _CALL.fullmatch(name)
-    if match is None:
-        return None
-    head, raw = match.groups()
-    args = [int(a) for a in raw.split(",")] if raw else []
-    for signature, make in table.items():
-        sig_head, _, params = signature.partition("(")
-        arity = len(params.split(",")) if params else 0
-        if sig_head == head and arity == len(args):
-            return partial(make, *args)
-    return None
+    if match is not None:
+        head, raw = match.groups()
+        args = [int(a) for a in raw.split(",")] if raw else []
+        for signature, make in table.items():
+            sig_head, _, params = signature.partition("(")
+            arity = len(params.split(",")) if params else 0
+            if sig_head == head and arity == len(args):
+                return partial(make, *args)
+    raise ValueError(f"unknown {what} {name!r}; available: {', '.join(table)}")
 
 
 _BUILTIN_SPECS: dict[str, Callable[..., ProductSpec]] = {
@@ -682,9 +692,4 @@ BUILTIN_SPEC_NAMES = tuple(_BUILTIN_SPECS)
 
 def builtin_spec(name: str) -> ProductSpec:
     """Look up a built-in spec by name, e.g. ``gauss`` or ``delta(8)``."""
-    make = resolve_name(_BUILTIN_SPECS, name)
-    if make is None:
-        raise ValueError(
-            f"unknown built-in spec {name!r}; available: {', '.join(BUILTIN_SPEC_NAMES)}"
-        )
-    return make()
+    return resolve_name(_BUILTIN_SPECS, name, "built-in spec")()

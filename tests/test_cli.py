@@ -301,6 +301,21 @@ def test_expand_both_on_a_fractional_factor_past_the_order(tmp_path, capsys):
     assert "requires integer exponents; linear weight c=1/3" in err
 
 
+@pytest.mark.parametrize("algo", ["recurrence", "expansion", "both"])
+def test_expand_names_the_field_of_a_missing_table_entry(tmp_path, capsys, algo):
+    path = tmp_path / "holey.json"
+    path.write_text(
+        '{"factors": [{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "1"}}, '
+        '{"set": {"kind": "multiples", "m": 3}, '
+        '"weight": {"kind": "table", "values": {"3": "3", "9": "9"}}}]}'
+    )
+    code, out, err = run_cli(
+        ["expand", "--spec", str(path), "--order", "10", "--algo", algo], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: factors[1].weight.values: table weight missing for required n=6\n"
+
+
 _LINEAR_THIRDS = (
     '{"factors": [{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "1/3"}}, '
     '{"set": {"kind": "residueUnion", "classes": [[1, 4]]}, '
@@ -460,6 +475,74 @@ def test_default_output_matches_the_benchmark_reference(monkeypatch, tmp_path):
             assert checks.digest(op, out.read_bytes()) == reference[op.key], op.key
             replayed.add(op.key)
     assert replayed == set(reference)
+
+
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+_FAILS = ["jacobi_square_verbatim", "ramanujan_a_verbatim", "p_regular_verbatim_2"]
+_GAUSS = ["expand", "--spec", "gauss.json", "--order", "30", "--algo"]
+
+
+# (argv, exit code, sha256 of stdout, stderr) for every command in both
+# formats and the usage errors; expand runs on gauss.json in the working
+# directory, whose path the JSON document echoes.
+@pytest.mark.parametrize(
+    "argv,code,stdout_sha256,stderr",
+    [
+        (["catalog"], 0, "6e09683daed39e362d3b159871feb9d3a12557cc0a57e33f5a4bdc9423e18fa4", ""),
+        (["catalog", "--format", "csv"], 0,
+         "16122bace3bc1aeb1a7772ca164ed3335700fa96ddbcc1644d3888c8c9d5dac0", ""),
+        (["compute", "a", "--order", "30"], 0,
+         "1315eef28dddaf9468ab8cb24595ee00ee751b12a328779c76f9493e312ee31e", ""),
+        (["compute", "a", "--order", "30", "--format", "csv"], 0,
+         "8f2b02dd7f962932cfea653d652081fc41465616dae4361550df3e7f5f66cb56", ""),
+        (["compute", "sigma_rm(1,4)", "--order", "30"], 0,
+         "919c46a403a5d184b550a231f740c9afcb8644f8f8d10b8c63c3e7ba9e35bad0", ""),
+        (["compute", "sigma_rm(1,4)", "--order", "30", "--format", "csv"], 0,
+         "b97b582b7f2173ee801b204008f9ff6dade0b67bba5a6dd43f4be05ae94af375", ""),
+        (["compute", "delta(3)", "--order", "30"], 0,
+         "905d0f8cb2cdf5bb0677bded2933911504944101bf9757f1cf943617fca5184f", ""),
+        (["compute", "delta(3)", "--order", "30", "--format", "csv"], 0,
+         "8ed5fe631cb1423821e1ae3152e5d52822c0f3388a58f2b47b6c8a93b46da5b1", ""),
+        (["verify", "all", "--order", "30"], 0,
+         "adc267a7a4a8d6dcb97569db87602f00c7ab4ed4ca02e55c12e44523045223ed", ""),
+        (["verify", "all", "--order", "30", "--format", "csv"], 0,
+         "ba2d5137853f66b0793d771e027f3f1d2cdf44804dbfbe9a4cd37bb0f739dc37", ""),
+        (["verify", *_FAILS, "--order", "30"], 1,
+         "b3df69f9db0d561bb6e976806cba75b25957970cf0100dff67b65be442888c1c", ""),
+        (["verify", *_FAILS, "--order", "30", "--format", "csv"], 1,
+         "75b563546dd55d741800ce3bdbb34f03c3a5c2fbcde7f0d1b4fcb94582b5665c", ""),
+        ([*_GAUSS, "both"], 0,
+         "fe10fd72eab54d5ca0d2b2bb8f57d2d6c24c8d0e9389854299edf5cff44ce6ca", ""),
+        ([*_GAUSS, "recurrence"], 0,
+         "1d65672bdafe7bc83795b43735ac8a7187a7d551d13487cc5bea5e3aada404a9", ""),
+        ([*_GAUSS, "expansion"], 0,
+         "f9680b76df0a980c0550905367df52bb15e911d2208badcbcb05e8520eb57e28", ""),
+        *(
+            ([*_GAUSS, algo, "--format", "csv"], 0,
+             "d9340fdbfc7f169d333a125d66ccfffd8109ddde19b9b9de9e357c8ffdfed8b5", "")
+            for algo in ("both", "recurrence", "expansion")
+        ),
+        (["compute", "mobius"], 2, _EMPTY,
+         "error: unknown sequence 'mobius'; available: sigma, sigma_odd, sigma_even, "
+         "sigma_rm(r,m), s, t, T, a, partition, q_regular(p), rr1, rr2, delta(m)\n"),
+        (["verify", "no_such_identity"], 2, _EMPTY,
+         "error: unknown identities: no_such_identity; known: delta_1, delta_10, delta_12, "
+         "delta_2, delta_4, delta_6, delta_8, jacobi_square, jacobi_square_verbatim, "
+         "p_regular_2, p_regular_3, p_regular_5, p_regular_7, p_regular_verbatim_2, "
+         "partition_recurrence, ramanujan_a, ramanujan_a_verbatim, rogers_ramanujan_1, "
+         "rogers_ramanujan_2, square_eta_quotient, triangular\n"),
+        (["verify", "all", "--order", "0"], 2, _EMPTY, "error: --order must be >= 1\n"),
+        (["expand", "--spec", "gauss.json", "--order", "-1"], 2, _EMPTY,
+         "error: --order must be nonnegative\n"),
+    ],
+)
+def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, stdout_sha256, stderr):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gauss.json").write_text(gauss_spec().to_json())
+    got_code, out, err = run_cli(argv, capsys)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest(), err) == (
+        code, stdout_sha256, stderr,
+    )
 
 
 # --- process-level behavior --------------------------------------------------

@@ -40,6 +40,13 @@ def test_sigma_ext_at_zero():
     assert sigma_ext(Fraction(0, 5)) == 1
 
 
+# A float or a bool is refused before the zero test, whatever its value.
+@pytest.mark.parametrize("q", [0.0, -0.0, 2.0, False, True])
+def test_sigma_ext_refuses_float_and_bool(q):
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        sigma_ext(q)
+
+
 def test_sigma_ext_off_the_naturals():
     assert sigma_ext(Fraction(3, 2)) == 0
     assert sigma_ext(-3) == 0
