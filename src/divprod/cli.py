@@ -12,6 +12,8 @@ rationals as p/q).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from functools import cache
@@ -74,12 +76,16 @@ SEQUENCE_NAMES = tuple(_SEQUENCES)
 _NO_FAILURE = {"n": "", "lhs": "", "rhs": ""}
 
 
-def _write(args, doc, header: str, rows) -> None:
-    """``doc`` as indented JSON, or the CSV ``header`` and one line per row,
-    to stdout or ``--out``.  Only the CSV path iterates the ``rows``."""
+def _write(args, doc, header: tuple[str, ...], rows) -> None:
+    """``doc`` as indented JSON, or the CSV ``header`` and one line per row
+    (a field with a comma is quoted), to stdout or ``--out``.  Only the CSV
+    path iterates the ``rows``."""
     if args.format == "csv":
-        lines = chain([header], (",".join(map(str, row)) for row in rows))
-        text = "".join(f"{line}\n" for line in lines)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
     else:
         text = json.dumps(doc, indent=2) + "\n"
     if args.out is None:
@@ -94,7 +100,7 @@ def _cmd_compute(args) -> int:
         raise ValueError("--order must be nonnegative")
     make = resolve_name(_SEQUENCES, args.name, "sequence")
     rows = [(n, str(v)) for n, v in make(args.order)]
-    _write(args, {"name": args.name, "order": args.order, "rows": rows}, "n,value", rows)
+    _write(args, {"name": args.name, "order": args.order, "rows": rows}, ("n", "value"), rows)
     return 0
 
 
@@ -113,7 +119,7 @@ def _cmd_expand(args) -> int:
         doc["agree"] = miss is None
         doc["first_disagreement"] = None if miss is None else {
             "n": miss.n, "recurrence": str(miss.lhs), "expansion": str(miss.rhs)}
-    _write(args, doc, "n,value", enumerate(coefficients))
+    _write(args, doc, ("n", "value"), enumerate(coefficients))
     if miss is not None and args.format == "csv":
         d = doc["first_disagreement"]
         print(f"error: algorithms disagree at n={d['n']}: recurrence={d['recurrence']} "
@@ -143,7 +149,7 @@ def _cmd_verify(args) -> int:
          *(d["first_failure"] or _NO_FAILURE).values())
         for d in doc
     )
-    _write(args, doc, "identity,N,passed,failure_n,lhs,rhs", rows)
+    _write(args, doc, ("identity", "N", "passed", "failure_n", "lhs", "rhs"), rows)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -159,7 +165,7 @@ def _cmd_catalog(args) -> int:
         (("spec", name, "") for name in BUILTIN_SPEC_NAMES),
         (("sequence", name, "") for name in SEQUENCE_NAMES),
     )
-    _write(args, doc, "kind,name,expected", rows)
+    _write(args, doc, ("kind", "name", "expected"), rows)
     return 0
 
 

@@ -3,7 +3,8 @@ indicators.
 
 Per-value queries use trial division up to sqrt(n); full prefixes 1..N come
 from the one harmonic sieve, ``divisor_sums`` (each d adds its weight to its
-multiples), which is O(N log N) total.  Everything returns plain ints.
+multiples), which is O(N log N) total.  Everything returns plain ints and
+takes them (``sigma_ext`` a Fraction too); a bool or a float raises TypeError.
 """
 
 from __future__ import annotations
@@ -15,8 +16,17 @@ from typing import Iterable
 from divprod.series import Rational
 
 
+def _require_int(*values) -> None:
+    """Refuse a bool, a float or anything else that is not an int, rather
+    than compute with it."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"expected an int, got {type(v).__name__}")
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
+    _require_int(n)
     if n < 1:
         raise ValueError("divisors are defined for positive integers")
     small = []
@@ -54,7 +64,9 @@ def sigma_ext(q: Rational) -> int:
     return 0 if q < 0 else sigma(q)
 
 
-def _check_residue(r: int, m: int) -> None:
+def _check_residue(n: int, r: int, m: int) -> None:
+    """n (a value or an order) and r, m are ints, with r canonical mod m."""
+    _require_int(n, r, m)
     if m < 1:
         raise ValueError("modulus must be a positive integer")
     if not 0 <= r < m:
@@ -67,7 +79,7 @@ def sigma_rm(n: int, r: int, m: int) -> int:
     Defined for n >= 1 only; the n = 0 case would sum over every positive
     integer and is rejected.
     """
-    _check_residue(r, m)
+    _check_residue(n, r, m)
     if n < 1:
         raise ValueError("sigma_rm is defined for positive integers")
     return sum(d for d in divisors(n) if d % m == r)
@@ -101,13 +113,14 @@ def sigma_table(order: int) -> list[int]:
 
 def sigma_rm_table(order: int, r: int, m: int) -> list[int]:
     """sigma_rm(k, r, m) for 1 <= k <= order; slot 0 is unused (0)."""
-    _check_residue(r, m)
+    _check_residue(order, r, m)
     ds = range(r or m, order + 1, m)
     return divisor_sums(order, zip(ds, ds))
 
 
 def square_indicator(n: int) -> int:
     """1 when n is a perfect square (0 included), else 0."""
+    _require_int(n)
     if n < 0:
         raise ValueError("square_indicator is defined on nonnegative integers")
     r = isqrt(n)
@@ -116,6 +129,7 @@ def square_indicator(n: int) -> int:
 
 def triangular(n: int) -> int:
     """The n-th triangular number n(n+1)/2."""
+    _require_int(n)
     if n < 0:
         raise ValueError("triangular is defined on nonnegative integers")
     return n * (n + 1) // 2
@@ -123,6 +137,7 @@ def triangular(n: int) -> int:
 
 def triangular_indicator(n: int) -> int:
     """1 when n is a triangular number, else 0 (n is triangular iff 8n+1 is a square)."""
+    _require_int(n)
     if n < 0:
         raise ValueError("triangular_indicator is defined on nonnegative integers")
     return square_indicator(8 * n + 1)

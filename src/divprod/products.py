@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from divprod.divisors import divisor_sums
@@ -81,11 +81,13 @@ class SetDescriptor:
             raise ValueError(f"unknown set kind {self.kind!r}")
         if self.members:
             raise ValueError(f"a {self.kind} set takes classes, not members")
+        object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise ValueError("residue union needs at least one (r, m) class")
-        for r, m in self.classes:
-            if type(r) is not int or type(m) is not int:
-                raise ValueError(f"residue class ({r!r}, {m!r}) must be a pair of integers")
+        for c in self.classes:
+            if not (type(c) is tuple and len(c) == 2 and all(type(v) is int for v in c)):
+                raise ValueError(f"residue class {c!r} must be a pair of integers")
+            r, m = c
             if m < 1:
                 raise ValueError("residue modulus must be a positive integer")
             if not 0 <= r < m:
@@ -189,23 +191,22 @@ class WeightSpec:
     def table(cls, values: Mapping[int, Rational]) -> "WeightSpec":
         return cls(WEIGHT_TABLE, values=tuple(values.items()))
 
-    def _lookup(self, n: int) -> Fraction:
-        i = bisect_left(self.values, n, key=itemgetter(0))
-        if i < len(self.values) and self.values[i][0] == n:
-            return self.values[i][1]
-        raise ValueError(f"table weight missing for required n={n}")
+    @cached_property
+    def by_n(self) -> dict[int, Fraction]:
+        """The table values keyed by n, built on first read (empty if linear)."""
+        return dict(self.values)
 
     def f_value(self, n: int) -> Fraction:
         """The weight f(n) at a set member n."""
         if self.kind == WEIGHT_LINEAR:
             return self.c * n
-        return self._lookup(n)
+        if n not in self.by_n:
+            raise ValueError(f"table weight missing for required n={n}")
+        return self.by_n[n]
 
     def exponent_at(self, n: int) -> Fraction:
         """The factor exponent of (1-x^n), i.e. -f(n)/n."""
-        if self.kind == WEIGHT_LINEAR:
-            return -self.c
-        return -self._lookup(n) / n
+        return -self.c if self.kind == WEIGHT_LINEAR else -self.f_value(n) / n
 
     def to_dict(self) -> dict:
         if self.kind == WEIGHT_LINEAR:
@@ -223,6 +224,12 @@ class Factor:
     set: SetDescriptor
     weight: WeightSpec
 
+    def __post_init__(self):
+        if not isinstance(self.set, SetDescriptor):
+            raise ValueError(f"a factor's set must be a SetDescriptor, got {self.set!r}")
+        if not isinstance(self.weight, WeightSpec):
+            raise ValueError(f"a factor's weight must be a WeightSpec, got {self.weight!r}")
+
     def to_dict(self) -> dict:
         return {"set": self.set.to_dict(), "weight": self.weight.to_dict()}
 
@@ -238,6 +245,9 @@ class ProductSpec:
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("a product spec needs at least one factor")
+        for f in self.factors:
+            if not isinstance(f, Factor):
+                raise ValueError(f"product spec factors must be Factor values, got {f!r}")
         if type(self.shift) is not int:
             raise ValueError(f"shift must be an integer, got {self.shift!r}")
         if self.shift < 0:
@@ -276,16 +286,16 @@ def _tighten(x: Fraction) -> Rational:
 
 
 def _members_upto(spec: ProductSpec, order: int):
-    """(weight, members <= order) of each factor in turn.  A table weight
-    needs a value at each of those members; the first one missing is
-    refused here, with its field path, for both routes."""
+    """(weight path, weight, members <= order) of each factor in turn.  A
+    table weight needs a value at each of those members; the first one
+    missing is refused here, with its field path, for both routes."""
     for i, factor in enumerate(spec.factors):
-        w, members = factor.weight, factor.set.members_upto(order)
-        if w.kind == WEIGHT_TABLE and (missing := set(members).difference(dict(w.values))):
+        path, w, members = f"factors[{i}].weight", factor.weight, factor.set.members_upto(order)
+        if w.kind == WEIGHT_TABLE and (missing := set(members).difference(w.by_n)):
             raise SpecFormatError(
-                f"factors[{i}].weight.values: table weight missing for required n={min(missing)}"
+                f"{path}.values: table weight missing for required n={min(missing)}"
             )
-        yield w, members
+        yield path, w, members
 
 
 def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
@@ -299,7 +309,7 @@ def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
     if order < 0:
         raise ValueError("order must be nonnegative")
     walk = []  # (d, numerator, denominator) of f(d) at each member d <= order, factor by factor
-    for w, members in _members_upto(spec, order):
+    for _, w, members in _members_upto(spec, order):
         if w.kind == WEIGHT_LINEAR:
             walk += [(d, w.c.numerator * d, w.c.denominator) for d in members]
         else:
@@ -356,29 +366,25 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
     shifting; never touches the recurrence.
 
     Requires an integer exponent at every degree <= order - shift (linear
-    weights with integer c; table weights divisible by their n).  The cost is
-    bounded by the order and the spec, not by the size of the exponents.
+    weights with integer c; table weights divisible by their n), and refuses
+    the first factor, in spec order, without one.  The cost is bounded by the
+    order and the spec, not by the size of the exponents.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     inner = order - spec.shift
     if inner < 0:
         return TruncatedSeries.zero(order)
-    for factor in spec.factors:
-        w = factor.weight
-        if w.kind == WEIGHT_LINEAR and w.c.denominator != 1 and factor.set.members_upto(inner):
-            raise ValueError(
-                f"expansion oracle requires integer exponents; linear weight c={w.c}"
-            )
     exponents: dict[int, int] = {}
-    for w, members in _members_upto(spec, inner):
+    for path, w, members in _members_upto(spec, inner):
         for n in members:
             e = w.exponent_at(n)
             if e.denominator != 1:
-                raise ValueError(
-                    f"expansion oracle requires integer exponents; factor at n={n} "
-                    f"has exponent {e}"
-                )
+                if w.kind == WEIGHT_LINEAR:
+                    path, why = f"{path}.c", f"linear weight c={w.c}"
+                else:
+                    path, why = f"{path}.values", f"factor at n={n} has exponent {e}"
+                raise SpecFormatError(f"{path}: expansion oracle requires integer exponents; {why}")
             if e:
                 exponents[n] = exponents.get(n, 0) + e.numerator
     # Degrees are grouped by |e|: each group's unit base prod (1-x^n)^(sign e)

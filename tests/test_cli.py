@@ -1,5 +1,6 @@
 """CLI contract: selectors, formats, exit codes, byte stability."""
 
+import csv
 import hashlib
 import importlib
 import json
@@ -316,6 +317,50 @@ def test_expand_names_the_field_of_a_missing_table_entry(tmp_path, capsys, algo)
     assert err == "error: factors[1].weight.values: table weight missing for required n=6\n"
 
 
+_TABLE_ON_THREES = (
+    '{"set": {"kind": "multiples", "m": 3}, "weight": {"kind": "table", "values": {"3": "3"}}}'
+)
+_THIRD_ON_ALL = '{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "1/3"}}'
+_HALF_AT_TWO = (
+    '{"set": {"kind": "explicit", "members": [2]}, '
+    '"weight": {"kind": "table", "values": {"2": "1"}}}'
+)
+_MISSING_6 = "table weight missing for required n=6"
+_NOT_INTEGER = "expansion oracle requires integer exponents"
+
+
+# Each route refuses the first factor, in spec order, that it cannot use.
+# The recurrence takes rational exponents, so when it runs first (both) it
+# reaches a later factor's missing table entry before the expansion starts.
+@pytest.mark.parametrize(
+    "factors,algo,err",
+    [
+        *(
+            ((_TABLE_ON_THREES, _THIRD_ON_ALL), algo, f"factors[0].weight.values: {_MISSING_6}")
+            for algo in ("recurrence", "expansion", "both")
+        ),
+        *(
+            ((_HALF_AT_TWO, _THIRD_ON_ALL), algo,
+             f"factors[0].weight.values: {_NOT_INTEGER}; factor at n=2 has exponent -1/2")
+            for algo in ("expansion", "both")
+        ),
+        ((_THIRD_ON_ALL, _TABLE_ON_THREES), "expansion",
+         f"factors[0].weight.c: {_NOT_INTEGER}; linear weight c=1/3"),
+        *(
+            ((_THIRD_ON_ALL, _TABLE_ON_THREES), algo, f"factors[1].weight.values: {_MISSING_6}")
+            for algo in ("recurrence", "both")
+        ),
+    ],
+)
+def test_expand_names_the_first_factor_each_route_cannot_use(tmp_path, capsys, factors, algo, err):
+    path = tmp_path / "spec.json"
+    path.write_text(f'{{"factors": [{", ".join(factors)}]}}')
+    code, out, got = run_cli(
+        ["expand", "--spec", str(path), "--order", "10", "--algo", algo], capsys
+    )
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
 _LINEAR_THIRDS = (
     '{"factors": [{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "1/3"}}, '
     '{"set": {"kind": "residueUnion", "classes": [[1, 4]]}, '
@@ -490,7 +535,7 @@ _GAUSS = ["expand", "--spec", "gauss.json", "--order", "30", "--algo"]
     [
         (["catalog"], 0, "6e09683daed39e362d3b159871feb9d3a12557cc0a57e33f5a4bdc9423e18fa4", ""),
         (["catalog", "--format", "csv"], 0,
-         "16122bace3bc1aeb1a7772ca164ed3335700fa96ddbcc1644d3888c8c9d5dac0", ""),
+         "0f1a178e4e310a44673331000c209da0b5df4467a3d15b9b34a0539b1f880334", ""),
         (["compute", "a", "--order", "30"], 0,
          "1315eef28dddaf9468ab8cb24595ee00ee751b12a328779c76f9493e312ee31e", ""),
         (["compute", "a", "--order", "30", "--format", "csv"], 0,
@@ -543,6 +588,27 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, stdo
     assert (got_code, hashlib.sha256(out.encode()).hexdigest(), err) == (
         code, stdout_sha256, stderr,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog"],
+        *(["compute", name, "--order", "12"] for name in
+          ("sigma", "sigma_rm(1,4)", "a", "partition", "q_regular(3)", "delta(3)")),
+        ["verify", "all", "--order", "30"],
+        ["verify", *_FAILS, "--order", "30"],
+        *([*_GAUSS, algo] for algo in ("both", "recurrence", "expansion")),
+    ],
+)
+def test_csv_rows_have_the_header_field_count(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gauss.json").write_text(gauss_spec().to_json())
+    code, out, _ = run_cli([*argv, "--format", "csv"], capsys)
+    assert code in (0, 1)
+    header, *rows = csv.reader(out.splitlines())
+    assert rows
+    assert [len(row) for row in rows] == [len(header)] * len(rows)
 
 
 # --- process-level behavior --------------------------------------------------

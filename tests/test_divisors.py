@@ -47,6 +47,33 @@ def test_sigma_ext_refuses_float_and_bool(q):
         sigma_ext(q)
 
 
+# The per-value functions compute on ints only: a float would come back as a
+# float or a wrong 0, and a bool as its truth value.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sigma(6.0),
+        lambda: sigma(2.5),
+        lambda: sigma(True),
+        lambda: divisors(2.0),
+        lambda: sigma_odd(Fraction(6)),
+        lambda: sigma_rm(6.0, 1, 2),
+        lambda: sigma_rm(6, 1.0, 2),
+        lambda: sigma_rm(6, 1, True),
+        lambda: sigma_rm_table(10, 1, 2.0),
+        lambda: sigma_rm_table(10.0, 1, 2),
+        lambda: sigma_table(True),
+        lambda: square_indicator(4.0),
+        lambda: triangular(2.5),
+        lambda: triangular(True),
+        lambda: triangular_indicator(3.0),
+    ],
+)
+def test_per_value_functions_refuse_non_ints(call):
+    with pytest.raises(TypeError, match="expected an int"):
+        call()
+
+
 def test_sigma_ext_off_the_naturals():
     assert sigma_ext(Fraction(3, 2)) == 0
     assert sigma_ext(-3) == 0

@@ -105,6 +105,12 @@ def test_multiples_keeps_its_wire_form(m):
     assert SetDescriptor.multiples(m) != SetDescriptor.residue_union([(0, m)])
 
 
+def test_classes_given_as_a_list_are_stored_as_a_tuple():
+    s = SetDescriptor("residueUnion", classes=[(1, 2)])
+    assert s == SetDescriptor.residue_union([(1, 2)])
+    assert hash(s) == hash(SetDescriptor.residue_union([(1, 2)]))
+
+
 def test_set_validation():
     with pytest.raises(ValueError, match="non-canonical"):
         SetDescriptor.residue_union([(5, 5)])
@@ -126,6 +132,12 @@ def test_set_validation():
         (lambda: SetDescriptor.explicit([True]), "explicit members must be positive integers"),
         (lambda: SetDescriptor.residue_union([(1.0, 2)]), r"residue class \(1.0, 2\)"),
         (lambda: SetDescriptor.residue_union([(0, True)]), r"residue class \(0, True\)"),
+        (lambda: SetDescriptor.residue_union([(1, 2, 3)]),
+         r"residue class \(1, 2, 3\) must be a pair of integers"),
+        (lambda: SetDescriptor.residue_union([(1,)]), r"residue class \(1,\) must be a pair"),
+        (lambda: SetDescriptor("residueUnion", classes=(5,)), "residue class 5 must be a pair"),
+        (lambda: SetDescriptor("residueUnion", classes=([1, 2],)),
+         r"residue class \[1, 2\] must be a pair"),
         (lambda: SetDescriptor.multiples(1.5), "multiples requires a positive modulus"),
         (lambda: SetDescriptor.multiples("3"), "multiples requires a positive modulus"),
         (lambda: WeightSpec.linear(0.1), "linear weight c must be an int or a Fraction, got 0.1"),
@@ -170,6 +182,15 @@ def test_table_weight_stores_an_exact_zero_c():
         (lambda: SetDescriptor("explicit", classes=((0, 1),), members=(2,)), "explicit set takes"),
         (lambda: WeightSpec("linear", c=1, values=((1, 1),)), "linear weight takes c"),
         (lambda: WeightSpec("table", c=1, values=((1, 1),)), "table weight takes values"),
+        # A factor and a spec hold values of their own types only: anything
+        # else would fail later, inside a route.
+        (lambda: Factor("x", "y"), "a factor's set must be a SetDescriptor, got 'x'"),
+        (lambda: Factor(SetDescriptor.all_naturals(), "y"),
+         "a factor's weight must be a WeightSpec, got 'y'"),
+        (lambda: Factor(WeightSpec.linear(1), SetDescriptor.all_naturals()),
+         "a factor's set must be a SetDescriptor"),
+        (lambda: ProductSpec((1,)), "product spec factors must be Factor values, got 1"),
+        (lambda: ProductSpec((*gauss_spec().factors, None)), "must be Factor values, got None"),
     ],
 )
 def test_constructors_reject_fields_the_kind_does_not_carry(make, needle):
