@@ -237,13 +237,14 @@ def rogers_ramanujan(which: int) -> Identity:
 
 
 def delta(m: int) -> Identity:
-    """f counts the representations by m triangular numbers (the theta-power
-    convolution); the kernel is sigma_odd - sigma_even, scaled by m.  Only
-    admissible m carry the product formula."""
+    """f counts the representations by m triangular numbers (the theta power,
+    by Miller's recurrence over the triangular places); the kernel is
+    sigma_odd - sigma_even, scaled by m.  The product formula and the relation
+    hold for every m >= 1."""
     return _oracle_recurrence(
         f"delta_{m}",
         lambda t: triangular_rep_counts(m, t.order).coeffs,
-        delta_spec(m),  # raises for inadmissible m
+        delta_spec(m),  # raises unless m is a positive int
         _odd_minus_even,
         scale=m,
     )

@@ -98,6 +98,8 @@ def sigma_even(n: int) -> int:
 def divisor_sums(order: int, weights: Iterable[tuple[int, int]]) -> list[int]:
     """Sum of w over the pairs (d >= 1, w) with d | k, for 1 <= k <= order; slot 0
     stays 0.  Each pair adds w to every multiple of d: cost sum of order/d."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     table = [0] * (order + 1)
     for d, w in weights:
         if w:

@@ -619,38 +619,24 @@ def ramanujan_spec() -> ProductSpec:
 
 def rogers_ramanujan_spec(which: int) -> ProductSpec:
     """prod over n = 1,4 mod 5 (which=1) or n = 2,3 mod 5 (which=2) of (1-x^n)^{-1}."""
-    if which == 1:
-        classes = [(1, 5), (4, 5)]
-    elif which == 2:
-        classes = [(2, 5), (3, 5)]
-    else:
+    if type(which) is not int or which not in (1, 2):
         raise ValueError("which must be 1 or 2")
+    classes = [(1, 5), (4, 5)] if which == 1 else [(2, 5), (3, 5)]
     return _linear_spec((SetDescriptor.residue_union(classes), 1))
 
 
 def p_regular_spec(p: int) -> ProductSpec:
     """prod (1-x^{pn}) (1-x^n)^{-1}: partitions with parts repeating < p times."""
-    if p < 2:
+    if type(p) is not int or p < 2:
         raise ValueError("p must be an integer >= 2")
     return _linear_spec((_ALL, 1), (SetDescriptor.multiples(p), -1))
 
 
-def delta_product_admissible(m: int) -> bool:
-    """m values for which the theta power equals prod (1-x^{2n})^{2m} (1-x^n)^{-m}."""
-    return m in (1, 2, 6, 10) or (m > 0 and m % 4 == 0)
-
-
 def delta_spec(m: int) -> ProductSpec:
-    """prod (1-x^{2n})^{2m} (1-x^n)^{-m}: representations by m triangular numbers.
-
-    Only available for m in {1, 2, 6, 10} or m a multiple of 4; the product
-    formula does not hold for other m.
-    """
-    if not delta_product_admissible(m):
-        raise ValueError(
-            f"no triangular-representation product formula for m={m}; "
-            "admissible m: 1, 2, 6, 10, or any multiple of 4"
-        )
+    """prod (1-x^{2n})^{2m} (1-x^n)^{-m}: representations by m triangular numbers,
+    the m-th power of Gauss's psi(x) = (x^2;x^2)^2 / (x;x), for every m >= 1."""
+    if type(m) is not int or m < 1:
+        raise ValueError("m must be a positive integer")
     return _linear_spec((_EVENS, -2 * m), (_ALL, m))
 
 

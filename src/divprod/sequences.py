@@ -1,7 +1,7 @@
 """Integer sequence oracles computed by routes independent of the divisor-sum
 recurrence: Euler's pentagonal theorem for the partition numbers, plain and
 p-regular, a Lambert-series double sum, the Rogers-Ramanujan sum sides, and
-theta-power convolutions.
+Miller's power recurrence for the powers of the triangular theta series.
 
 These are the arbiters the identity catalog checks everything else against,
 so none of them may go through the recurrence engine.  Each returns its terms
@@ -11,9 +11,8 @@ oracle and the product expansion it is pinned to compare with ``==``.
 
 from __future__ import annotations
 
-from itertools import count, repeat, takewhile
-from math import comb
-from operator import add, mul, sub
+from itertools import count, takewhile
+from operator import add, sub
 
 from divprod.divisors import divisors, triangular
 # binomial_factor: unused, but perfbench's --trace 1 patches it here and fails without it.
@@ -87,7 +86,7 @@ def regular_partition_counts(p: int, order: int) -> TruncatedSeries:
     """Partitions whose parts each repeat fewer than p times, for 0..order:
     prod (1 - x^{pn}) / (1 - x^n), the partition numbers times the pentagonal
     series at x^p, one shifted slice of p(n) per term."""
-    if p < 2:
+    if type(p) is not int or p < 2:
         raise ValueError("p must be an integer >= 2")
     parts = partition_counts(order).coeffs  # raises for a negative order
     c = list(parts)
@@ -103,7 +102,7 @@ def rogers_ramanujan_sum_side(which: int, order: int) -> TruncatedSeries:
 
     Only the summands with E(n) <= order contribute, so the sum is finite.
     """
-    if which not in (1, 2):
+    if type(which) is not int or which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -126,22 +125,28 @@ def rogers_ramanujan_sum_side(which: int, order: int) -> TruncatedSeries:
 
 def triangular_rep_counts(m: int, order: int) -> TruncatedSeries:
     """Number of ordered m-tuples of triangular numbers summing to n, for
-    0..order: the m-th power of the theta series sum_k x^{T(k)}.
+    0..order: the m-th power g of psi = sum_{k>=0} x^{T(k)}.
 
-    theta^m = sum_j C(m, j) (theta - 1)^j, and (theta - 1)^j starts at x^j,
-    so j stops at min(m, order): the cost does not grow with m.
+    By J.C.P. Miller's recurrence for a power of a series with constant
+    term 1 (Knuth, TAOCP vol. 2, 4.7), n g(n) = sum over the triangular
+    places 1 <= t <= n of ((m + 1) t - n) g(n - t).  One pass over n walks
+    psi's O(order^0.5) places, so the cost is O(order^1.5) for any m.
     """
-    if m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError("m must be a positive integer")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    # (theta - 1)^j is (theta - 1)^(j-1) shifted to every triangular place
-    # T(k) >= 1 and summed: one slice per place, padded with order zeros.
     places = list(takewhile(lambda t: t <= order, map(triangular, count(1))))
-    power = [1] + [0] * order
-    acc = power[:]
-    for j in range(1, min(m, order) + 1):
-        padded = [0] * order + power
-        power = list(map(sum, zip(*(padded[order - t : 2 * order + 1 - t] for t in places))))
-        acc = list(map(add, acc, map(mul, power, repeat(comb(m, j)))))
-    return TruncatedSeries(acc)
+    g = [1]
+    for n in range(1, order + 1):
+        acc = 0
+        for t in places:
+            if t > n:
+                break
+            acc += ((m + 1) * t - n) * g[n - t]
+        # g has integer coefficients, so the division is exact; a remainder is a defect.
+        q, r = divmod(acc, n)
+        if r:
+            raise ArithmeticError(f"inexact division at n={n}")
+        g.append(q)
+    return TruncatedSeries(g)

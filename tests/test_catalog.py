@@ -116,9 +116,8 @@ def test_run_check_unknown_id():
         run_check("fermat_last", 10)
 
 
-def test_delta_check_rejects_inadmissible_m():
-    with pytest.raises(ValueError, match="admissible m"):
-        delta(3).check(50)
+def test_delta_check_passes_for_odd_m():
+    assert delta(3).check(50).passed
 
 
 def test_ramanujan_a_check_needs_order_two():
@@ -264,7 +263,12 @@ def test_jacobi_square_verbatim_holds_at_one():
 @pytest.mark.parametrize(
     "family, bad, message",
     [(p_regular, 1, "p must be"), (p_regular_verbatim, 1, "p must be"),
-     (rogers_ramanujan, 3, "which must be"), (delta, 3, "admissible m")],
+     (rogers_ramanujan, 3, "which must be"), (delta, 0, "positive"),
+     # a bool or a float is refused, not read as the int it equals
+     (p_regular, 2.0, "p must be"), (p_regular, 2.5, "p must be"),
+     (p_regular_verbatim, 2.5, "p must be"), (rogers_ramanujan, True, "which must be"),
+     (rogers_ramanujan, 1.0, "which must be"), (delta, True, "positive"),
+     (delta, 2.0, "positive"), (delta, 2.5, "positive")],
 )
 def test_families_reject_bad_parameters(family, bad, message):
     with pytest.raises(ValueError, match=message):

@@ -149,6 +149,21 @@ def test_divisor_sums_matches_per_value_scan(order, pairs):
     assert divisor_sums(order, iter(pairs)) == scan_divisor_sums(order, pairs)
 
 
+# The sieve refuses a negative order, as weight_table does, rather than return [].
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sigma_table(-3),
+        lambda: sigma_rm_table(-1, 0, 2),
+        lambda: divisor_sums(-1, [(1, 1)]),
+        lambda: divisor_sums(-1, []),
+    ],
+)
+def test_tables_refuse_a_negative_order(call):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        call()
+
+
 def test_square_indicator():
     assert square_indicator(0) == 1
     assert square_indicator(9) == 1

@@ -32,7 +32,11 @@ from divprod.products import (
     weight_table,
 )
 from divprod.report import Failure
-from divprod.sequences import lambert_cubic_by_divisors, regular_partition_counts
+from divprod.sequences import (
+    lambert_cubic_by_divisors,
+    regular_partition_counts,
+    triangular_rep_counts,
+)
 from divprod.series import TruncatedSeries, kronecker_mul
 
 
@@ -393,7 +397,7 @@ def test_builtin_spec_lookup():
     # signed arguments parse, and the spec maker rejects the value
     with pytest.raises(ValueError, match="p must be"):
         builtin_spec("p_regular(-2)")
-    with pytest.raises(ValueError, match="admissible m"):
+    with pytest.raises(ValueError, match="positive integer"):
         builtin_spec("delta(-4)")
 
 
@@ -410,12 +414,12 @@ def test_builtin_spec_malformed_name(name):
         builtin_spec(name)
 
 
-def test_delta_spec_admissibility():
+def test_delta_spec_holds_for_every_m():
+    # The product is the m-th power of Gauss's psi, so no m >= 1 is refused.
     for m in (1, 2, 4, 6, 8, 10, 12, 16):
         delta_spec(m)
     for m in (3, 5, 7, 9, 11, 14):
-        with pytest.raises(ValueError, match="admissible m"):
-            delta_spec(m)
+        assert coeffs_via_expansion(delta_spec(m), 60) == triangular_rep_counts(m, 60)
 
 
 # --- properties ------------------------------------------------------------

@@ -180,8 +180,9 @@ def test_regular_partition_bounded_by_partition():
 
 
 def test_regular_partition_rejects_small_p():
-    with pytest.raises(ValueError):
-        regular_partition_counts(1, 10)
+    for p in (1, True, 2.0, 2.5):
+        with pytest.raises(ValueError, match="p must be"):
+            regular_partition_counts(p, 10)
 
 
 def test_rogers_ramanujan_spot_values():
@@ -227,8 +228,9 @@ def test_rogers_ramanujan_matches_series_products(which):
 
 
 def test_rogers_ramanujan_rejects_bad_selector():
-    with pytest.raises(ValueError):
-        rogers_ramanujan_sum_side(3, 10)
+    for which in (3, True, 1.0):
+        with pytest.raises(ValueError, match="which must be"):
+            rogers_ramanujan_sum_side(which, 10)
 
 
 def test_delta_one_is_triangular_indicator():
@@ -271,10 +273,14 @@ def triangular_power_by_series(m, order):
     return tuple(acc)
 
 
-@pytest.mark.parametrize("m", range(1, 16))
-def test_delta_matches_binomial_series_form(m):
-    # Orders below m cover the j <= min(m, order) bound.
-    for order in range(81):
+@pytest.mark.parametrize(
+    "m, orders",
+    [*(pytest.param(m, range(81), id=str(m)) for m in range(1, 16)),
+     *(pytest.param(m, (0, 1, 40, 80), id=str(m)) for m in (100, 1000))],
+)
+def test_delta_matches_binomial_series_form(m, orders):
+    # Orders below m cover the j <= min(m, order) bound of the reference.
+    for order in orders:
         assert triangular_rep_counts(m, order).coeffs == triangular_power_by_series(m, order)
 
 
@@ -287,8 +293,11 @@ def test_delta_closed_forms_at_huge_m(m):
 
 
 def test_delta_rejects_nonpositive_m():
-    with pytest.raises(ValueError):
-        triangular_rep_counts(0, 10)
+    # A bool or a float would run the recurrence on the value it equals, or
+    # turn the coefficients into floats.
+    for m in (0, True, 2.0, 2.5):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            triangular_rep_counts(m, 10)
 
 
 _PINNED_PRODUCTS = [
@@ -302,7 +311,7 @@ _PINNED_PRODUCTS = [
     *(pytest.param(partial(rogers_ramanujan_sum_side, w), rogers_ramanujan_spec(w), id=f"rr{w}")
       for w in (1, 2)),
     *(pytest.param(partial(triangular_rep_counts, m), delta_spec(m), id=f"delta({m})")
-      for m in (1, 2, 4, 6, 8, 10, 12)),
+      for m in (1, 2, 3, 4, 5, 6, 8, 10, 12)),
 ]
 
 
