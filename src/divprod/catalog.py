@@ -15,9 +15,10 @@ many fields name it.  Tables look the oracles, the divisor sieves and the
 coefficient routes up among this module's globals when the check runs, and
 nothing is kept from one check to the next.  The oracles never go through the
 recurrence engine.  A check reports the first index at which two sides
-differ (``report.first_mismatch``).  A relation's right side is one packed
-product (``series.kronecker_mul``); its left side is an oracle, a sieve or a
-sparse table, none of which a packed product computes.
+differ (``report.first_mismatch``).  A relation's right side is a packed
+product (``series.kronecker_mul``), to a short prefix first and to N only
+if the scan gets past it; its left side is an oracle, a sieve or a sparse
+table, none of which a packed product computes.
 
 Three records are expected failures, kept to pin the index-bound and
 orientation corrections the passing forms rely on: ``jacobi_square_verbatim``
@@ -56,6 +57,9 @@ from divprod.series import Rational, kronecker_mul, sparse_table
 
 PASS = "pass"
 FAIL = "fail"
+# The order to which a relation's right side is summed before the scan asks
+# for the rest.
+PREFIX = 64
 
 
 class Tables:
@@ -97,15 +101,24 @@ class Relation(NamedTuple):
     start: int = 1
 
     def sides(self, t: Tables) -> tuple[Iterator[Rational], Iterator[Rational]]:
-        """Both sides for n = start..N: the right side's sums from one packed
-        product to N, all else one n at a time as the scan asks for it."""
-        ns = range(self.start, t.order + 1)
+        """Both sides for n = start..N, one n at a time as the scan asks for
+        them.  The right side's sums come from a packed product to
+        min(N, PREFIX) and, once the scan is past that, from one to N, so a
+        relation that fails early never sums to N."""
         lhs = t(self.lhs)
-        left = ((n - self.shift) * lhs[n] for n in ns)
-        sums = kronecker_mul(t(self.kernel), t(self.operand), t.order)
+        left = ((n - self.shift) * lhs[n] for n in range(self.start, t.order + 1))
+        kernel, operand = t(self.kernel), t(self.operand)
         diagonal = t(self.diagonal) if self.diagonal else [0] * (t.order + 1)
-        right = (self.scale * sums[n] + diagonal[n] for n in ns)
-        return left, right
+
+        def right():
+            low = self.start
+            for reach in (min(PREFIX, t.order), t.order):
+                if low <= reach:
+                    sums = kronecker_mul(kernel, operand, reach)
+                    yield from (self.scale * sums[n] + diagonal[n] for n in range(low, reach + 1))
+                    low = reach + 1
+
+        return left, right()
 
 
 class Identity(NamedTuple):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -32,6 +32,7 @@ from divprod.series import (
     Rational,
     TruncatedSeries,
     apply_binomial_factor,
+    apply_progression,
     kronecker_mul,
     kronecker_pow,
 )
@@ -389,21 +390,67 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
                 exponents[n] = exponents.get(n, 0) + e.numerator
     # Degrees are grouped by |e|: each group's unit base prod (1-x^n)^(sign e)
     # is raised to |e| by squaring, so the cost does not grow with |e|.  The
-    # first group's power starts the product.
+    # first group's power starts the product.  A base takes its full
+    # residue-class tails by Euler's sums and its other degrees one pass each.
     groups: dict[int, list[int]] = {}
     for n in sorted(exponents):
         if exponents[n]:
             groups.setdefault(abs(exponents[n]), []).append(n)
+    step = _class_step(spec, inner)
     coeffs = None
     for power, members in groups.items():
         base = [1] + [0] * inner
-        for n in members:
+        for n in _apply_progression_tails(base, members, exponents, power, step):
             apply_binomial_factor(base, n, exponents[n] // power)
         term = kronecker_pow(base, power, inner)
         coeffs = term if coeffs is None else kronecker_mul(coeffs, term, inner)
     if coeffs is None:
         coeffs = [1] + [0] * inner
     return TruncatedSeries((0,) * spec.shift + tuple(coeffs))
+
+
+def _class_step(spec: ProductSpec, inner: int) -> int:
+    """The lcm L of the moduli of the spec's residue classes, the step of
+    every progression its members can form; 0 when there is no class or
+    L > inner, where no bucket holds two degrees."""
+    step = 0
+    for factor in spec.factors:
+        for _, m in factor.set.classes:
+            step = lcm(step or 1, m)
+            if step > inner:
+                return 0
+    return step
+
+
+def _apply_progression_tails(base, members, exponents, power, step):
+    """Multiply in, by ``apply_progression``, each full progression tail of
+    the group's unit base; return the degrees it leaves.
+
+    The degrees are bucketed by (n mod step, sign).  A bucket whose last
+    members run n, n + step, ... up to the order in one sign is a tail of
+    Euler's product; the kernel takes it from the first of those at or above
+    a cut near sqrt(step * order / 2), which balances the per-degree passes
+    below the cut against the kernel's O(order^2 / cut) cells.  Everything
+    else keeps a per-degree pass.
+    """
+    if not step:
+        return members
+    inner = len(base) - 1
+    cut = isqrt(step * inner // 2)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for n in members:
+        buckets.setdefault((n % step, exponents[n] // power), []).append(n)
+    left = []
+    for (_, sign), ns in buckets.items():
+        i = len(ns)
+        if ns[-1] + step > inner:
+            while i > 1 and ns[i - 2] >= cut and ns[i - 2] + step == ns[i - 1]:
+                i -= 1
+            if ns[i - 1] >= cut:
+                apply_progression(base, ns[i - 1], step, sign)
+                i -= 1
+        left += ns[:i]
+    return left
 
 
 def cross_check(spec: ProductSpec, order: int) -> IdentityReport:

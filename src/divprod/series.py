@@ -5,8 +5,15 @@ beyond.  Coefficients are Python ints or `fractions.Fraction` values (always
 in lowest terms, positive denominator), and no floating point is used
 anywhere.  ``TruncatedSeries`` is the value type of the coefficient routes
 and the oracles: an immutable container whose ``==`` compares every
-coefficient.  The arithmetic lives in list kernels: the in-place binomial
-pass ``apply_binomial_factor`` and the packed product ``kronecker_mul``.
+coefficient.  The arithmetic lives in list kernels:
+
+* ``apply_binomial_factor``, the in-place pass that multiplies by one
+  (1 - x^n)^e in O(N) cells per unit of |e|;
+* ``apply_progression``, the in-place product over an arithmetic
+  progression, prod_j (1 - x^(b+jm))^(+-1), by Euler's sums, whose cost does
+  not grow with the number of degrees in the progression;
+* ``kronecker_mul`` and ``kronecker_pow``, the packed product and power.
+
 ``TruncatedSeries.__mul__`` keeps a plain double sum as their reference.
 """
 
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add, sub
 from typing import Iterable, Iterator, Union
 
 Rational = Union[int, Fraction]
@@ -133,6 +141,35 @@ def apply_binomial_factor(coeffs: list, n: int, e: int) -> None:
         for _ in range(-e):
             for i in range(n, top + 1):
                 coeffs[i] += coeffs[i - n]
+
+
+def apply_progression(coeffs: list, b: int, m: int, e: int) -> None:
+    """Multiply a coefficient list in place by prod_{j>=0} (1 - x^(b+jm))^e
+    for e = +-1, by Euler's sums over (x^m; x^m)_k = prod_{i=1..k} (1 - x^(mi)):
+
+        prod (1 - x^(b+jm))^(-1) = sum_k x^(bk) / (x^m; x^m)_k,
+        prod (1 - x^(b+jm))      = sum_k (-1)^k x^(bk + m k(k-1)/2) / (x^m; x^m)_k.
+
+    The k-th term is the (k-1)-th divided by (1 - x^(mk)), one inverse pass
+    on a copy of the input truncated to what x^start_k leaves of the order,
+    and is added into the list from start_k on.  Exact; k runs while
+    start_k <= N, so the cost is O(N^2 / b) cells for e = -1 and
+    O(N^1.5 / sqrt(m)) for e = +1, however many degrees the progression has.
+    """
+    if b < 1 or m < 1:
+        raise ValueError("progression start b and step m must be >= 1")
+    if e not in (1, -1):
+        raise ValueError("progression exponent must be 1 or -1")
+    top = len(coeffs) - 1
+    w = coeffs[:]
+    k, start = 1, b
+    while start <= top:
+        del w[top + 1 - start :]
+        apply_binomial_factor(w, m * k, -1)
+        op = sub if e > 0 and k % 2 else add
+        coeffs[start:] = map(op, coeffs[start:], w)
+        k += 1
+        start = b * k if e < 0 else b * k + m * k * (k - 1) // 2
 
 
 def _pack(coeffs: list[int], width: int) -> int:

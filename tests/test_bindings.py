@@ -2,9 +2,10 @@
 wraps.
 
 Every comparison needs one side that the other side's kernel did not
-compute: the oracles stay off the packed product and the expansion route,
-the recurrence stays off the packed product, and a relation's left side is
-built without the packed product that sums its right side.
+compute: the oracles stay off the packed product and the expansion route's
+kernels, the recurrence stays off the packed product and the expansion's
+progression kernel, and a relation's left side is built without the packed
+product that sums its right side.
 """
 
 import importlib
@@ -32,13 +33,13 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("a packed product ran")
+    raise AssertionError("a kernel of another route ran")
 
 
 def test_sequences_binds_no_kernel_of_another_route():
     bound = set(vars(sequences))
     assert not {name for name in bound if name.startswith(("kronecker_", "coeffs_via_"))}
-    assert "apply_binomial_factor" not in bound
+    assert not bound & {"apply_binomial_factor", "apply_progression"}
 
 
 @pytest.mark.parametrize("name", ["gauss", "ramanujan", "delta(8)", "square_quotient"])
@@ -47,6 +48,7 @@ def test_recurrence_runs_without_the_packed_product(monkeypatch, name):
     expected = coeffs_via_expansion(spec, 40)
     monkeypatch.setattr(products, "kronecker_mul", _refuse)
     monkeypatch.setattr(products, "kronecker_pow", _refuse)
+    monkeypatch.setattr(products, "apply_progression", _refuse)
     assert coeffs_via_recurrence(spec, 40) == expected
 
 

@@ -5,11 +5,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import divprod.catalog as catalog
 from divprod.catalog import (
     ALL_CHECKS,
     CATALOG,
     FAIL,
     POSITIVE_CHECKS,
+    PREFIX,
     Tables,
     delta,
     p_regular,
@@ -27,6 +29,7 @@ from divprod.products import (
     WeightSpec,
     coeffs_via_expansion,
 )
+from divprod.report import first_mismatch
 from divprod.sequences import lambert_cubic_by_divisors
 
 
@@ -253,6 +256,41 @@ def test_expected_failures_stay_pinned(identity_id, n, lhs, rhs, order):
         lhs,
         rhs,
     )
+
+
+def spy_sum_orders(monkeypatch):
+    """The order of every packed product that sums a relation's right side."""
+    orders = []
+    real = catalog.kronecker_mul
+
+    def spy(a, b, order):
+        orders.append(order)
+        return real(a, b, order)
+
+    monkeypatch.setattr(catalog, "kronecker_mul", spy)
+    return orders
+
+
+@pytest.mark.parametrize(
+    "identity_id, n",
+    [("jacobi_square_verbatim", 4), ("ramanujan_a_verbatim", 2), ("p_regular_verbatim_2", 1)],
+)
+def test_expected_failures_stop_before_summing_to_the_order(monkeypatch, identity_id, n):
+    orders = spy_sum_orders(monkeypatch)
+    report = run_check(identity_id, 10000)
+    assert report.first_failure.n == n
+    assert 10000 not in orders and all(order <= PREFIX for order in orders)
+
+
+def test_a_relation_past_the_prefix_is_summed_to_the_order(monkeypatch):
+    orders = spy_sum_orders(monkeypatch)
+    assert run_check("triangular", 300).passed
+    assert run_check("triangular", 30).passed
+    assert orders == [PREFIX, 300, 30]
+    # A relation that breaks only at n = N is scanned to N.
+    relation = next(r.relation for r in CATALOG if r.id == "triangular")
+    late = relation._replace(diagonal=lambda t: [0] * t.order + [1])
+    assert first_mismatch(*late.sides(Tables(300)), late.start).n == 300
 
 
 def test_jacobi_square_verbatim_holds_at_one():

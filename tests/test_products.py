@@ -37,7 +37,7 @@ from divprod.sequences import (
     regular_partition_counts,
     triangular_rep_counts,
 )
-from divprod.series import TruncatedSeries, kronecker_mul
+from divprod.series import TruncatedSeries, apply_binomial_factor, kronecker_mul, kronecker_pow
 
 
 # --- set descriptors -------------------------------------------------------
@@ -300,6 +300,144 @@ def test_expansion_multiplies_in_each_exponent_group_past_the_first(
     monkeypatch.setattr(products, "kronecker_mul", counted)
     assert coeffs_via_expansion(spec, 40) == coeffs_via_recurrence(spec, 40)
     assert len(calls) == products_multiplied
+
+
+# --- the expansion's progression tails -----------------------------------
+
+
+def per_degree_expansion(spec, order):
+    """The expansion with one apply_binomial_factor per degree and no
+    progression kernel: merged exponents grouped by |e|, each group's unit
+    base raised by kronecker_pow and multiplied in."""
+    inner = order - spec.shift
+    if inner < 0:
+        return TruncatedSeries.zero(order)
+    exponents = {}
+    for factor in spec.factors:
+        for n in factor.set.members_upto(inner):
+            e = factor.weight.exponent_at(n)
+            assert e.denominator == 1
+            exponents[n] = exponents.get(n, 0) + e.numerator
+    groups = {}
+    for n in sorted(exponents):
+        if exponents[n]:
+            groups.setdefault(abs(exponents[n]), []).append(n)
+    coeffs = [1] + [0] * inner
+    for power, members in groups.items():
+        base = [1] + [0] * inner
+        for n in members:
+            apply_binomial_factor(base, n, exponents[n] // power)
+        coeffs = kronecker_mul(coeffs, kronecker_pow(base, power, inner), inner)
+    return TruncatedSeries([0] * spec.shift + coeffs)
+
+
+BUILTIN_NAMES = (
+    "gauss", "jacobi", "ramanujan", "rr1", "rr2", "square_quotient",
+    *(f"p_regular({p})" for p in (2, 3, 5, 7)),
+    *(f"delta({m})" for m in (1, 2, 4, 6, 8, 10, 12)),
+)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_expansion_matches_per_degree_passes_at_order_2000(name):
+    spec = builtin_spec(name)
+    assert coeffs_via_expansion(spec, 2000) == per_degree_expansion(spec, 2000)
+
+
+def spy_progressions(monkeypatch):
+    """The (b, m, e) of every progression the expansion multiplies in."""
+    calls = []
+    real = products.apply_progression
+
+    def spy(coeffs, b, m, e):
+        calls.append((b, m, e))
+        real(coeffs, b, m, e)
+
+    monkeypatch.setattr(products, "apply_progression", spy)
+    return calls
+
+
+def _linear_factor(s, c):
+    return Factor(s, WeightSpec.linear(c))
+
+
+# (spec, order, the progressions multiplied in).  Cut = isqrt(L * order // 2).
+PROGRESSION_CASES = {
+    # L = lcm(5, 7) = 35 exceeds the order: no bucket holds two degrees.
+    "step past the order": (
+        ProductSpec((
+            _linear_factor(SetDescriptor.residue_union([(1, 5)]), 1),
+            _linear_factor(SetDescriptor.multiples(7), -1),
+        )),
+        30,
+        set(),
+    ),
+    # At order 400 the same spec's step fits, and each bucket is a tail from
+    # its first member at or above the cut 83.  The classes overlap at 21
+    # mod 35, where the exponents cancel, so that residue has no bucket.
+    "step within the order": (
+        ProductSpec((
+            _linear_factor(SetDescriptor.residue_union([(1, 5)]), 1),
+            _linear_factor(SetDescriptor.multiples(7), -1),
+        )),
+        400,
+        {(86, 35, -1), (96, 35, -1), (101, 35, -1), (106, 35, -1), (111, 35, -1),
+         (116, 35, -1), (84, 35, 1), (98, 35, 1), (105, 35, 1), (112, 35, 1)},
+    ),
+    # An explicit member cancels n = 150 in the one bucket of L = 1: the tail
+    # starts after the gap, and the degrees below it keep their passes.
+    "gap in a bucket": (
+        ProductSpec((
+            _linear_factor(SetDescriptor.all_naturals(), 1),
+            _linear_factor(SetDescriptor.explicit([150]), -1),
+        )),
+        400,
+        {(151, 1, -1)},
+    ),
+    # Cancelling the last degree leaves no tail that reaches the order.
+    "gap at the order": (
+        ProductSpec((
+            _linear_factor(SetDescriptor.all_naturals(), 1),
+            _linear_factor(SetDescriptor.explicit([400]), -1),
+        )),
+        400,
+        set(),
+    ),
+    # Explicit members on the classes move 4, 6 and 300 to the |e| = 2
+    # group, which has no tail, and cancel 301, a gap in the odd tail.
+    "explicit members overlap the classes": (
+        ProductSpec((
+            _linear_factor(SetDescriptor.residue_union([(0, 2)]), -1),
+            _linear_factor(SetDescriptor.residue_union([(1, 2)]), 1),
+            _linear_factor(SetDescriptor.explicit([4, 6, 300, 301]), -1),
+        )),
+        400,
+        {(302, 2, 1), (303, 2, -1)},
+    ),
+    # A table weight on 1 mod 3 with exponent -1 below 100 and -2 from 100
+    # splits the class between two groups: the |e| = 1 part stops short of
+    # the order and keeps its passes, the |e| = 2 part is a tail from 100.
+    "table splits a class between groups": (
+        ProductSpec((
+            Factor(
+                SetDescriptor.residue_union([(1, 3)]),
+                WeightSpec.table({n: n if n < 100 else 2 * n for n in range(1, 401, 3)}),
+            ),
+        )),
+        400,
+        {(100, 3, -1)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PROGRESSION_CASES)
+def test_expansion_takes_the_full_progression_tails(monkeypatch, case):
+    spec, order, progressions = PROGRESSION_CASES[case]
+    calls = spy_progressions(monkeypatch)
+    got = coeffs_via_expansion(spec, order)
+    assert set(calls) == progressions and len(calls) == len(progressions)
+    assert got == per_degree_expansion(spec, order)
+    assert got == coeffs_via_recurrence(spec, order)
 
 
 def test_expansion_rejects_fractional_linear_weight():

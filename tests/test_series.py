@@ -1,5 +1,6 @@
 """Series kernel: exactness, truncation semantics, and the binomial factors."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from divprod.series import (
     TruncatedSeries,
     apply_binomial_factor,
+    apply_progression,
     binomial_factor,
     kronecker_mul,
     kronecker_pow,
@@ -135,6 +137,64 @@ def test_inplace_binomial_matches_series_product(n, e, a):
     coeffs = list(a.coeffs)
     apply_binomial_factor(coeffs, n, e)
     assert S(coeffs) == a * binomial_factor(n, e, a.order)
+
+
+# --- Euler's progression product against per-degree passes ----------------
+
+
+def per_degree(coeffs, b, m, e):
+    """coeffs times prod_j (1 - x^(b+jm))^e, one apply_binomial_factor per degree."""
+    out = list(coeffs)
+    for n in range(b, len(out), m):
+        apply_binomial_factor(out, n, e)
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_progression_matches_per_degree_passes_at_every_order(m):
+    # Each order truncates the same random list, so its reference is a prefix
+    # of the reference at the top order.
+    for b in range(1, m + 1):
+        for e in (1, -1):
+            rng = random.Random(f"{b} {m} {e}")
+            coeffs = [rng.randint(-9, 9) for _ in range(301)]
+            expected = per_degree(coeffs, b, m, e)
+            for order in range(301):
+                got = coeffs[: order + 1]
+                apply_progression(got, b, m, e)
+                assert got == expected[: order + 1], (b, m, e, order)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_progression_matches_per_degree_passes_at_order_2000(m):
+    # The first and the last start below the step: the longest and the
+    # shortest run of Euler's sum.
+    for b in sorted({1, m}):
+        for e in (1, -1):
+            rng = random.Random(f"{b} {m} {e} 2000")
+            coeffs = [rng.randint(-9, 9) for _ in range(2001)]
+            got = coeffs[:]
+            apply_progression(got, b, m, e)
+            assert got == per_degree(coeffs, b, m, e), (b, m, e)
+
+
+def test_progression_on_one_is_euler_product():
+    # prod (1 - x^n)^-1 counts partitions; prod (1 - x^n) is the pentagonal series.
+    base = [1] + [0] * 12
+    apply_progression(base, 1, 1, -1)
+    assert base == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    base = [1] + [0] * 12
+    apply_progression(base, 1, 1, 1)
+    assert base == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
+
+
+@pytest.mark.parametrize(
+    "b, m, e, needle",
+    [(0, 2, 1, "b and step m"), (1, 0, -1, "b and step m"), (1, 2, 2, "1 or -1"), (1, 2, 0, "1 or -1")],
+)
+def test_progression_rejects_bad_arguments(b, m, e, needle):
+    with pytest.raises(ValueError, match=needle):
+        apply_progression([1, 0, 0], b, m, e)
 
 
 # --- __mul__ against the direct double sum ---------------------------------
