@@ -208,6 +208,11 @@ def _cubic(t):
     return [lambert_cubic_by_divisors(n) for n in range(t.order + 1)]
 
 
+def _cubic_sieved(t):
+    """a(n) by the Lambert double sum, one sieve to N, a(0) = 1."""
+    return lambert_cubic_prefix(t.order).coeffs
+
+
 def _cubic_shifted(t):
     """The coefficients of x * prod(...): a(n) for n >= 1, 0 at n = 0."""
     return [0] + t(_cubic)[1:]
@@ -301,7 +306,7 @@ CATALOG: tuple[Identity, ...] = (
         "ramanujan_a",
         min_order=2,
         pins=(
-            Pin(_cubic, lambda t: lambert_cubic_prefix(t.order).coeffs),
+            Pin(_cubic, _cubic_sieved),
             Pin(_cubic_shifted, lambda t: coeffs_via_recurrence(ramanujan_spec(), t.order).coeffs),
         ),
         relation=Relation(_cubic, _odd_minus_even, _cubic_shifted, scale=8, shift=1, start=2),
@@ -339,7 +344,7 @@ CATALOG: tuple[Identity, ...] = (
         "ramanujan_a_verbatim",
         expected=FAIL,
         min_order=2,
-        relation=Relation(_cubic, _odd_minus_even, _cubic, scale=8, start=2),
+        relation=Relation(_cubic_sieved, _odd_minus_even, _cubic_sieved, scale=8, start=2),
     ),
     p_regular_verbatim(2),
 )

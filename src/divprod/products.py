@@ -376,32 +376,53 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
     inner = order - spec.shift
     if inner < 0:
         return TruncatedSeries.zero(order)
-    exponents: dict[int, int] = {}
+    ex = [0] * (inner + 1)  # ex[n]: the merged exponent of (1 - x^n)
     for path, w, members in _members_upto(spec, inner):
-        for n in members:
-            e = w.exponent_at(n)
-            if e.denominator != 1:
-                if w.kind == WEIGHT_LINEAR:
-                    path, why = f"{path}.c", f"linear weight c={w.c}"
-                else:
-                    path, why = f"{path}.values", f"factor at n={n} has exponent {e}"
-                raise SpecFormatError(f"{path}: expansion oracle requires integer exponents; {why}")
-            if e:
-                exponents[n] = exponents.get(n, 0) + e.numerator
+        if w.kind == WEIGHT_LINEAR:
+            if members and w.c.denominator != 1:
+                raise SpecFormatError(
+                    f"{path}.c: expansion oracle requires integer exponents; linear weight c={w.c}"
+                )
+            for n in members:
+                ex[n] -= w.c.numerator
+        else:
+            for n in members:
+                f = w.by_n[n]
+                if f.denominator != 1 or f.numerator % n:
+                    raise SpecFormatError(
+                        f"{path}.values: expansion oracle requires integer exponents; "
+                        f"factor at n={n} has exponent {-f / n}"
+                    )
+                ex[n] -= f.numerator // n
     # Degrees are grouped by |e|: each group's unit base prod (1-x^n)^(sign e)
     # is raised to |e| by squaring, so the cost does not grow with |e|.  The
-    # first group's power starts the product.  A base takes its full
-    # residue-class tails by Euler's sums and its other degrees one pass each.
-    groups: dict[int, list[int]] = {}
-    for n in sorted(exponents):
-        if exponents[n]:
-            groups.setdefault(abs(exponents[n]), []).append(n)
+    # base takes the full residue-class tails of one exponent by Euler's sums
+    # (``apply_progression``) and every other degree by one pass.
+    groups: dict[int, tuple[list, list]] = {}  # |e| -> (tail starts, lone degrees)
     step = _class_step(spec, inner)
+    if step:
+        # A tail starts at or above a cut near sqrt(step * inner / 2), which
+        # balances the passes below it against the kernel's O(inner^2 / cut)
+        # cells.  Each class's top degree b ends at most one tail.
+        cut = isqrt(step * inner // 2)
+        for b in range(inner - step + 1, inner + 1):
+            e, s = ex[b], b
+            if not e or b < cut:
+                continue
+            while s - step >= cut and ex[s - step] == e:
+                s -= step
+            groups.setdefault(abs(e), ([], []))[0].append((s, e))
+            ex[s::step] = [0] * ((b - s) // step + 1)
+    for n, e in enumerate(ex):
+        if e:
+            groups.setdefault(abs(e), ([], []))[1].append(n)
     coeffs = None
-    for power, members in groups.items():
+    for power, (tails, lone) in groups.items():
         base = [1] + [0] * inner
-        for n in _apply_progression_tails(base, members, exponents, power, step):
-            apply_binomial_factor(base, n, exponents[n] // power)
+        for s, e in tails:
+            apply_progression(base, s, step, e // power)
+        for n in lone:
+            apply_binomial_factor(base, n, ex[n] // power)
         term = kronecker_pow(base, power, inner)
         coeffs = term if coeffs is None else kronecker_mul(coeffs, term, inner)
     if coeffs is None:
@@ -412,7 +433,7 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
 def _class_step(spec: ProductSpec, inner: int) -> int:
     """The lcm L of the moduli of the spec's residue classes, the step of
     every progression its members can form; 0 when there is no class or
-    L > inner, where no bucket holds two degrees."""
+    L > inner, where no class mod L holds two degrees."""
     step = 0
     for factor in spec.factors:
         for _, m in factor.set.classes:
@@ -420,37 +441,6 @@ def _class_step(spec: ProductSpec, inner: int) -> int:
             if step > inner:
                 return 0
     return step
-
-
-def _apply_progression_tails(base, members, exponents, power, step):
-    """Multiply in, by ``apply_progression``, each full progression tail of
-    the group's unit base; return the degrees it leaves.
-
-    The degrees are bucketed by (n mod step, sign).  A bucket whose last
-    members run n, n + step, ... up to the order in one sign is a tail of
-    Euler's product; the kernel takes it from the first of those at or above
-    a cut near sqrt(step * order / 2), which balances the per-degree passes
-    below the cut against the kernel's O(order^2 / cut) cells.  Everything
-    else keeps a per-degree pass.
-    """
-    if not step:
-        return members
-    inner = len(base) - 1
-    cut = isqrt(step * inner // 2)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for n in members:
-        buckets.setdefault((n % step, exponents[n] // power), []).append(n)
-    left = []
-    for (_, sign), ns in buckets.items():
-        i = len(ns)
-        if ns[-1] + step > inner:
-            while i > 1 and ns[i - 2] >= cut and ns[i - 2] + step == ns[i - 1]:
-                i -= 1
-            if ns[i - 1] >= cut:
-                apply_progression(base, ns[i - 1], step, sign)
-                i -= 1
-        left += ns[:i]
-    return left
 
 
 def cross_check(spec: ProductSpec, order: int) -> IdentityReport:

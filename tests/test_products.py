@@ -361,9 +361,11 @@ def _linear_factor(s, c):
     return Factor(s, WeightSpec.linear(c))
 
 
-# (spec, order, the progressions multiplied in).  Cut = isqrt(L * order // 2).
+# (spec, order, the progressions multiplied in).  Cut = isqrt(L * inner // 2)
+# for inner = order - shift; a tail is the run of one exponent that ends at
+# its class's top degree, taken from its first degree at or above the cut.
 PROGRESSION_CASES = {
-    # L = lcm(5, 7) = 35 exceeds the order: no bucket holds two degrees.
+    # L = lcm(5, 7) = 35 exceeds the order: no class mod L holds two degrees.
     "step past the order": (
         ProductSpec((
             _linear_factor(SetDescriptor.residue_union([(1, 5)]), 1),
@@ -372,9 +374,9 @@ PROGRESSION_CASES = {
         30,
         set(),
     ),
-    # At order 400 the same spec's step fits, and each bucket is a tail from
-    # its first member at or above the cut 83.  The classes overlap at 21
-    # mod 35, where the exponents cancel, so that residue has no bucket.
+    # At order 400 the same spec's step fits, and each class's run is a tail
+    # from its first member at or above the cut 83.  The classes overlap at 21
+    # mod 35, where the exponents cancel, so that residue has no tail.
     "step within the order": (
         ProductSpec((
             _linear_factor(SetDescriptor.residue_union([(1, 5)]), 1),
@@ -384,7 +386,7 @@ PROGRESSION_CASES = {
         {(86, 35, -1), (96, 35, -1), (101, 35, -1), (106, 35, -1), (111, 35, -1),
          (116, 35, -1), (84, 35, 1), (98, 35, 1), (105, 35, 1), (112, 35, 1)},
     ),
-    # An explicit member cancels n = 150 in the one bucket of L = 1: the tail
+    # An explicit member cancels n = 150 in the one class of L = 1: the tail
     # starts after the gap, and the degrees below it keep their passes.
     "gap in a bucket": (
         ProductSpec((
@@ -427,6 +429,24 @@ PROGRESSION_CASES = {
         400,
         {(100, 3, -1)},
     ),
+    # Shift 41 leaves inner = 400 of the order 441: the cut is isqrt(400) = 20,
+    # not isqrt(441) = 21, and the classes end at 400 and 399, not 441 and 440.
+    "shift measures the cut and the tails against inner": (
+        ProductSpec(gauss_spec().factors, shift=41),
+        441,
+        {(20, 2, 1), (21, 2, -1)},
+    ),
+    # Two factors on 0 mod 3 merge to the exponent -2 there: one tail of the
+    # |e| = 2 group from the cut 24, not one per factor.  1 mod 3, on the
+    # second factor only, has -1 and its own tail from 25.
+    "two factors merge into one tail": (
+        ProductSpec((
+            _linear_factor(SetDescriptor.multiples(3), 1),
+            _linear_factor(SetDescriptor.residue_union([(0, 3), (1, 3)]), 1),
+        )),
+        400,
+        {(24, 3, -1), (25, 3, -1)},
+    ),
 }
 
 
@@ -438,6 +458,19 @@ def test_expansion_takes_the_full_progression_tails(monkeypatch, case):
     assert set(calls) == progressions and len(calls) == len(progressions)
     assert got == per_degree_expansion(spec, order)
     assert got == coeffs_via_recurrence(spec, order)
+
+
+def test_expansion_reads_a_linear_exponent_once_per_factor(monkeypatch):
+    # A linear factor's exponent is -c at every member: the expansion reads c
+    # once per factor, never a per-member exponent_at.
+    expected = {name: per_degree_expansion(builtin_spec(name), 200) for name in BUILTIN_NAMES}
+
+    def refuse(self, n):
+        raise AssertionError(f"exponent_at({n}) called")
+
+    monkeypatch.setattr(WeightSpec, "exponent_at", refuse)
+    for name, want in expected.items():
+        assert coeffs_via_expansion(builtin_spec(name), 200) == want, name
 
 
 def test_expansion_rejects_fractional_linear_weight():
