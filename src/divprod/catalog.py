@@ -18,7 +18,8 @@ recurrence engine.  A check reports the first index at which two sides
 differ (``report.first_mismatch``).  A relation's right side is a packed
 product (``series.kronecker_mul``), to a short prefix first and to N only
 if the scan gets past it; its left side is an oracle, a sieve or a sparse
-table, none of which a packed product computes.
+table, none of which a packed product computes: neither ``kronecker_mul``
+nor the recurrence's ``decimal_mul``, which this module does not bind.
 
 Three records are expected failures, kept to pin the index-bound and
 orientation corrections the passing forms rely on: ``jacobi_square_verbatim``

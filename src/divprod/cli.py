@@ -6,7 +6,8 @@ a JSON document and CSV rows built on the same strings.  Exit codes: 0
 success / all identities passed, 1 an identity or agreement check failed, 2
 usage or configuration error.  Output is deterministic and byte-stable for a
 fixed invocation; values are printed exactly (full decimal integers,
-rationals as p/q).
+rationals as p/q), also past the interpreter's int-to-str digit limit
+(``series.exact_str``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from divprod.products import (
     resolve_name,
 )
 from divprod.report import first_mismatch
+from divprod.series import exact_str
 from divprod.sequences import (
     lambert_cubic_by_divisors,
     partition_counts,
@@ -99,7 +101,7 @@ def _cmd_compute(args) -> int:
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
     make = resolve_name(_SEQUENCES, args.name, "sequence")
-    rows = [(n, str(v)) for n, v in make(args.order)]
+    rows = [(n, exact_str(v)) for n, v in make(args.order)]
     _write(args, {"name": args.name, "order": args.order, "rows": rows}, ("n", "value"), rows)
     return 0
 
@@ -110,7 +112,7 @@ def _cmd_expand(args) -> int:
     spec = load_spec(args.spec)
     route = coeffs_via_expansion if args.algo == "expansion" else coeffs_via_recurrence
     primary = route(spec, args.order)
-    coefficients = [str(c) for c in primary.coeffs]
+    coefficients = [exact_str(c) for c in primary.coeffs]
     doc = {"spec": str(args.spec), "order": args.order, "algorithm": args.algo,
            "coefficients": coefficients}
     miss = None
@@ -118,7 +120,7 @@ def _cmd_expand(args) -> int:
         miss = first_mismatch(primary.coeffs, coeffs_via_expansion(spec, args.order).coeffs)
         doc["agree"] = miss is None
         doc["first_disagreement"] = None if miss is None else {
-            "n": miss.n, "recurrence": str(miss.lhs), "expansion": str(miss.rhs)}
+            "n": miss.n, "recurrence": exact_str(miss.lhs), "expansion": exact_str(miss.rhs)}
     _write(args, doc, ("n", "value"), enumerate(coefficients))
     if miss is not None and args.format == "csv":
         d = doc["first_disagreement"]

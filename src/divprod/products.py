@@ -4,11 +4,14 @@ and two independent ways to get their truncated coefficients:
 * a divisor-sum recurrence driven by the weight table
   g(k) = sum_i sum_{d | k, d in A_i} f_i(d), via
   n*p(n) = sum_{k=1..n} g(k) * p(n-k) with p(0) = 1, run on the integers
-  D * p(n) over the lcm D of the denominators met so far;
-* direct expansion of the binomial factors (integer exponents only).
+  D * p(n) over the lcm D of the denominators met so far, its sums relaxed
+  into blocks packed by ``series.decimal_mul``;
+* direct expansion of the binomial factors (integer exponents only), whose
+  group powers go through ``series.kronecker_mul`` and ``kronecker_pow``.
 
-The two routes share nothing past the spec itself, so their agreement is the
-working cross-check for every product in the catalog.  Weights are exact
+The two routes share nothing past the spec itself, not even a packed
+product, so their agreement is the working cross-check for every product in
+the catalog.  Weights are exact
 rationals; every linear(c) weight stands for f(n) = c*n, i.e. the factor
 family (1-x^n)^(-c) over the set.
 """
@@ -23,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from divprod.divisors import divisor_sums
@@ -33,6 +36,7 @@ from divprod.series import (
     TruncatedSeries,
     apply_binomial_factor,
     apply_progression,
+    decimal_mul,
     kronecker_mul,
     kronecker_pow,
 )
@@ -320,43 +324,86 @@ def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
     return DivisorWeightTable(order, tuple(g), scale)
 
 
+# The recurrence's leaf size, and the bits per term of a block up to which
+# the block is packed (see coeffs_via_recurrence).
+LEAF = 64
+WIDTH = 8
+
+
 def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
     """Coefficients 0..order of the spec's product via the divisor-sum
     recurrence n*p(n) = sum_{k=1..n} g(k) p(n-k), then the monomial shift.
 
     The loop runs on integers only: P(j) = D p(j) over one common
-    denominator D, with the weight table's integer kernel b*g(k) for b its
-    ``scale``, so b*n*D*p(n) = sum_k b g(k) P(n-k).  When b*n does not
+    denominator D, with the weight table's integer kernel h(k) = b*g(k) for
+    b its ``scale``, so b*n*D*p(n) = sum_k h(k) P(n-k).  When b*n does not
     divide that sum, D grows by the least factor that makes P(n) an integer
     and every earlier P(j) is multiplied by it.  That factor is the
     denominator of D*p(n), whatever b is.  D stays the lcm of the
     denominators of p(0..n), so the cost follows the size of the
     coefficients, not of the exponents' denominators.  The output is P(n)
     itself when D = 1, else P(n)/D, an int wherever it is integral.
+
+    The sums are relaxed (van der Hoeven's divide and conquer): ``acc[n]``
+    holds the terms of the P(j) already added in blocks.  A range [l, r) of
+    at most ``LEAF`` terms runs the schoolbook loop from ``acc[n]`` over the
+    terms with l <= n-k.  A longer range solves [l, mid), adds the product
+    of P[l:mid] and h[0:r-l] into acc[mid:r], and solves [mid, r): each of
+    the O(log N) levels of blocks costs about one packed product of N terms.
+    The rule for packing: a block is packed by ``series.decimal_mul`` only
+    while D = 1 and the widest P(j) of P[l:mid] has at most
+    ``WIDTH * (mid - l)`` bits; otherwise the schoolbook loop solves
+    [mid, r) from l.  The expansion route never calls that product.  Once a
+    block has been added, a growth of D multiplies acc past n too, as acc is
+    linear in P.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     inner = order - spec.shift
     if inner < 0:
         return TruncatedSeries.zero(order)
-    p = [1] + [0] * inner
-    den = 1
     table = weight_table(spec, inner)
-    b = table.scale
-    kernel = [(k, hk) for k, hk in enumerate(table.numerators) if hk]
-    for n in range(1, inner + 1):
-        acc = 0
-        for k, hk in kernel:
-            if k > n:
-                break
-            acc += hk * p[n - k]
-        m = b * n
-        p[n], r = divmod(acc, m)
-        if r:
-            t = m // gcd(r, m)
-            den *= t
-            p[:n] = map(mul, p[:n], repeat(t))
-            p[n] = acc * t // m
+    b, h = table.scale, table.numerators
+    kernel = [(k, hk) for k, hk in enumerate(h) if hk]
+    p = [1] + [0] * inner
+    acc = [0] * (inner + 1)
+    den, added = 1, False
+
+    def leaf(l: int, start: int, r: int) -> None:
+        nonlocal den
+        p_, acc_, kernel_ = p, acc, kernel  # local reads in the loop over terms
+        for n in range(start or 1, r):
+            s, top = acc_[n], n - l
+            for k, hk in kernel_:
+                if k > top:
+                    break
+                s += hk * p_[n - k]
+            m = b * n
+            p_[n], rem = divmod(s, m)
+            if rem:
+                t = m // gcd(rem, m)
+                den *= t
+                p_[:n] = map(mul, p_[:n], repeat(t))
+                if added:
+                    acc_[n + 1 :] = map(mul, acc_[n + 1 :], repeat(t))
+                p_[n] = s * t // m
+
+    def run(l: int, r: int) -> None:
+        nonlocal added
+        if r - l <= LEAF:
+            leaf(l, l, r)
+            return
+        mid = (l + r) // 2
+        run(l, mid)
+        if den == 1 and max(map(int.bit_length, p[l:mid])) <= WIDTH * (mid - l):
+            block = decimal_mul(p[l:mid], h[: r - l], r - l - 1)
+            acc[mid:r] = map(add, acc[mid:r], block[mid - l :])
+            added = True
+            run(mid, r)
+        else:
+            leaf(l, mid, r)
+
+    run(0, inner + 1)
     if den > 1:
         p = [_tighten(Fraction(c, den)) for c in p]
     return TruncatedSeries((0,) * spec.shift + tuple(p))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from divprod.series import Rational
+from divprod.series import Rational, exact_str
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ class IdentityReport:
 
     def to_dict(self) -> dict:
         f = self.first_failure
-        failure = None if f is None else {"n": f.n, "lhs": str(f.lhs), "rhs": str(f.rhs)}
+        failure = None if f is None else {
+            "n": f.n, "lhs": exact_str(f.lhs), "rhs": exact_str(f.rhs)}
         return {
             "identity": self.identity_id,
             "N": self.order_checked,

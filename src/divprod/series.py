@@ -12,19 +12,38 @@ coefficient.  The arithmetic lives in list kernels:
 * ``apply_progression``, the in-place product over an arithmetic
   progression, prod_j (1 - x^(b+jm))^(+-1), by Euler's sums, whose cost does
   not grow with the number of degrees in the progression;
-* ``kronecker_mul`` and ``kronecker_pow``, the packed product and power.
+* ``kronecker_mul`` and ``kronecker_pow``, the packed product and power;
+* ``decimal_mul``, a second packed product on the decimal module, which only
+  the recurrence's blocks call, so that route and the expansion share no
+  kernel.
 
 ``TruncatedSeries.__mul__`` keeps a plain double sum as their reference.
+``exact_str`` prints a coefficient in full, past the interpreter's limit on
+int-to-str conversion too.
 """
 
 from __future__ import annotations
 
+import sys
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
 from math import comb
 from operator import add, sub
 from typing import Iterable, Iterator, Union
 
 Rational = Union[int, Fraction]
+
+
+def exact_str(v: Rational) -> str:
+    """``str(v)`` for an int or a Fraction, also where str() raises past
+    ``sys.get_int_max_str_digits()``: the decimal module converts without
+    that limit, and the limit is never raised."""
+    try:
+        return str(v)
+    except ValueError:
+        if isinstance(v, Fraction) and v.denominator != 1:
+            return f"{exact_str(v.numerator)}/{exact_str(v.denominator)}"
+        return str(Decimal(int(v)))
 
 
 def sparse_table(order: int, place, coeff=lambda k: 1) -> list[Rational]:
@@ -227,3 +246,56 @@ def kronecker_pow(a: list[int], e: int, order: int) -> list[int]:
         if e:
             base = kronecker_mul(base, base, order)
     return [1] + [0] * order if result is None else result
+
+
+def _decimal_pack(coeffs: list[int], w: int, digits, ctx: Context) -> Decimal:
+    """sum c_i * 10**(w*i) as a Decimal: the ``digits`` of each |c_i|, padded
+    to w, are joined for the positive and the negative parts, and the second
+    part is subtracted from the first."""
+    zero = "0" * w
+    pos = "".join([digits(c).zfill(w) if c > 0 else zero for c in reversed(coeffs)])
+    if min(coeffs) >= 0:
+        return Decimal(pos)
+    neg = "".join([digits(-c).zfill(w) if c < 0 else zero for c in reversed(coeffs)])
+    return ctx.subtract(Decimal(pos), Decimal(neg))
+
+
+def decimal_mul(a: list[int], b: list[int], order: int) -> list[int]:
+    """Coefficients 0..order of the product of the integer polynomials a and b.
+
+    Kronecker substitution in base 10**w: each operand is packed into one
+    Decimal with a coefficient per w-digit slot, the two are multiplied once
+    by libmpdec (a number-theoretic transform at large sizes), and the low
+    order+1 slots are read back.  The slot holds max|a| * max|b| * (number
+    of terms in a sum) below half its size, and adding half a slot to every
+    slot makes each one nonnegative before it is read.  The arithmetic runs
+    in a local context that traps ``Inexact``, so nothing is rounded.  A
+    slot wider than ``sys.get_int_max_str_digits()`` converts through
+    ``Decimal(int)``, ``str(Decimal)`` and ``int(Decimal)``, which have no
+    digit limit, so the limit is never raised.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    a, b = a[: order + 1], b[: order + 1]
+    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0)
+    if not bound:
+        return [0] * (order + 1)
+    bound *= min(len(a), len(b))
+    # 10**(w-1) > 2**bit_length > bound, as 0.30103 > log10(2).
+    w = bound.bit_length() * 30103 // 100000 + 2
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or w <= limit:
+        digits, read = str, int
+    else:
+        digits, read = (lambda c: str(Decimal(c))), (lambda s: int(Decimal(s)))
+    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+    slots = len(a) + len(b) - 1
+    half = "5".ljust(w, "0")
+    product = ctx.add(
+        ctx.multiply(_decimal_pack(a, w, digits, ctx), _decimal_pack(b, w, digits, ctx)),
+        Decimal(half * slots),
+    )
+    text = str(product).zfill(slots * w)
+    h, end = read(half), len(text)
+    out = [read(text[j - w : j]) - h for j in range(end, end - min(order + 1, slots) * w, -w)]
+    return out + [0] * (order + 1 - len(out))

@@ -2,10 +2,12 @@
 wraps.
 
 Every comparison needs one side that the other side's kernel did not
-compute: the oracles stay off the packed product and the expansion route's
-kernels, the recurrence stays off the packed product and the expansion's
-progression kernel, and a relation's left side is built without the packed
-product that sums its right side.
+compute.  The oracles stay off both packed products and the expansion
+route's kernels.  The two coefficient routes each have their own packed
+product: the expansion's group powers go through ``kronecker_mul`` and
+``kronecker_pow``, and the recurrence's blocks through ``decimal_mul``, so
+each route runs with the other's kernels refused.  A relation's left side
+is built without the packed products that sum its right side.
 """
 
 import importlib
@@ -39,17 +41,32 @@ def _refuse(*args, **kwargs):
 def test_sequences_binds_no_kernel_of_another_route():
     bound = set(vars(sequences))
     assert not {name for name in bound if name.startswith(("kronecker_", "coeffs_via_"))}
-    assert not bound & {"apply_binomial_factor", "apply_progression"}
+    assert not bound & {"apply_binomial_factor", "apply_progression", "decimal_mul"}
+
+
+def test_catalog_binds_no_recurrence_block_product():
+    assert "decimal_mul" not in vars(catalog)
 
 
 @pytest.mark.parametrize("name", ["gauss", "ramanujan", "delta(8)", "square_quotient"])
-def test_recurrence_runs_without_the_packed_product(monkeypatch, name):
+def test_routes_run_with_the_other_routes_packed_product_refused(monkeypatch, name):
     spec = builtin_spec(name)
-    expected = coeffs_via_expansion(spec, 40)
+    blocks = []
+    real = products.decimal_mul
+
+    def spy(a, b, order):
+        blocks.append(len(a))
+        return real(a, b, order)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(products, "decimal_mul", _refuse)
+        expected = coeffs_via_expansion(spec, 300)
+    monkeypatch.setattr(products, "decimal_mul", spy)
     monkeypatch.setattr(products, "kronecker_mul", _refuse)
     monkeypatch.setattr(products, "kronecker_pow", _refuse)
     monkeypatch.setattr(products, "apply_progression", _refuse)
-    assert coeffs_via_recurrence(spec, 40) == expected
+    assert coeffs_via_recurrence(spec, 300) == expected
+    assert blocks  # at order 300 the recurrence packs blocks
 
 
 @pytest.mark.parametrize(
@@ -60,6 +77,7 @@ def test_relation_left_side_is_built_without_the_packed_product(monkeypatch, ide
     monkeypatch.setattr(catalog, "kronecker_mul", _refuse)
     monkeypatch.setattr(products, "kronecker_mul", _refuse)
     monkeypatch.setattr(products, "kronecker_pow", _refuse)
+    monkeypatch.setattr(products, "decimal_mul", _refuse)
     assert len(t(identity.relation.lhs)) == 31
 
 

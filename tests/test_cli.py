@@ -6,13 +6,22 @@ import importlib
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import divprod.cli as cli
 from divprod.cli import main
-from divprod.products import coeffs_via_expansion, gauss_spec, jacobi_spec
+from divprod.products import (
+    coeffs_via_expansion,
+    coeffs_via_recurrence,
+    gauss_spec,
+    jacobi_spec,
+    load_spec,
+)
+from divprod.sequences import triangular_rep_counts
+from divprod.series import TruncatedSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -270,6 +279,63 @@ def test_expand_cost_does_not_grow_with_exponent(tmp_path, capsys, c):
     doc = json.loads(out)
     assert doc["agree"] is True
     assert len(doc["coefficients"]) == 201
+
+
+# --- values past the int-to-str digit limit ---------------------------------
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_compute_prints_past_the_digit_limit(capsys):
+    m = 10**600
+    code, out, err = run_cli(["compute", f"delta({m})", "--order", "8"], capsys)
+    assert (code, err) == (0, "")
+    values = triangular_rep_counts(m, 8).coeffs
+    assert json.loads(out)["rows"] == [[n, str(Decimal(v))] for n, v in enumerate(values)]
+    assert len(str(Decimal(values[8]))) > DIGIT_LIMIT
+
+
+@pytest.fixture
+def huge_file(tmp_path):
+    """(1-x^n)^(-10^20) over all n, whose x^300 coefficient has about 5400
+    digits."""
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"factors": [{"set": {"kind": "all"}, '
+        '"weight": {"kind": "linear", "c": "100000000000000000000"}}]}'
+    )
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_expand_prints_past_the_digit_limit(huge_file, capsys, fmt):
+    code, out, err = run_cli(
+        ["expand", "--spec", str(huge_file), "--order", "300", "--algo", "recurrence",
+         "--format", fmt],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    digits = [str(Decimal(c)) for c in coeffs_via_recurrence(load_spec(huge_file), 300)]
+    assert len(digits[300]) > DIGIT_LIMIT
+    if fmt == "json":
+        assert json.loads(out)["coefficients"] == digits
+    else:
+        assert out == "n,value\n" + "".join(f"{n},{d}\n" for n, d in enumerate(digits))
+
+
+def test_expand_prints_a_disagreement_past_the_digit_limit(huge_file, monkeypatch, capsys):
+    # The routes agree, so the expansion is patched to differ at x^300.
+    primary = coeffs_via_recurrence(load_spec(huge_file), 300).coeffs
+    other = TruncatedSeries(primary[:300] + (-primary[300],))
+    monkeypatch.setattr(cli, "coeffs_via_expansion", lambda spec, order: other)
+    code, out, _ = run_cli(
+        ["expand", "--spec", str(huge_file), "--order", "300", "--algo", "both"], capsys
+    )
+    assert code == 1
+    assert json.loads(out)["first_disagreement"] == {
+        "n": 300, "recurrence": str(Decimal(primary[300])),
+        "expansion": str(Decimal(-primary[300])),
+    }
 
 
 def test_expand_fractional_exponent_spec(tmp_path, capsys):

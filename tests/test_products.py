@@ -1,8 +1,9 @@
 """Recurrence engine: weight tables, the two coefficient routes, spec JSON."""
 
 import json
+import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -888,6 +889,166 @@ def test_recurrence_of_an_integral_g_with_rational_exponent():
     # (1-x^3)^(-1/3) = 1 + x^3/3 + 2x^6/9 + 14x^9/81 + ...
     out = coeffs_via_recurrence(TABLE_THIRD, 9)
     assert out.coeffs == (1, 0, 0, Fraction(1, 3), 0, 0, Fraction(2, 9), 0, 0, Fraction(14, 81))
+
+
+# --- the relaxed recurrence against the schoolbook loop -------------------
+
+
+def schoolbook_recurrence(spec, order):
+    """The recurrence as one O(N^2) loop over n and k, with no blocks: the
+    reference that the relaxed ``coeffs_via_recurrence`` must equal."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    inner = order - spec.shift
+    if inner < 0:
+        return TruncatedSeries.zero(order)
+    p = [1] + [0] * inner
+    den = 1
+    table = weight_table(spec, inner)
+    b = table.scale
+    kernel = [(k, hk) for k, hk in enumerate(table.numerators) if hk]
+    for n in range(1, inner + 1):
+        acc = 0
+        for k, hk in kernel:
+            if k > n:
+                break
+            acc += hk * p[n - k]
+        m = b * n
+        p[n], r = divmod(acc, m)
+        if r:
+            t = m // gcd(r, m)
+            den *= t
+            p[:n] = [c * t for c in p[:n]]
+            p[n] = acc * t // m
+    if den > 1:
+        p = [c.numerator if c.denominator == 1 else c for c in (Fraction(c, den) for c in p)]
+    return TruncatedSeries((0,) * spec.shift + tuple(p))
+
+
+def assert_orders_match(spec, orders):
+    """Each order against the prefix of the reference at the largest."""
+    expected = schoolbook_recurrence(spec, max(orders)).coeffs
+    for order in orders:
+        assert coeffs_via_recurrence(spec, order).coeffs == expected[: order + 1], order
+
+
+def spy_blocks(monkeypatch):
+    """The length of P[l:mid] of every block the recurrence packs."""
+    calls = []
+    real = products.decimal_mul
+
+    def spy(a, b, order):
+        calls.append(len(a))
+        return real(a, b, order)
+
+    monkeypatch.setattr(products, "decimal_mul", spy)
+    return calls
+
+
+def _over_all(weight):
+    return ProductSpec(factors=(Factor(SetDescriptor.all_naturals(), weight),))
+
+
+@pytest.mark.parametrize("name", ["gauss", "delta(8)", "ramanujan"])
+def test_relaxed_recurrence_at_every_order_to_200(name):
+    spec = builtin_spec(name)
+    assert spec.shift == (name == "ramanujan")
+    assert_orders_match(spec, range(201))
+
+
+def seeded_integer_spec(seed, top):
+    """Two or three factors with integer exponents in -3..3 on sets of every
+    kind; table weights reach ``top``."""
+    rng = random.Random(seed)
+    factors = []
+    for kind in rng.sample(["all", "residues", "multiples", "explicit"], rng.randint(2, 3)):
+        if kind == "all":
+            s = SetDescriptor.all_naturals()
+        elif kind == "residues":
+            m = rng.randint(2, 9)
+            s = SetDescriptor.residue_union([(r, m) for r in rng.sample(range(m), rng.randint(1, m))])
+        elif kind == "multiples":
+            s = SetDescriptor.multiples(rng.randint(2, 9))
+        else:
+            s = SetDescriptor.explicit(rng.sample(range(1, top + 1), 20))
+        if rng.random() < 0.5:
+            weight = WeightSpec.linear(rng.choice([-3, -2, -1, 1, 2, 3]))
+        else:
+            weight = WeightSpec.table({n: n * rng.randint(-3, 3) for n in s.members_upto(top)})
+        factors.append(Factor(s, weight))
+    return ProductSpec(factors=tuple(factors), shift=rng.randint(0, 3))
+
+
+@pytest.mark.parametrize("order", [401, 777])
+@pytest.mark.parametrize("seed", range(4))
+def test_relaxed_recurrence_on_seeded_integer_specs(seed, order):
+    spec = seeded_integer_spec(seed, order)
+    assert coeffs_via_recurrence(spec, order) == schoolbook_recurrence(spec, order)
+
+
+# c = 1/2 twice: the table's scale is 2 while every p(n) is an integer, so
+# blocks are packed on a kernel b*g(k) with b > 1.
+HALVES = ProductSpec(factors=(
+    Factor(SetDescriptor.all_naturals(), WeightSpec.linear(Fraction(1, 2))),
+    Factor(SetDescriptor.residue_union([(1, 2)]), WeightSpec.linear(Fraction(1, 2))),
+    Factor(SetDescriptor.residue_union([(0, 2)]), WeightSpec.linear(Fraction(1, 2))),
+))
+# Integral up to x^99; (1-x^100)^(-1/2) makes D grow at n = 100, after
+# blocks have been added to acc past 100.
+LATE_HALF = ProductSpec(factors=(
+    Factor(SetDescriptor.all_naturals(), WeightSpec.linear(1)),
+    Factor(SetDescriptor.explicit([100]), WeightSpec.table({100: 50})),
+))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _over_all(WeightSpec.table({n: 1 for n in range(1, 401)})),
+        ProductSpec(factors=(
+            Factor(SetDescriptor.all_naturals(), WeightSpec.linear(Fraction(1, 3))),
+            Factor(SetDescriptor.residue_union([(1, 4)]), WeightSpec.linear(Fraction(-5, 6))),
+        )),
+        HALVES,
+        LATE_HALF,
+    ],
+    ids=["f=1", "thirds", "halves", "late_half"],
+)
+def test_relaxed_recurrence_on_rational_specs_to_400(spec):
+    # Every order through the first two leaf sizes, then every ninth: the
+    # rational orders cost O(N^2) each.
+    assert_orders_match(spec, [*range(130), *range(130, 400, 9), 400])
+
+
+def test_blocks_pack_while_the_denominator_is_one(monkeypatch):
+    blocks = spy_blocks(monkeypatch)
+    assert weight_table(HALVES, 400).scale == 2
+    assert coeffs_via_recurrence(HALVES, 400) == schoolbook_recurrence(HALVES, 400)
+    assert blocks == [50, 100, 50, 200, 50, 100, 50]
+    blocks.clear()
+    # The blocks of P[0:50] and P[0:100] are added before D grows at
+    # n = 100, so that growth rescales acc; no block is packed after it.
+    assert coeffs_via_recurrence(LATE_HALF, 400) == schoolbook_recurrence(LATE_HALF, 400)
+    assert blocks == [50, 100]
+
+
+@pytest.mark.parametrize(
+    "c, packed",
+    [
+        # The widest P(j) of a block grows past 8 bits per term of the
+        # block: first in the blocks of [200, 400), then in all of them.
+        (1000, [50, 100, 200]),
+        (-1000, [50, 100, 200, 100]),
+        (200000, []),
+        (-200000, []),
+        (1, [50, 100, 50, 200, 50, 100, 50]),
+    ],
+)
+def test_width_rule_keeps_wide_blocks_in_the_schoolbook_loop(monkeypatch, c, packed):
+    spec = _over_all(WeightSpec.linear(c))
+    blocks = spy_blocks(monkeypatch)
+    assert coeffs_via_recurrence(spec, 400) == schoolbook_recurrence(spec, 400)
+    assert blocks == packed
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -1,6 +1,8 @@
 """The first-mismatch scan shared by the catalog and the coefficient routes,
 and the reports built from it."""
 
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -58,3 +60,10 @@ def test_report_with_a_failure_did_not_pass():
         "passed": False,
         "first_failure": {"n": 2, "lhs": "16", "rhs": "1/2"},
     }
+
+
+def test_report_prints_sides_past_the_digit_limit():
+    big = 10 ** (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1) + 1
+    report = IdentityReport("x", 5, Failure(2, big, Fraction(-1, big)))
+    assert report.to_dict()["first_failure"] == {
+        "n": 2, "lhs": str(Decimal(big)), "rhs": f"-1/{Decimal(big)}"}

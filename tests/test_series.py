@@ -1,6 +1,9 @@
 """Series kernel: exactness, truncation semantics, and the binomial factors."""
 
+import decimal
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,8 @@ from divprod.series import (
     apply_binomial_factor,
     apply_progression,
     binomial_factor,
+    decimal_mul,
+    exact_str,
     kronecker_mul,
     kronecker_pow,
 )
@@ -290,3 +295,74 @@ def test_kronecker_rejects_negative_arguments():
         kronecker_mul([1], [1], -1)
     with pytest.raises(ValueError, match="exponent"):
         kronecker_pow([1], -1, 3)
+
+
+# --- the recurrence's packed product against kronecker_mul ------------------
+
+wide_ints = st.integers(min_value=-(2**4096), max_value=2**4096)
+wide_lists = st.one_of(
+    st.lists(st.just(0), min_size=1, max_size=8),
+    st.lists(wide_ints, min_size=1, max_size=6),
+    st.lists(st.one_of(small_ints, wide_ints), min_size=1, max_size=24),
+)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def decimal_mul_leaves_no_state(a, b, order):
+    """decimal_mul(a, b, order), asserting that the thread's decimal context
+    and the int-to-str digit limit are what they were before the call."""
+    context, limit = decimal.getcontext(), DIGIT_LIMIT()
+    before = (context.prec, context.Emax, context.Emin, context.rounding,
+              dict(context.traps), dict(context.flags))
+    out = decimal_mul(a, b, order)
+    assert decimal.getcontext() is context
+    assert (context.prec, context.Emax, context.Emin, context.rounding,
+            dict(context.traps), dict(context.flags)) == before
+    assert DIGIT_LIMIT() == limit
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_lists, wide_lists, st.integers(min_value=0, max_value=40))
+@example([0, 0], [1, -2, 3], 4)  # a zero operand
+@example([1, -1], [1, 1], 3)  # borrows between slots
+@example([3, 0, -7], [2**4096, -(2**4096)], 9)  # order past both lengths
+def test_decimal_mul_matches_kronecker_mul(a, b, order):
+    assert decimal_mul_leaves_no_state(a, b, order) == kronecker_mul(a, b, order)
+    assert decimal_mul_leaves_no_state(a, a, order) == kronecker_mul(a, a, order)
+
+
+def test_decimal_mul_edge_cases():
+    assert decimal_mul([0, 0, 0], [0], 2) == [0, 0, 0]
+    assert decimal_mul([5], [0, 0], 0) == [0]
+    assert decimal_mul([2], [3], 4) == [6, 0, 0, 0, 0]
+    assert decimal_mul([1, 2, 3], [1, 2, 3], 0) == [1]
+    with pytest.raises(ValueError, match="order"):
+        decimal_mul([1], [1], -1)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT(), reason="no int-to-str digit limit")
+def test_decimal_mul_slot_wider_than_the_digit_limit():
+    # Each slot is wider than str(int) may write or int(str) may read.
+    big = 10 ** (DIGIT_LIMIT() + 7) + 3
+    a, b = [big, -1, 2], [-big, 5]
+    out = decimal_mul_leaves_no_state(a, b, 5)
+    assert out == kronecker_mul(a, b, 5)
+    assert out[0] == -(big * big)
+
+
+def test_exact_str_prints_what_str_prints():
+    for v in (0, -7, 10**50, Fraction(-3, 4), Fraction(6, 1), True):
+        assert exact_str(v) == str(v)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT(), reason="no int-to-str digit limit")
+def test_exact_str_prints_past_the_digit_limit():
+    big = -(10 ** (DIGIT_LIMIT() + 1)) - 1
+    with pytest.raises(ValueError):
+        str(big)
+    assert exact_str(big) == str(Decimal(big)) == "-1" + "0" * DIGIT_LIMIT() + "1"
+    assert exact_str(Fraction(big, 7)) == f"{Decimal(big)}/7"
+    assert exact_str(Fraction(-3, -big)) == f"-3/{Decimal(-big)}"
+    assert exact_str(Fraction(big)) == str(Decimal(big))
+    assert DIGIT_LIMIT() > 0
