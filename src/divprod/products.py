@@ -7,7 +7,8 @@ and two independent ways to get their truncated coefficients:
   D * p(n) over the lcm D of the denominators met so far, its sums relaxed
   into blocks packed by ``series.decimal_mul``;
 * direct expansion of the binomial factors (integer exponents only), whose
-  group powers go through ``series.kronecker_mul`` and ``kronecker_pow``.
+  one binary ladder of squarings and products goes through
+  ``series.kronecker_mul``.
 
 The two routes share nothing past the spec itself, not even a packed
 product, so their agreement is the working cross-check for every product in
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -38,7 +40,6 @@ from divprod.series import (
     apply_progression,
     decimal_mul,
     kronecker_mul,
-    kronecker_pow,
 )
 
 SET_ALL = "all"
@@ -441,37 +442,48 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
                         f"factor at n={n} has exponent {-f / n}"
                     )
                 ex[n] -= f.numerator // n
-    # Degrees are grouped by |e|: each group's unit base prod (1-x^n)^(sign e)
-    # is raised to |e| by squaring, so the cost does not grow with |e|.  The
-    # base takes the full residue-class tails of one exponent by Euler's sums
-    # (``apply_progression``) and every other degree by one pass.
+    # Degrees are grouped by |e|; a group's unit base is prod (1-x^n)^(sign e)
+    # over its degrees.  One left-to-right binary ladder over the bits j of
+    # max|e| squares the result and multiplies in the base of every group
+    # whose |e| has bit j set, so all groups share the squarings and the cost
+    # does not grow with |e|.  A class's tail, taken by Euler's sums
+    # (``apply_progression``), carries its majority exponent; every degree
+    # it leaves nonzero, and every degree off a tail, is one pass.
     groups: dict[int, tuple[list, list]] = {}  # |e| -> (tail starts, lone degrees)
     step = _class_step(spec, inner)
     if step:
         # A tail starts at or above a cut near sqrt(step * inner / 2), which
         # balances the passes below it against the kernel's O(inner^2 / cut)
-        # cells.  Each class's top degree b ends at most one tail.
+        # cells.  Each class mod step holds at most one tail: from the first
+        # degree s of its most common exponent e, when e holds more than half
+        # of the class from s on; e is then subtracted from every degree there.
         cut = isqrt(step * inner // 2)
-        for b in range(inner - step + 1, inner + 1):
-            e, s = ex[b], b
-            if not e or b < cut:
-                continue
-            while s - step >= cut and ex[s - step] == e:
-                s -= step
-            groups.setdefault(abs(e), ([], []))[0].append((s, e))
-            ex[s::step] = [0] * ((b - s) // step + 1)
+        for first in range(cut, min(cut + step, inner + 1)):
+            run = ex[first::step]
+            e, count = Counter(run).most_common(1)[0]
+            if e:
+                s = first + run.index(e) * step
+                if 2 * count > (inner - s) // step + 1:
+                    groups.setdefault(abs(e), ([], []))[0].append((s, e))
+                    ex[s::step] = [x - e for x in ex[s::step]]
     for n, e in enumerate(ex):
         if e:
             groups.setdefault(abs(e), ([], []))[1].append(n)
-    coeffs = None
-    for power, (tails, lone) in groups.items():
-        base = [1] + [0] * inner
-        for s, e in tails:
-            apply_progression(base, s, step, e // power)
-        for n in lone:
-            apply_binomial_factor(base, n, ex[n] // power)
-        term = kronecker_pow(base, power, inner)
-        coeffs = term if coeffs is None else kronecker_mul(coeffs, term, inner)
+    coeffs, bases = None, {}  # bases: the unit base of each set of powers met
+    for j in reversed(range(max(groups, default=0).bit_length())):
+        if coeffs is not None:
+            coeffs = kronecker_mul(coeffs, coeffs, inner)
+        if not (key := frozenset(power for power in groups if power >> j & 1)):
+            continue
+        if key not in bases:
+            bases[key] = base = [1] + [0] * inner
+            for power in key:
+                tails, lone = groups[power]
+                for s, e in tails:
+                    apply_progression(base, s, step, e // power)
+                for n in lone:
+                    apply_binomial_factor(base, n, ex[n] // power)
+        coeffs = bases[key] if coeffs is None else kronecker_mul(coeffs, bases[key], inner)
     if coeffs is None:
         coeffs = [1] + [0] * inner
     return TruncatedSeries((0,) * spec.shift + tuple(coeffs))

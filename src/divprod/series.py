@@ -12,7 +12,8 @@ coefficient.  The arithmetic lives in list kernels:
 * ``apply_progression``, the in-place product over an arithmetic
   progression, prod_j (1 - x^(b+jm))^(+-1), by Euler's sums, whose cost does
   not grow with the number of degrees in the progression;
-* ``kronecker_mul`` and ``kronecker_pow``, the packed product and power;
+* ``kronecker_mul``, the packed product, on which the expansion squares and
+  multiplies;
 * ``decimal_mul``, a second packed product on the decimal module, which only
   the recurrence's blocks call, so that route and the expansion share no
   kernel.
@@ -230,22 +231,6 @@ def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
         int.from_bytes(raw[i : i + width], "little") - half
         for i in range(0, size, width)
     ]
-
-
-def kronecker_pow(a: list[int], e: int, order: int) -> list[int]:
-    """Coefficients 0..order of a**e for an integer polynomial a and e >= 0,
-    by repeated squaring through kronecker_mul."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = None
-    base = (list(a) + [0] * order)[: order + 1]
-    while e:
-        if e & 1:
-            result = base if result is None else kronecker_mul(result, base, order)
-        e >>= 1
-        if e:
-            base = kronecker_mul(base, base, order)
-    return [1] + [0] * order if result is None else result
 
 
 def _decimal_pack(coeffs: list[int], w: int, digits, ctx: Context) -> Decimal:

@@ -4,8 +4,8 @@ wraps.
 Every comparison needs one side that the other side's kernel did not
 compute.  The oracles stay off both packed products and the expansion
 route's kernels.  The two coefficient routes each have their own packed
-product: the expansion's group powers go through ``kronecker_mul`` and
-``kronecker_pow``, and the recurrence's blocks through ``decimal_mul``, so
+product: the expansion's ladder of squarings and products goes through
+``kronecker_mul``, and the recurrence's blocks through ``decimal_mul``, so
 each route runs with the other's kernels refused.  A relation's left side
 is built without the packed products that sum its right side.
 """
@@ -63,7 +63,6 @@ def test_routes_run_with_the_other_routes_packed_product_refused(monkeypatch, na
         expected = coeffs_via_expansion(spec, 300)
     monkeypatch.setattr(products, "decimal_mul", spy)
     monkeypatch.setattr(products, "kronecker_mul", _refuse)
-    monkeypatch.setattr(products, "kronecker_pow", _refuse)
     monkeypatch.setattr(products, "apply_progression", _refuse)
     assert coeffs_via_recurrence(spec, 300) == expected
     assert blocks  # at order 300 the recurrence packs blocks
@@ -76,7 +75,6 @@ def test_relation_left_side_is_built_without_the_packed_product(monkeypatch, ide
     t = catalog.Tables(30)
     monkeypatch.setattr(catalog, "kronecker_mul", _refuse)
     monkeypatch.setattr(products, "kronecker_mul", _refuse)
-    monkeypatch.setattr(products, "kronecker_pow", _refuse)
     monkeypatch.setattr(products, "decimal_mul", _refuse)
     assert len(t(identity.relation.lhs)) == 31
 

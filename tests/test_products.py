@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,7 +38,7 @@ from divprod.sequences import (
     regular_partition_counts,
     triangular_rep_counts,
 )
-from divprod.series import TruncatedSeries, apply_binomial_factor, kronecker_mul, kronecker_pow
+from divprod.series import TruncatedSeries, apply_binomial_factor, kronecker_mul
 
 
 # --- set descriptors -------------------------------------------------------
@@ -284,41 +284,85 @@ def test_expansion_p_regular_2():
     assert out.coeffs == regular_partition_counts(2, 5).coeffs
 
 
-@pytest.mark.parametrize(
-    "name, products_multiplied",
-    [("gauss", 0), ("ramanujan", 0), ("delta(8)", 0), ("jacobi", 1), ("square_quotient", 2)],
-)
-def test_expansion_multiplies_in_each_exponent_group_past_the_first(
-    monkeypatch, name, products_multiplied
-):
-    spec = builtin_spec(name)
+def spy_products(monkeypatch):
+    """True for each squaring, False for each other product the expansion
+    makes through kronecker_mul."""
     calls = []
 
     def counted(a, b, order):
-        calls.append(order)
+        calls.append(a is b)
         return kronecker_mul(a, b, order)
 
     monkeypatch.setattr(products, "kronecker_mul", counted)
+    return calls
+
+
+# One binary ladder over the bits of max|e|: a squaring per bit below the
+# top, and a product wherever a bit below the top is set in some group's
+# |e|.  gauss has |e| = 1; ramanujan and delta(8) have |e| = 8 = 0b1000;
+# jacobi has the groups {1, 2} and square_quotient the groups {1, 2, 3}.
+@pytest.mark.parametrize(
+    "name, squarings, multiplies",
+    [("gauss", 0, 0), ("ramanujan", 3, 0), ("delta(8)", 3, 0), ("jacobi", 1, 1),
+     ("square_quotient", 1, 1)],
+)
+def test_expansion_ladder_squares_and_multiplies(monkeypatch, name, squarings, multiplies):
+    spec = builtin_spec(name)
+    calls = spy_products(monkeypatch)
     assert coeffs_via_expansion(spec, 40) == coeffs_via_recurrence(spec, 40)
-    assert len(calls) == products_multiplied
+    assert (calls.count(True), calls.count(False)) == (squarings, multiplies)
 
 
 # --- the expansion's progression tails -----------------------------------
 
 
-def per_degree_expansion(spec, order):
-    """The expansion with one apply_binomial_factor per degree and no
-    progression kernel: merged exponents grouped by |e|, each group's unit
-    base raised by kronecker_pow and multiplied in."""
-    inner = order - spec.shift
-    if inner < 0:
-        return TruncatedSeries.zero(order)
+def power_by_squaring(a, e, order):
+    """Coefficients 0..order of a**e, e >= 0, by repeated squaring on
+    kronecker_mul: the group power of the per-degree reference."""
+    result, base = [1] + [0] * order, (list(a) + [0] * order)[: order + 1]
+    while e:
+        if e & 1:
+            result = kronecker_mul(result, base, order)
+        e >>= 1
+        if e:
+            base = kronecker_mul(base, base, order)
+    return result
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=24),
+    st.integers(min_value=0, max_value=9),
+    st.integers(0, 20),
+)
+def test_power_by_squaring_matches_repeated_schoolbook(a, e, order):
+    expected = TruncatedSeries([1] + [0] * order)
+    padded = TruncatedSeries((a + [0] * order)[: order + 1])
+    for _ in range(e):
+        expected = expected * padded
+    assert power_by_squaring(a, e, order) == list(expected.coeffs)
+
+
+def merged_exponents(spec, inner):
+    """{n: the merged exponent of (1 - x^n)} over the members <= inner,
+    read per member through exponent_at."""
     exponents = {}
     for factor in spec.factors:
         for n in factor.set.members_upto(inner):
             e = factor.weight.exponent_at(n)
             assert e.denominator == 1
             exponents[n] = exponents.get(n, 0) + e.numerator
+    return exponents
+
+
+def per_degree_expansion(spec, order):
+    """The expansion with one apply_binomial_factor per degree and no
+    progression kernel: merged exponents grouped by |e|, each group's unit
+    base raised by power_by_squaring and multiplied in."""
+    inner = order - spec.shift
+    if inner < 0:
+        return TruncatedSeries.zero(order)
+    exponents = merged_exponents(spec, inner)
     groups = {}
     for n in sorted(exponents):
         if exponents[n]:
@@ -328,7 +372,7 @@ def per_degree_expansion(spec, order):
         base = [1] + [0] * inner
         for n in members:
             apply_binomial_factor(base, n, exponents[n] // power)
-        coeffs = kronecker_mul(coeffs, kronecker_pow(base, power, inner), inner)
+        coeffs = kronecker_mul(coeffs, power_by_squaring(base, power, inner), inner)
     return TruncatedSeries([0] * spec.shift + coeffs)
 
 
@@ -362,9 +406,12 @@ def _linear_factor(s, c):
     return Factor(s, WeightSpec.linear(c))
 
 
-# (spec, order, the progressions multiplied in).  Cut = isqrt(L * inner // 2)
-# for inner = order - shift; a tail is the run of one exponent that ends at
-# its class's top degree, taken from its first degree at or above the cut.
+# (spec, order, the progressions multiplied in, the passes (n, sign) at or
+# above the cut).  Cut = isqrt(L * inner // 2) for inner = order - shift.  A
+# class mod L has a tail when its most common exponent e over the degrees at
+# or above the cut is nonzero and holds more than half of the class from its
+# first degree s with e on.  The tail starts at s, and each degree it leaves
+# nonzero keeps one correction pass.
 PROGRESSION_CASES = {
     # L = lcm(5, 7) = 35 exceeds the order: no class mod L holds two degrees.
     "step past the order": (
@@ -373,6 +420,7 @@ PROGRESSION_CASES = {
             _linear_factor(SetDescriptor.multiples(7), -1),
         )),
         30,
+        set(),
         set(),
     ),
     # At order 400 the same spec's step fits, and each class's run is a tail
@@ -386,28 +434,38 @@ PROGRESSION_CASES = {
         400,
         {(86, 35, -1), (96, 35, -1), (101, 35, -1), (106, 35, -1), (111, 35, -1),
          (116, 35, -1), (84, 35, 1), (98, 35, 1), (105, 35, 1), (112, 35, 1)},
+        set(),
     ),
-    # An explicit member cancels n = 150 in the one class of L = 1: the tail
-    # starts after the gap, and the degrees below it keep their passes.
+    # An explicit member cancels n = 150 in the one class of L = 1.  The cut
+    # is isqrt(200) = 14, and -1 holds 386 of the 387 degrees 14..400, so the
+    # tail of -1 starts at 14; subtracting it leaves +1 at the gap 150, one
+    # correction pass.
     "gap in a bucket": (
         ProductSpec((
             _linear_factor(SetDescriptor.all_naturals(), 1),
             _linear_factor(SetDescriptor.explicit([150]), -1),
         )),
         400,
-        {(151, 1, -1)},
+        {(14, 1, -1)},
+        {(150, 1)},
     ),
-    # Cancelling the last degree leaves no tail that reaches the order.
+    # Cancelling the last degree: -1 holds 386 of the 387 degrees 14..400,
+    # so the tail still starts at the cut 14, and the gap at 400 is a +1
+    # correction pass.
     "gap at the order": (
         ProductSpec((
             _linear_factor(SetDescriptor.all_naturals(), 1),
             _linear_factor(SetDescriptor.explicit([400]), -1),
         )),
         400,
-        set(),
+        {(14, 1, -1)},
+        {(400, 1)},
     ),
-    # Explicit members on the classes move 4, 6 and 300 to the |e| = 2
-    # group, which has no tail, and cancel 301, a gap in the odd tail.
+    # Cut isqrt(400) = 20.  The even class is +1 but for 300, where an
+    # explicit member makes +2: the tail of +1 starts at 20 and leaves +1 at
+    # 300.  The odd class is -1 but for 301, which the member cancels: the
+    # tail of -1 starts at 21 and leaves +1 at 301.  4 and 6, below the cut,
+    # keep their +2 in the |e| = 2 group.
     "explicit members overlap the classes": (
         ProductSpec((
             _linear_factor(SetDescriptor.residue_union([(0, 2)]), -1),
@@ -415,11 +473,13 @@ PROGRESSION_CASES = {
             _linear_factor(SetDescriptor.explicit([4, 6, 300, 301]), -1),
         )),
         400,
-        {(302, 2, 1), (303, 2, -1)},
+        {(20, 2, 1), (21, 2, -1)},
+        {(300, 1), (301, 1)},
     ),
     # A table weight on 1 mod 3 with exponent -1 below 100 and -2 from 100
-    # splits the class between two groups: the |e| = 1 part stops short of
-    # the order and keeps its passes, the |e| = 2 part is a tail from 100.
+    # splits the class between two groups.  Of its 126 degrees at or above
+    # the cut 24, -2 holds the 101 from 100 on, so the tail of the |e| = 2
+    # group starts at 100; the 25 degrees of -1 below it keep their passes.
     "table splits a class between groups": (
         ProductSpec((
             Factor(
@@ -429,6 +489,7 @@ PROGRESSION_CASES = {
         )),
         400,
         {(100, 3, -1)},
+        {(n, -1) for n in range(25, 100, 3)},
     ),
     # Shift 41 leaves inner = 400 of the order 441: the cut is isqrt(400) = 20,
     # not isqrt(441) = 21, and the classes end at 400 and 399, not 441 and 440.
@@ -436,6 +497,7 @@ PROGRESSION_CASES = {
         ProductSpec(gauss_spec().factors, shift=41),
         441,
         {(20, 2, 1), (21, 2, -1)},
+        set(),
     ),
     # Two factors on 0 mod 3 merge to the exponent -2 there: one tail of the
     # |e| = 2 group from the cut 24, not one per factor.  1 mod 3, on the
@@ -447,18 +509,117 @@ PROGRESSION_CASES = {
         )),
         400,
         {(24, 3, -1), (25, 3, -1)},
+        set(),
     ),
 }
 
 
+def spy_passes(monkeypatch):
+    """The (n, e) of every apply_binomial_factor the expansion itself calls."""
+    calls = []
+    real = products.apply_binomial_factor
+
+    def spy(coeffs, n, e):
+        calls.append((n, e))
+        real(coeffs, n, e)
+
+    monkeypatch.setattr(products, "apply_binomial_factor", spy)
+    return calls
+
+
 @pytest.mark.parametrize("case", PROGRESSION_CASES)
 def test_expansion_takes_the_full_progression_tails(monkeypatch, case):
-    spec, order, progressions = PROGRESSION_CASES[case]
+    spec, order, progressions, corrections = PROGRESSION_CASES[case]
     calls = spy_progressions(monkeypatch)
+    passes = spy_passes(monkeypatch)
     got = coeffs_via_expansion(spec, order)
     assert set(calls) == progressions and len(calls) == len(progressions)
+    inner = order - spec.shift
+    step = products._class_step(spec, inner)
+    cut = isqrt(step * inner // 2) if step else inner + 1
+    assert sorted(p for p in passes if p[0] >= cut) == sorted(corrections)
     assert got == per_degree_expansion(spec, order)
     assert got == coeffs_via_recurrence(spec, order)
+
+
+def majority_spec(seed):
+    """A seeded spec whose classes take majority tails with corrections, which
+    no built-in does: a table weight over all n that is mostly one exponent,
+    with other exponents and gaps scattered among them, a linear family on one
+    class mod m and explicit members on that class.  All exponents share the
+    seed's sign, so no correction outgrows max|e|.  Tables reach n = 777."""
+    rng = random.Random(f"majority:{seed}")
+    sign = 1 if seed % 2 else -1
+    m, c = rng.randint(2, 6), rng.randint(1, 3)
+    r = rng.randrange(m)
+    table = {n: sign * n * (c if rng.random() < 0.8 else rng.randint(0, 3)) for n in range(1, 778)}
+    members = rng.sample(range(r or m, 778, m), 8)
+    return ProductSpec((
+        Factor(SetDescriptor.all_naturals(), WeightSpec.table(table)),
+        _linear_factor(SetDescriptor.residue_union([(r, m)]), sign * rng.randint(1, 2)),
+        _linear_factor(SetDescriptor.explicit(sorted(members)), sign),
+    ), shift=rng.randint(0, 2))
+
+
+# The exponents 3, 4 and 5 on the class 1 mod 3, a third each, so that none
+# is a majority there: the groups are {3, 4, 5}, whose ladder has a product
+# at each of its bits 1 and 0.
+THREE_FOUR_FIVE = ProductSpec((
+    _linear_factor(SetDescriptor.all_naturals(), 3),
+    Factor(
+        SetDescriptor.residue_union([(1, 3)]),
+        WeightSpec.table({n: n * (n // 3 % 3) for n in range(1, 778, 3)}),
+    ),
+))
+
+MAJORITY_SPECS = {**{f"seed {seed}": majority_spec(seed) for seed in range(4)},
+                  "exponents 3, 4, 5": THREE_FOUR_FIVE}
+
+
+@pytest.mark.parametrize("name", MAJORITY_SPECS)
+def test_majority_tails_match_per_degree_passes(monkeypatch, name):
+    # A product truncated at order k is the first k + 1 coefficients of the
+    # same product at any higher order, so one reference at 300 serves every
+    # order 0..300.
+    spec = MAJORITY_SPECS[name]
+    want = per_degree_expansion(spec, 300).coeffs
+    progressions, passes = spy_progressions(monkeypatch), spy_passes(monkeypatch)
+    for order in range(301):
+        assert coeffs_via_expansion(spec, order) == TruncatedSeries(want[: order + 1]), order
+    del progressions[:], passes[:]
+    assert coeffs_via_expansion(spec, 777) == per_degree_expansion(spec, 777)
+    if spec is not THREE_FOUR_FIVE:
+        # Some tail of the order 777 leaves a correction pass on its class.
+        assert any(n > s and (n - s) % m == 0 for s, m, _ in progressions for n, _ in passes)
+
+
+@pytest.mark.parametrize("name", MAJORITY_SPECS)
+def test_ladder_makes_two_products_per_bit_at_most(monkeypatch, name):
+    spec = MAJORITY_SPECS[name]
+    calls = spy_products(monkeypatch)
+    for order in (300, 777):
+        del calls[:]
+        coeffs_via_expansion(spec, order)
+        top = max(map(abs, merged_exponents(spec, order - spec.shift).values()))
+        assert len(calls) <= 2 * (top.bit_length() - 1)
+        if spec is THREE_FOUR_FIVE:
+            # Squarings at bits 1 and 0, and products with the bases {3} and
+            # {3, 5} there.
+            assert (calls.count(True), calls.count(False)) == (2, 2)
+
+
+def test_equal_ladder_levels_share_one_base(monkeypatch):
+    # delta(m) has |e| = m at every degree.  delta(7) has 7 = 0b111, three
+    # levels of the one set {7}: it builds its base once, with the passes and
+    # progressions of delta(1), and multiplies that base in at bits 1 and 0.
+    progressions, passes = spy_progressions(monkeypatch), spy_passes(monkeypatch)
+    coeffs_via_expansion(delta_spec(1), 300)
+    kernels = (progressions[:], passes[:])
+    del progressions[:], passes[:]
+    calls = spy_products(monkeypatch)
+    assert coeffs_via_expansion(delta_spec(7), 300) == coeffs_via_recurrence(delta_spec(7), 300)
+    assert (progressions, passes) == kernels
+    assert (calls.count(True), calls.count(False)) == (2, 2)
 
 
 def test_expansion_reads_a_linear_exponent_once_per_factor(monkeypatch):

@@ -18,7 +18,6 @@ from divprod.series import (
     decimal_mul,
     exact_str,
     kronecker_mul,
-    kronecker_pow,
 )
 
 S = TruncatedSeries
@@ -281,20 +280,9 @@ def test_kronecker_mul_cancelling_signs():
     assert kronecker_mul([0, 0], [5], 2) == [0, 0, 0]
 
 
-@settings(max_examples=100)
-@given(signed_lists, st.integers(min_value=0, max_value=9), st.integers(0, 20))
-def test_kronecker_pow_matches_repeated_schoolbook(a, e, order):
-    expected = [1] + [0] * order
-    for _ in range(e):
-        expected = schoolbook(expected, a, order)
-    assert kronecker_pow(a, e, order) == expected
-
-
 def test_kronecker_rejects_negative_arguments():
     with pytest.raises(ValueError, match="order"):
         kronecker_mul([1], [1], -1)
-    with pytest.raises(ValueError, match="exponent"):
-        kronecker_pow([1], -1, 3)
 
 
 # --- the recurrence's packed product against kronecker_mul ------------------
