@@ -4,8 +4,9 @@ and two independent ways to get their truncated coefficients:
 * a divisor-sum recurrence driven by the weight table
   g(k) = sum_i sum_{d | k, d in A_i} f_i(d), via
   n*p(n) = sum_{k=1..n} g(k) * p(n-k) with p(0) = 1, run on the integers
-  D * p(n) over the lcm D of the denominators met so far, its sums relaxed
-  into blocks packed by ``series.decimal_mul``;
+  D * p(n) over a common denominator D that a schedule, fixed in advance
+  from the exponents' denominators, raises once per chunk of n; its sums
+  relaxed into blocks packed by ``series.decimal_mul``;
 * direct expansion of the binomial factors (integer exponents only), whose
   one binary ladder of squarings and products goes through
   ``series.kronecker_mul``.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import add, mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -49,8 +50,10 @@ SET_EXPLICIT = "explicit"
 
 
 def _exact(x, what: str) -> Fraction:
-    """x as a Fraction; a float or a bool is refused rather than read as the
-    binary fraction or the truth value it holds."""
+    """x as a Fraction, itself if it is one; a float or a bool is refused
+    rather than read as the binary fraction or the truth value it holds."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, (bool, float)):
         raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
     return Fraction(x)
@@ -182,7 +185,7 @@ class WeightSpec:
                     raise ValueError("table keys must be positive integers")
                 if n in seen:
                     raise ValueError(f"duplicate table entry for n={n}")
-                seen[n] = _exact(v, f"table value at n={n}")
+                seen[n] = v if type(v) is Fraction else _exact(v, f"table value at n={n}")
             object.__setattr__(
                 self, "values", tuple(sorted(seen.items()))
             )
@@ -275,12 +278,16 @@ class DivisorWeightTable:
     the integers ``numerators[k] = scale * g(k)``; slot 0 is unused and zero.
 
     ``values`` is the exact g, an int wherever it is integral, derived on its
-    first read.  ``scale`` is as ``weight_table`` chose it.
+    first read.  ``scale`` is as ``weight_table`` chose it.  ``denominators``
+    holds a pair (v, d) for each distinct denominator v > 1 of the merged
+    exponents -F(d)/d, F(d) = sum_i f_i(d), with the least degree d that has
+    it; it is empty when every exponent is an integer.
     """
 
     order: int
     numerators: tuple[int, ...]
     scale: int
+    denominators: tuple[tuple[int, int], ...] = ()
 
     @cached_property
     def values(self) -> tuple[Rational, ...]:
@@ -311,24 +318,98 @@ def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
     member <= order and of the table values' denominators at those members.
     The table is ``divisor_sums`` over the pairs (d, scale*f(d)) at those
     members.  Order 0 has no k to sieve: it gives numerators (0,), scale 1.
+    Unless every linear c is an integer and every table f(d) an integer
+    multiple of d, the pairs are also summed by degree into scale*F(d),
+    whose exponents -F(d)/d give ``denominators``.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     walk = []  # (d, numerator, denominator) of f(d) at each member d <= order, factor by factor
+    integral = True  # every factor's exponent -f(d)/d is an integer
     for _, w, members in _members_upto(spec, order):
         if w.kind == WEIGHT_LINEAR:
             walk += [(d, w.c.numerator * d, w.c.denominator) for d in members]
+            integral = integral and w.c.denominator == 1
         else:
-            walk += [(d, *w.f_value(d).as_integer_ratio()) for d in members]
+            values = [(d, *w.by_n[d].as_integer_ratio()) for d in members]
+            walk += values
+            integral = integral and all(den == 1 and num % d == 0 for d, num, den in values)
     scale = lcm(*{den for _, _, den in walk})
-    g = divisor_sums(order, ((d, num * (scale // den)) for d, num, den in walk))
-    return DivisorWeightTable(order, tuple(g), scale)
+    pairs = [(d, num * (scale // den)) for d, num, den in walk]
+    g = divisor_sums(order, pairs)
+    first = {}  # each exponent denominator v > 1 -> the least degree with it
+    if not integral:
+        merged = [0] * (order + 1)
+        for d, w in pairs:
+            merged[d] += w
+        for d in range(1, order + 1):
+            if (v := scale * d // gcd(merged[d], scale * d)) > 1:
+                first.setdefault(v, d)
+    return DivisorWeightTable(order, tuple(g), scale, tuple(first.items()))
 
 
-# The recurrence's leaf size, and the bits per term of a block up to which
-# the block is packed (see coeffs_via_recurrence).
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1 of which each of ``values`` is a
+    product of powers, by gcd splitting: no factoring."""
+    base, todo = [], sorted((v for v in values if v > 1), reverse=True)
+    while todo:
+        x = todo.pop()
+        for i, q in enumerate(base):
+            while x % q == 0:
+                x //= q
+            if (g := gcd(x, q)) > 1:  # q and x share a part: split both
+                base[i] = base[-1]
+                base.pop()
+                todo += [y for y in (g, q // g, x // g) if y > 1]
+                break
+            if x == 1:
+                break
+        else:
+            base.append(x)
+    return sorted(base)
+
+
+def denominator_schedule(table: DivisorWeightTable, ends: Sequence[int]):
+    """Yield S(n) at each n of the ascending ``ends``: a common denominator
+    of the product's p(0..n), with S(n) | S(n+1), from ``table.denominators``.
+
+    The coefficient of x^(dk) in (1-x^d)^(u/v) has a denominator dividing
+    v^k times the part of k! on the primes of v, as prod_{i<k}(u-iv) holds
+    the other primes of k!.  Over a coprime base {q} of the v's, with e_q(v)
+    the power of q in v, S(n) = prod_q q^floor(n*rho_q) * (q-part of
+    floor(n/d_q)!), where rho_q = max_d e_q(v_d)/d and d_q is the least d
+    with q | v_d.
+    """
+    base = _coprime_base(v for v, _ in table.denominators)
+    rate, least = dict.fromkeys(base, Fraction(0)), {}
+    for v, d in table.denominators:  # ascending d
+        for q in base:
+            e = 0
+            while v % q == 0:
+                v //= q
+                e += 1
+            if e:
+                rate[q] = max(rate[q], Fraction(e, d))
+                least.setdefault(q, d)
+                if v == 1:
+                    break
+    # For each q: the power of q in den, and the M whose M! has its q-part in den.
+    den, powers, tops = 1, dict.fromkeys(base, 0), dict.fromkeys(base, 0)
+    for n in ends:
+        for q in base:
+            power, top = n * rate[q].numerator // rate[q].denominator, n // least[q]
+            m = prod(range(tops[q] + 1, top + 1))
+            den *= q ** (power - powers[q]) * gcd(m, q ** m.bit_length())  # the q-part of m
+            powers[q], tops[q] = power, top
+        yield den
+
+
+# The recurrence's leaf size, the bits per term of a block up to which the
+# block is packed, and the number of steps between raises of its common
+# denominator (see coeffs_via_recurrence).
 LEAF = 64
 WIDTH = 8
+CHUNK = 32
 
 
 def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
@@ -337,13 +418,15 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
 
     The loop runs on integers only: P(j) = D p(j) over one common
     denominator D, with the weight table's integer kernel h(k) = b*g(k) for
-    b its ``scale``, so b*n*D*p(n) = sum_k h(k) P(n-k).  When b*n does not
-    divide that sum, D grows by the least factor that makes P(n) an integer
-    and every earlier P(j) is multiplied by it.  That factor is the
-    denominator of D*p(n), whatever b is.  D stays the lcm of the
-    denominators of p(0..n), so the cost follows the size of the
-    coefficients, not of the exponents' denominators.  The output is P(n)
-    itself when D = 1, else P(n)/D, an int wherever it is integral.
+    b its ``scale``, so b*n*D*p(n) = sum_k h(k) P(n-k).  D follows a
+    schedule fixed before the loop from the exponents' denominators
+    (``denominator_schedule``): at n = 1, 1 + CHUNK, 1 + 2*CHUNK, ... D is
+    raised to S at the chunk's last n, and the earlier P(j) and ``acc`` are
+    multiplied by the factor once.  Every division by b*n in the chunk is
+    then exact, so a remainder is a defect and raises ArithmeticError.  For
+    integer exponents D stays 1 and the loop's integers are the
+    coefficients; otherwise the output is P(n)/D, an int wherever it is
+    integral.
 
     The sums are relaxed (van der Hoeven's divide and conquer): ``acc[n]``
     holds the terms of the P(j) already added in blocks.  A range [l, r) of
@@ -354,9 +437,7 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
     The rule for packing: a block is packed by ``series.decimal_mul`` only
     while D = 1 and the widest P(j) of P[l:mid] has at most
     ``WIDTH * (mid - l)`` bits; otherwise the schoolbook loop solves
-    [mid, r) from l.  The expansion route never calls that product.  Once a
-    block has been added, a growth of D multiplies acc past n too, as acc is
-    linear in P.
+    [mid, r) from l.  The expansion route never calls that product.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -368,29 +449,31 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
     kernel = [(k, hk) for k, hk in enumerate(h) if hk]
     p = [1] + [0] * inner
     acc = [0] * (inner + 1)
-    den, added = 1, False
+    ends = [min(n, inner) for n in range(CHUNK, inner + CHUNK, CHUNK)]
+    bounds = denominator_schedule(table, ends)
+    den, due = 1, (1 if table.denominators else 0)  # due: the n at which D is next raised
 
     def leaf(l: int, start: int, r: int) -> None:
-        nonlocal den
+        nonlocal den, due
         p_, acc_, kernel_ = p, acc, kernel  # local reads in the loop over terms
         for n in range(start or 1, r):
+            if n == due:
+                due += CHUNK
+                t = next(bounds) // den
+                if t > 1:
+                    den *= t
+                    p_[:n] = map(mul, p_[:n], repeat(t))
+                    acc_[n:] = map(mul, acc_[n:], repeat(t))
             s, top = acc_[n], n - l
             for k, hk in kernel_:
                 if k > top:
                     break
                 s += hk * p_[n - k]
-            m = b * n
-            p_[n], rem = divmod(s, m)
+            p_[n], rem = divmod(s, b * n)
             if rem:
-                t = m // gcd(rem, m)
-                den *= t
-                p_[:n] = map(mul, p_[:n], repeat(t))
-                if added:
-                    acc_[n + 1 :] = map(mul, acc_[n + 1 :], repeat(t))
-                p_[n] = s * t // m
+                raise ArithmeticError(f"inexact division at n={n}")
 
     def run(l: int, r: int) -> None:
-        nonlocal added
         if r - l <= LEAF:
             leaf(l, l, r)
             return
@@ -399,7 +482,6 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
         if den == 1 and max(map(int.bit_length, p[l:mid])) <= WIDTH * (mid - l):
             block = decimal_mul(p[l:mid], h[: r - l], r - l - 1)
             acc[mid:r] = map(add, acc[mid:r], block[mid - l :])
-            added = True
             run(mid, r)
         else:
             leaf(l, mid, r)
@@ -519,24 +601,25 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _rational_from_json(value, path: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SpecFormatError(
-            f"{path}: rationals must be strings like \"p/q\" (or ints), got {value!r}"
-        )
-    if isinstance(value, int):
-        return Fraction(value)
+def _rational_from_json(value, path: str, key: str | None = None) -> Fraction:
+    """A wire rational as a Fraction.  An error names ``path``, or
+    ``path[key]`` with a key; the name is formatted only on error."""
     if isinstance(value, str):
         if _RATIONAL.fullmatch(value) is None:
-            raise SpecFormatError(
-                f"{path}: cannot parse rational {value!r}: expected \"p/q\" or \"p\""
-            )
-        num, _, den = value.partition("/")
-        try:
-            return Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecFormatError(f"{path}: cannot parse rational {value!r}: {exc}")
-    raise SpecFormatError(f"{path}: expected a rational, got {type(value).__name__}")
+            problem = f"cannot parse rational {value!r}: expected \"p/q\" or \"p\""
+        else:
+            num, _, den = value.partition("/")
+            try:
+                return Fraction(int(num), int(den)) if den else Fraction(int(num))
+            except (ValueError, ZeroDivisionError) as exc:
+                problem = f"cannot parse rational {value!r}: {exc}"
+    elif isinstance(value, (bool, float)):
+        problem = f"rationals must be strings like \"p/q\" (or ints), got {value!r}"
+    elif isinstance(value, int):
+        return Fraction(value)
+    else:
+        problem = f"expected a rational, got {type(value).__name__}"
+    raise SpecFormatError(f"{path if key is None else f'{path}[{key}]'}: {problem}")
 
 
 def _int_from_json(value, path: str) -> int:
@@ -592,19 +675,19 @@ def _weight_from_dict(doc, path: str) -> WeightSpec:
         raw = doc.get("values")
         if not isinstance(raw, dict):
             raise SpecFormatError(f"{path}.values: expected an object mapping n to rationals")
-        values = []
+        values, where = [], f"{path}.values"
         for key, v in raw.items():
             try:
                 if _INTEGER.fullmatch(key) is None:
                     raise ValueError
                 n = int(key)  # raises past the interpreter's digit limit too
             except ValueError:
-                raise SpecFormatError(f"{path}.values: key {key!r} is not an integer")
-            values.append((n, _rational_from_json(v, f"{path}.values[{key}]")))
+                raise SpecFormatError(f"{where}: key {key!r} is not an integer")
+            values.append((n, _rational_from_json(v, where, key)))
         try:
             return WeightSpec(WEIGHT_TABLE, values=tuple(values))
         except ValueError as exc:
-            raise SpecFormatError(f"{path}.values: {exc}")
+            raise SpecFormatError(f"{where}: {exc}")
     raise SpecFormatError(f"{path}.kind: unknown weight kind {kind!r}")
 
 

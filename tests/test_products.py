@@ -997,6 +997,17 @@ def _weight_scale(spec, order):
     return scale
 
 
+def _exponent_denominators(spec, order):
+    """(v, d) for each distinct denominator v > 1 of the merged exponent
+    sum_i -f_i(d)/d, with the least degree d <= order that has it."""
+    first = {}
+    for d in range(1, order + 1):
+        e = sum(f.weight.exponent_at(d) for f in spec.factors if f.set.contains(d))
+        if e.denominator > 1:
+            first.setdefault(e.denominator, d)
+    return tuple(first.items())
+
+
 def _single_linear(s, c):
     return ProductSpec(factors=(Factor(s, WeightSpec.linear(c)),))
 
@@ -1028,6 +1039,7 @@ def test_weight_table_matches_direct_divisor_sums(spec, order):
     table = weight_table(spec, order)
     g = _divisor_sums(spec, order)
     assert table.order == order
+    assert table.denominators == _exponent_denominators(spec, order)
     assert table.scale == _weight_scale(spec, order)
     assert len(table.values) == len(table.numerators) == order + 1
     assert table.values[0] == table.numerators[0] == 0
@@ -1187,10 +1199,12 @@ def test_blocks_pack_while_the_denominator_is_one(monkeypatch):
     assert coeffs_via_recurrence(HALVES, 400) == schoolbook_recurrence(HALVES, 400)
     assert blocks == [50, 100, 50, 200, 50, 100, 50]
     blocks.clear()
-    # The blocks of P[0:50] and P[0:100] are added before D grows at
-    # n = 100, so that growth rescales acc; no block is packed after it.
+    # D is raised for the chunk n = 97..128, which holds the first
+    # non-integral p(n) at n = 100, so the block of P[0:100] is not packed.
+    # The block of P[0:50] was added before that raise, which rescales it
+    # in acc.
     assert coeffs_via_recurrence(LATE_HALF, 400) == schoolbook_recurrence(LATE_HALF, 400)
-    assert blocks == [50, 100]
+    assert blocks == [50]
 
 
 @pytest.mark.parametrize(
@@ -1210,6 +1224,166 @@ def test_width_rule_keeps_wide_blocks_in_the_schoolbook_loop(monkeypatch, c, pac
     blocks = spy_blocks(monkeypatch)
     assert coeffs_via_recurrence(spec, 400) == schoolbook_recurrence(spec, 400)
     assert blocks == packed
+
+
+# --- the recurrence's denominator schedule -------------------------------
+
+
+# Exponent denominators with composite, repeated and large prime factors.
+SCHEDULE_DENOMINATORS = (1, 2, 3, 4, 6, 8, 9, 12, 30, 49, 210, 2**61 - 1)
+SCHEDULE_SPAN = 70  # past two raises of D at CHUNK = 32
+
+
+@st.composite
+def scheduled_specs(draw):
+    """Rational exponents on every set kind, shift 0.  A table weight is
+    f(n) = n*r (exponent -r) or f(n) = r (exponent -r/n); a last linear
+    factor over all n may cancel the first factor's fractional part."""
+    ratio = st.builds(
+        Fraction, st.integers(-7, 7), st.sampled_from(SCHEDULE_DENOMINATORS)
+    )
+    factors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        s = draw(
+            st.one_of(
+                st.just(SetDescriptor.all_naturals()),
+                st.integers(min_value=2, max_value=5).map(SetDescriptor.multiples),
+                st.integers(min_value=2, max_value=4).map(
+                    lambda m: SetDescriptor.residue_union([(1, m)])
+                ),
+                st.lists(
+                    st.integers(min_value=1, max_value=SCHEDULE_SPAN),
+                    min_size=1, max_size=5, unique=True,
+                ).map(SetDescriptor.explicit),
+            )
+        )
+        if draw(st.booleans()):
+            weight = WeightSpec.linear(draw(ratio))
+        else:
+            per_n = draw(st.booleans())
+            weight = WeightSpec.table(
+                {n: draw(ratio) * (n if per_n else 1) for n in s.members_upto(SCHEDULE_SPAN)}
+            )
+        factors.append(Factor(s, weight))
+    first = factors[0].weight
+    if first.kind == "linear" and draw(st.booleans()):
+        cancel = draw(st.integers(-2, 2)) - first.c
+        factors.append(Factor(SetDescriptor.all_naturals(), WeightSpec.linear(cancel)))
+    return ProductSpec(factors=tuple(factors))
+
+
+# f(n) = 1 over all n: exponent -1/n, a different denominator at every degree.
+ONES = _over_all(WeightSpec.table({n: 1 for n in range(1, SCHEDULE_SPAN + 1)}))
+# c = 1/6 and c = -7/6 over all n merge to the integer exponent 1.
+CANCELLING = ProductSpec(factors=(
+    Factor(SetDescriptor.all_naturals(), WeightSpec.linear(Fraction(1, 6))),
+    Factor(SetDescriptor.all_naturals(), WeightSpec.linear(Fraction(-7, 6))),
+))
+# 2^61 - 1 on the multiples of 3 and 210 on the odd n.
+WIDE = ProductSpec(factors=(
+    Factor(SetDescriptor.multiples(3), WeightSpec.linear(Fraction(5, 2**61 - 1))),
+    Factor(SetDescriptor.residue_union([(1, 2)]), WeightSpec.linear(Fraction(-11, 210))),
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheduled_specs(),
+    st.integers(min_value=0, max_value=SCHEDULE_SPAN),
+    st.sampled_from([1, 5, products.CHUNK]),
+)
+@example(ONES, SCHEDULE_SPAN, products.CHUNK)
+@example(CANCELLING, SCHEDULE_SPAN, 5)
+@example(WIDE, SCHEDULE_SPAN, products.CHUNK)
+@example(HALVES, SCHEDULE_SPAN, 1)
+def test_scheduled_recurrence_matches_the_schoolbook_loop(spec, order, chunk):
+    # The schoolbook loop grows D by the least factor at each step; the
+    # recurrence raises it once per chunk to the schedule's bound.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(products, "CHUNK", chunk)
+        assert coeffs_via_recurrence(spec, order) == schoolbook_recurrence(spec, order)
+
+
+def _schedule(spec, order):
+    return list(products.denominator_schedule(weight_table(spec, order), range(order + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheduled_specs())
+@example(ONES)
+@example(CANCELLING)
+@example(WIDE)
+def test_schedule_bounds_every_prefix_and_grows_by_divisors(spec):
+    bound = _schedule(spec, SCHEDULE_SPAN)
+    den = 1  # the lcm of the denominators of p(0..n)
+    for n, c in enumerate(schoolbook_recurrence(spec, SCHEDULE_SPAN)):
+        den = lcm(den, Fraction(c).denominator)
+        assert bound[n] % den == 0, n
+        assert n == 0 or bound[n] % bound[n - 1] == 0, n
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _over_all(WeightSpec.linear(Fraction(1, 3))),
+        _over_all(WeightSpec.linear(Fraction(-5, 6))),
+        ONES,
+    ],
+    ids=["third", "minus_five_sixths", "ones"],
+)
+def test_schedule_is_the_least_common_denominator_of_one_family(spec):
+    # For one family over all n the bound is exact: no wider integers than
+    # the lcm of the denominators that the schoolbook loop keeps.
+    den, dens = 1, []
+    for c in schoolbook_recurrence(spec, SCHEDULE_SPAN):
+        den = lcm(den, Fraction(c).denominator)
+        dens.append(den)
+    assert _schedule(spec, SCHEDULE_SPAN) == dens
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [gauss_spec(), delta_spec(8), ramanujan_spec(), seeded_integer_spec(0, 60), HALVES, CANCELLING],
+    ids=["gauss", "delta8", "ramanujan", "seeded", "halves", "cancelling"],
+)
+def test_schedule_is_one_for_integer_exponents(spec):
+    table = weight_table(spec, SCHEDULE_SPAN)
+    assert table.denominators == ()
+    assert set(_schedule(spec, SCHEDULE_SPAN)) == {1}
+
+
+@given(st.lists(st.integers(min_value=1, max_value=10**6), max_size=12))
+@example([12, 18, 2**61 - 1, 6, 35, 10])
+def test_coprime_base_splits_without_factoring(values):
+    base = products._coprime_base(values)
+    assert all(q > 1 for q in base)
+    assert all(gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1 :])
+    for v in values:
+        for q in base:
+            while v % q == 0:
+                v //= q
+        assert v == 1
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [(ONES, SCHEDULE_SPAN), (WIDE, SCHEDULE_SPAN), (LATE_HALF, 130)],
+    ids=["ones", "wide", "late_half"],
+)
+def test_a_schedule_too_small_raises_rather_than_rounds(monkeypatch, spec, order):
+    real = products.denominator_schedule
+
+    def short(table, ends):
+        # Each bound with every power of the largest base element taken out.
+        *_, q = products._coprime_base(v for v, _ in table.denominators)
+        for den in real(table, ends):
+            while den % q == 0:
+                den //= q
+            yield den
+
+    monkeypatch.setattr(products, "denominator_schedule", short)
+    with pytest.raises(ArithmeticError, match="inexact division at n="):
+        coeffs_via_recurrence(spec, order)
 
 
 # --- JSON wire format ------------------------------------------------------
