@@ -280,14 +280,15 @@ class DivisorWeightTable:
     ``values`` is the exact g, an int wherever it is integral, derived on its
     first read.  ``scale`` is as ``weight_table`` chose it.  ``denominators``
     holds a pair (v, d) for each distinct denominator v > 1 of the merged
-    exponents -F(d)/d, F(d) = sum_i f_i(d), with the least degree d that has
-    it; it is empty when every exponent is an integer.
+    exponents -F(d)/d, F(d) = sum_i f_i(d), read off the same per-degree sums
+    that g sieves, with the least degree d that has it; it is empty when
+    every merged exponent is an integer.
     """
 
     order: int
     numerators: tuple[int, ...]
     scale: int
-    denominators: tuple[tuple[int, int], ...] = ()
+    denominators: tuple[tuple[int, int], ...]
 
     @cached_property
     def values(self) -> tuple[Rational, ...]:
@@ -316,35 +317,31 @@ def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
 
     ``scale`` is the lcm of c's denominator over the linear factors with a
     member <= order and of the table values' denominators at those members.
-    The table is ``divisor_sums`` over the pairs (d, scale*f(d)) at those
-    members.  Order 0 has no k to sieve: it gives numerators (0,), scale 1.
-    Unless every linear c is an integer and every table f(d) an integer
-    multiple of d, the pairs are also summed by degree into scale*F(d),
-    whose exponents -F(d)/d give ``denominators``.
+    The weights scale*f_i(d) at those members are summed by degree into
+    scale*F(d), F(d) = sum_i f_i(d), and ``divisor_sums`` sieves each degree
+    once.  Order 0 has no k to sieve: it gives numerators (0,), scale 1.
+    The merged exponents -F(d)/d give ``denominators``.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    walk = []  # (d, numerator, denominator) of f(d) at each member d <= order, factor by factor
-    integral = True  # every factor's exponent -f(d)/d is an integer
-    for _, w, members in _members_upto(spec, order):
+    factors = [(w, members) for _, w, members in _members_upto(spec, order)]
+    scale = lcm(*{w.c.denominator if w.kind == WEIGHT_LINEAR else w.by_n[d].denominator
+                  for w, members in factors for d in members})
+    merged = [0] * (order + 1)  # scale * F(d) at each degree d
+    for w, members in factors:
         if w.kind == WEIGHT_LINEAR:
-            walk += [(d, w.c.numerator * d, w.c.denominator) for d in members]
-            integral = integral and w.c.denominator == 1
+            step = w.c.numerator * (scale // w.c.denominator)
+            for d in members:
+                merged[d] += step * d
         else:
-            values = [(d, *w.by_n[d].as_integer_ratio()) for d in members]
-            walk += values
-            integral = integral and all(den == 1 and num % d == 0 for d, num, den in values)
-    scale = lcm(*{den for _, _, den in walk})
-    pairs = [(d, num * (scale // den)) for d, num, den in walk]
-    g = divisor_sums(order, pairs)
+            for d in members:
+                num, den = w.by_n[d].as_integer_ratio()
+                merged[d] += num * (scale // den)
     first = {}  # each exponent denominator v > 1 -> the least degree with it
-    if not integral:
-        merged = [0] * (order + 1)
-        for d, w in pairs:
-            merged[d] += w
-        for d in range(1, order + 1):
-            if (v := scale * d // gcd(merged[d], scale * d)) > 1:
-                first.setdefault(v, d)
+    for d in range(1, order + 1):
+        if merged[d] % (scale * d):
+            first.setdefault(scale * d // gcd(merged[d], scale * d), d)
+    g = divisor_sums(order, enumerate(merged))
     return DivisorWeightTable(order, tuple(g), scale, tuple(first.items()))
 
 
@@ -451,7 +448,7 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
     acc = [0] * (inner + 1)
     ends = [min(n, inner) for n in range(CHUNK, inner + CHUNK, CHUNK)]
     bounds = denominator_schedule(table, ends)
-    den, due = 1, (1 if table.denominators else 0)  # due: the n at which D is next raised
+    den, due = 1, 1  # due: the n at which D is next raised
 
     def leaf(l: int, start: int, r: int) -> None:
         nonlocal den, due

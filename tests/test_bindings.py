@@ -10,6 +10,7 @@ each route runs with the other's kernels refused.  A relation's left side
 is built without the packed products that sum its right side.
 """
 
+import ast
 import importlib
 import sys
 from fractions import Fraction
@@ -46,6 +47,21 @@ def test_sequences_binds_no_kernel_of_another_route():
 
 def test_catalog_binds_no_recurrence_block_product():
     assert "decimal_mul" not in vars(catalog)
+
+
+def test_runtime_imports_only_the_standard_library():
+    """Every absolute import of the package is the package or the stdlib."""
+    for path in sorted(Path(products.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "divprod" or top in sys.stdlib_module_names, (path.name, name)
 
 
 @pytest.mark.parametrize("name", ["gauss", "ramanujan", "delta(8)", "square_quotient"])

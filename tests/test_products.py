@@ -40,6 +40,8 @@ from divprod.sequences import (
 )
 from divprod.series import TruncatedSeries, apply_binomial_factor, kronecker_mul
 
+from test_bindings import RATIONAL
+
 
 # --- set descriptors -------------------------------------------------------
 
@@ -255,6 +257,26 @@ def test_weight_table_missing_table_entry():
     )
     with pytest.raises(ValueError, match="table weight missing"):
         weight_table(spec, 5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [builtin_spec("delta(8)"), square_quotient_spec(), p_regular_spec(3), RATIONAL],
+    ids=["delta(8)", "square_quotient", "p_regular(3)", "rational"],
+)
+def test_weight_table_sieves_each_degree_once(monkeypatch, spec):
+    """The factors' weights are summed by degree before the sieve, so
+    families that share a degree hand ``divisor_sums`` one weight there."""
+    degrees, real = [], products.divisor_sums
+
+    def spy(order, weights):
+        weights = list(weights)
+        degrees.extend(d for d, w in weights if w)
+        return real(order, weights)
+
+    monkeypatch.setattr(products, "divisor_sums", spy)
+    weight_table(spec, 60)
+    assert degrees and len(degrees) == len(set(degrees))
 
 
 # --- the two coefficient routes -------------------------------------------
