@@ -15,16 +15,17 @@ many fields name it.  Tables look the oracles, the divisor sieves and the
 coefficient routes up among this module's globals when the check runs, and
 nothing is kept from one check to the next.  The oracles never go through the
 recurrence engine.  A check reports the first index at which two sides
-differ (``report.first_mismatch``).  A relation's right side is a packed
-product (``series.kronecker_mul``), to a short prefix first and to N only
-if the scan gets past it; its left side is an oracle, a sieve or a sparse
-table, none of which a packed product computes: neither ``kronecker_mul``
-nor the recurrence's ``decimal_mul``, which this module does not bind.
+differ (``report.first_mismatch``).  A relation's right side is one packed
+product (``series.kronecker_mul``) to N; its left side is an oracle, a
+sieve or a sparse table, none of which a packed product computes: neither
+``kronecker_mul`` nor the recurrence's ``decimal_mul``, which this module
+does not bind.
 
 Three records are expected failures, kept to pin the index-bound and
 orientation corrections the passing forms rely on: ``jacobi_square_verbatim``
 (first failure n=4), ``ramanujan_a_verbatim`` (n=2) and
-``p_regular_verbatim_2`` (n=1).
+``p_regular_verbatim_2`` (n=1).  Each is checked to ``PREFIX`` first, so
+none builds a table past it.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ from divprod.series import Rational, kronecker_mul, sparse_table
 
 PASS = "pass"
 FAIL = "fail"
-# The order to which a relation's right side is summed before the scan asks
-# for the rest.
+# The order an expected failure is checked to first.
 PREFIX = 64
 
 
@@ -102,28 +102,19 @@ class Relation(NamedTuple):
     start: int = 1
 
     def sides(self, t: Tables) -> tuple[Iterator[Rational], Iterator[Rational]]:
-        """Both sides for n = start..N, one n at a time as the scan asks for
-        them.  The right side's sums come from a packed product to
-        min(N, PREFIX) and, once the scan is past that, from one to N, so a
-        relation that fails early never sums to N."""
-        lhs = t(self.lhs)
-        left = ((n - self.shift) * lhs[n] for n in range(self.start, t.order + 1))
-        kernel, operand = t(self.kernel), t(self.operand)
+        """Both sides for n = start..N; the right side's sums are one packed
+        product to N."""
+        lhs, sums = t(self.lhs), kronecker_mul(t(self.kernel), t(self.operand), t.order)
         diagonal = t(self.diagonal) if self.diagonal else [0] * (t.order + 1)
-
-        def right():
-            low = self.start
-            for reach in (min(PREFIX, t.order), t.order):
-                if low <= reach:
-                    sums = kronecker_mul(kernel, operand, reach)
-                    yield from (self.scale * sums[n] + diagonal[n] for n in range(low, reach + 1))
-                    low = reach + 1
-
-        return left, right()
+        span = range(self.start, t.order + 1)
+        left = ((n - self.shift) * lhs[n] for n in span)
+        return left, (self.scale * sums[n] + diagonal[n] for n in span)
 
 
 class Identity(NamedTuple):
-    """One catalog entry; ``check(order)`` runs its pins, then its relation."""
+    """One catalog entry; ``check(order)`` runs its pins, then its relation.
+    An expected failure, which holds one comparison, is checked to PREFIX
+    first and to the order only if it passes there."""
 
     id: str
     expected: str = PASS
@@ -140,10 +131,12 @@ class Identity(NamedTuple):
     def check(self, order: int) -> IdentityReport:
         if order < self.min_order:
             raise ValueError(f"{self.id}: order must be >= {self.min_order}")
-        for lhs, rhs, start in self._comparisons(Tables(order)):
-            miss = first_mismatch(lhs, rhs, start)
-            if miss is not None:
-                return IdentityReport(self.id, order, miss)
+        first = min(PREFIX, order) if self.expected == FAIL else order
+        for reach in sorted({first, order}):
+            for lhs, rhs, start in self._comparisons(Tables(reach)):
+                miss = first_mismatch(lhs, rhs, start)
+                if miss is not None:
+                    return IdentityReport(self.id, order, miss)
         return IdentityReport(self.id, order)
 
 

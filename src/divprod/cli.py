@@ -179,9 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, run):
-        p.add_argument("--order", type=int, default=100, metavar="N",
-                       help="truncation order (default 100)")
+    def add_common(p, run, order=True):
+        if order:
+            p.add_argument("--order", type=int, default=100, metavar="N",
+                           help="truncation order (default 100)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
         p.add_argument("--out", metavar="PATH", default=None,
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify, _cmd_verify)
 
     p_catalog = sub.add_parser("catalog", help="list identities, built-in specs, sequences")
-    add_common(p_catalog, _cmd_catalog)
+    add_common(p_catalog, _cmd_catalog, order=False)
 
     return parser
 

@@ -495,8 +495,9 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
 
     Requires an integer exponent at every degree <= order - shift (linear
     weights with integer c; table weights divisible by their n), and refuses
-    the first factor, in spec order, without one.  The cost is bounded by the
-    order and the spec, not by the size of the exponents.
+    the first factor, in spec order, without one.  Its passes and products
+    depend on the spec and the bit length of max|e|; the coefficients the late
+    squarings carry, and so their cost, grow with |e| (ROADMAP item 2).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -524,10 +525,10 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
     # Degrees are grouped by |e|; a group's unit base is prod (1-x^n)^(sign e)
     # over its degrees.  One left-to-right binary ladder over the bits j of
     # max|e| squares the result and multiplies in the base of every group
-    # whose |e| has bit j set, so all groups share the squarings and the cost
-    # does not grow with |e|.  A class's tail, taken by Euler's sums
-    # (``apply_progression``), carries its majority exponent; every degree
-    # it leaves nonzero, and every degree off a tail, is one pass.
+    # whose |e| has bit j set, so all groups share the squarings, whose count
+    # grows with the bit length of max|e|.  A class's tail, taken by Euler's
+    # sums (``apply_progression``), carries its majority exponent; every
+    # degree it leaves nonzero, and every degree off a tail, is one pass.
     groups: dict[int, tuple[list, list]] = {}  # |e| -> (tail starts, lone degrees)
     step = _class_step(spec, inner)
     if step:

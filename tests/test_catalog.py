@@ -1,5 +1,6 @@
 """Identity catalog: hand-checked small cases, full runs, pinned negatives."""
 
+import inspect
 import json
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,6 +12,7 @@ from divprod.catalog import (
     CATALOG,
     FAIL,
     POSITIVE_CHECKS,
+    Identity,
     PREFIX,
     Tables,
     delta,
@@ -239,15 +241,16 @@ def test_records_match_the_catalog_listing(capsys):
     assert len(CATALOG) == len(ALL_CHECKS) == 21
 
 
+# The first failure (n, lhs, rhs) of each expected failure.
+_PINNED = {
+    "jacobi_square_verbatim": (4, 4, 3),
+    "ramanujan_a_verbatim": (2, 16, 0),
+    "p_regular_verbatim_2": (1, 1, -1),
+}
+
+
 @pytest.mark.parametrize("order", [10, 500])
-@pytest.mark.parametrize(
-    "identity_id, n, lhs, rhs",
-    [
-        ("jacobi_square_verbatim", 4, 4, 3),
-        ("ramanujan_a_verbatim", 2, 16, 0),
-        ("p_regular_verbatim_2", 1, 1, -1),
-    ],
-)
+@pytest.mark.parametrize("identity_id, n, lhs, rhs", [(i, *f) for i, f in _PINNED.items()])
 def test_expected_failures_stay_pinned(identity_id, n, lhs, rhs, order):
     report = run_check(identity_id, order)
     assert not report.passed
@@ -258,39 +261,80 @@ def test_expected_failures_stay_pinned(identity_id, n, lhs, rhs, order):
     )
 
 
-def spy_sum_orders(monkeypatch):
-    """The order of every packed product that sums a relation's right side."""
-    orders = []
-    real = catalog.kronecker_mul
+# Every table maker that catalog binds, with the name of its order argument.
+TABLE_MAKERS = {
+    "sigma_table": "order",
+    "sigma_rm_table": "order",
+    "sparse_table": "order",
+    "kronecker_mul": "order",
+    "partition_counts": "order",
+    "regular_partition_counts": "order",
+    "rogers_ramanujan_sum_side": "order",
+    "triangular_rep_counts": "order",
+    "lambert_cubic_prefix": "order",
+    "coeffs_via_expansion": "order",
+    "coeffs_via_recurrence": "order",
+    "lambert_cubic_by_divisors": "n",
+}
 
-    def spy(a, b, order):
-        orders.append(order)
-        return real(a, b, order)
 
-    monkeypatch.setattr(catalog, "kronecker_mul", spy)
-    return orders
+def spy_reaches(monkeypatch, names=tuple(TABLE_MAKERS)):
+    """A list the calls to the named table makers fill with (name, order)."""
+    reaches = []
+    for name in names:
+        real = getattr(catalog, name)
+        bind = inspect.signature(real).bind
+
+        def spy(*args, real=real, bind=bind, name=name):
+            reaches.append((name, bind(*args).arguments[TABLE_MAKERS[name]]))
+            return real(*args)
+
+        monkeypatch.setattr(catalog, name, spy)
+    return reaches
 
 
-@pytest.mark.parametrize(
-    "identity_id, n",
-    [("jacobi_square_verbatim", 4), ("ramanujan_a_verbatim", 2), ("p_regular_verbatim_2", 1)],
-)
+def sum_orders(reaches):
+    """The orders of the packed products that summed a relation's right side."""
+    return [order for name, order in reaches if name == "kronecker_mul"]
+
+
+@pytest.mark.parametrize("identity_id, n", [(i, f[0]) for i, f in _PINNED.items()])
 def test_expected_failures_stop_before_summing_to_the_order(monkeypatch, identity_id, n):
-    orders = spy_sum_orders(monkeypatch)
-    report = run_check(identity_id, 10000)
-    assert report.first_failure.n == n
-    assert 10000 not in orders and all(order <= PREFIX for order in orders)
+    # No table of any kind is built past the prefix, the sums included.
+    reaches = spy_reaches(monkeypatch)
+    f = run_check(identity_id, 10000).first_failure
+    assert (f.n, f.lhs, f.rhs) == _PINNED[identity_id]
+    assert reaches and all(reach <= PREFIX for _, reach in reaches), reaches
+
+
+def test_every_expected_failure_holds_one_comparison():
+    # The condition under which its first mismatch to PREFIX is the one a
+    # scan to the order finds.
+    for record in (r for r in CATALOG if r.expected == FAIL):
+        assert len(record.pins) + (record.relation is not None) == 1, record.id
 
 
 def test_a_relation_past_the_prefix_is_summed_to_the_order(monkeypatch):
-    orders = spy_sum_orders(monkeypatch)
+    reaches = spy_reaches(monkeypatch, ("kronecker_mul",))
     assert run_check("triangular", 300).passed
     assert run_check("triangular", 30).passed
-    assert orders == [PREFIX, 300, 30]
+    assert sum_orders(reaches) == [300, 30]
     # A relation that breaks only at n = N is scanned to N.
     relation = next(r.relation for r in CATALOG if r.id == "triangular")
     late = relation._replace(diagonal=lambda t: [0] * t.order + [1])
     assert first_mismatch(*late.sides(Tables(300)), late.start).n == 300
+
+
+def test_an_expected_failure_past_the_prefix_is_checked_to_the_order(monkeypatch):
+    # The triangular relation, broken at n = 100 only.
+    relation = next(r.relation for r in CATALOG if r.id == "triangular")
+    broken = relation._replace(diagonal=lambda t: [int(n == 100) for n in range(t.order + 1)])
+    record = Identity("broken", expected=FAIL, relation=broken)
+    reaches = spy_reaches(monkeypatch, ("kronecker_mul",))
+    assert record.check(300).first_failure.n == 100
+    assert sum_orders(reaches) == [PREFIX, 300]
+    assert record.check(PREFIX).passed
+    assert sum_orders(reaches) == [PREFIX, 300, PREFIX]
 
 
 def test_jacobi_square_verbatim_holds_at_one():

@@ -561,6 +561,14 @@ def test_catalog_listing(capsys):
     assert "partition" in doc["sequences"]
 
 
+def test_catalog_takes_no_order(capsys):
+    # The listing does not depend on an order, so an order is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--order", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order 5" in capsys.readouterr().err
+
+
 # --- default output bytes ----------------------------------------------------
 
 
