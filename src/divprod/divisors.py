@@ -13,20 +13,12 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable
 
-from divprod.series import Rational
-
-
-def _require_int(*values) -> None:
-    """Refuse a bool, a float or anything else that is not an int, rather
-    than compute with it."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise TypeError(f"expected an int, got {type(v).__name__}")
+from divprod.series import Rational, check_order, require_int
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
-    _require_int(n)
+    require_int(n)
     if n < 1:
         raise ValueError("divisors are defined for positive integers")
     small = []
@@ -66,7 +58,7 @@ def sigma_ext(q: Rational) -> int:
 
 def _check_residue(n: int, r: int, m: int) -> None:
     """n (a value or an order) and r, m are ints, with r canonical mod m."""
-    _require_int(n, r, m)
+    require_int(n, r, m)
     if m < 1:
         raise ValueError("modulus must be a positive integer")
     if not 0 <= r < m:
@@ -98,8 +90,7 @@ def sigma_even(n: int) -> int:
 def divisor_sums(order: int, weights: Iterable[tuple[int, int]]) -> list[int]:
     """Sum of w over the pairs (d >= 1, w) with d | k, for 1 <= k <= order; slot 0
     stays 0.  Each pair adds w to every multiple of d: cost sum of order/d."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     table = [0] * (order + 1)
     for d, w in weights:
         if w:
@@ -122,7 +113,7 @@ def sigma_rm_table(order: int, r: int, m: int) -> list[int]:
 
 def square_indicator(n: int) -> int:
     """1 when n is a perfect square (0 included), else 0."""
-    _require_int(n)
+    require_int(n)
     if n < 0:
         raise ValueError("square_indicator is defined on nonnegative integers")
     r = isqrt(n)
@@ -131,7 +122,7 @@ def square_indicator(n: int) -> int:
 
 def triangular(n: int) -> int:
     """The n-th triangular number n(n+1)/2."""
-    _require_int(n)
+    require_int(n)
     if n < 0:
         raise ValueError("triangular is defined on nonnegative integers")
     return n * (n + 1) // 2
@@ -139,7 +130,7 @@ def triangular(n: int) -> int:
 
 def triangular_indicator(n: int) -> int:
     """1 when n is a triangular number, else 0 (n is triangular iff 8n+1 is a square)."""
-    _require_int(n)
+    require_int(n)
     if n < 0:
         raise ValueError("triangular_indicator is defined on nonnegative integers")
     return square_indicator(8 * n + 1)

@@ -39,6 +39,7 @@ from divprod.series import (
     TruncatedSeries,
     apply_binomial_factor,
     apply_progression,
+    check_order,
     decimal_mul,
     kronecker_mul,
 )
@@ -322,8 +323,7 @@ def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
     once.  Order 0 has no k to sieve: it gives numerators (0,), scale 1.
     The merged exponents -F(d)/d give ``denominators``.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     factors = [(w, members) for _, w, members in _members_upto(spec, order)]
     scale = lcm(*{w.c.denominator if w.kind == WEIGHT_LINEAR else w.by_n[d].denominator
                   for w, members in factors for d in members})
@@ -418,8 +418,8 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
     b its ``scale``, so b*n*D*p(n) = sum_k h(k) P(n-k).  D follows a
     schedule fixed before the loop from the exponents' denominators
     (``denominator_schedule``): at n = 1, 1 + CHUNK, 1 + 2*CHUNK, ... D is
-    raised to S at the chunk's last n, and the earlier P(j) and ``acc`` are
-    multiplied by the factor once.  Every division by b*n in the chunk is
+    raised to S at the chunk's last n, and the earlier P(j) are multiplied
+    by the factor once.  Every division by b*n in the chunk is
     then exact, so a remainder is a defect and raises ArithmeticError.  For
     integer exponents D stays 1 and the loop's integers are the
     coefficients; otherwise the output is P(n)/D, an int wherever it is
@@ -432,12 +432,12 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
     of P[l:mid] and h[0:r-l] into acc[mid:r], and solves [mid, r): each of
     the O(log N) levels of blocks costs about one packed product of N terms.
     The rule for packing: a block is packed by ``series.decimal_mul`` only
-    while D = 1 and the widest P(j) of P[l:mid] has at most
+    when every merged exponent is an integer (``table.denominators`` is
+    empty, so D = 1 throughout) and the widest P(j) of P[l:mid] has at most
     ``WIDTH * (mid - l)`` bits; otherwise the schoolbook loop solves
     [mid, r) from l.  The expansion route never calls that product.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     inner = order - spec.shift
     if inner < 0:
         return TruncatedSeries.zero(order)
@@ -460,7 +460,6 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
                 if t > 1:
                     den *= t
                     p_[:n] = map(mul, p_[:n], repeat(t))
-                    acc_[n:] = map(mul, acc_[n:], repeat(t))
             s, top = acc_[n], n - l
             for k, hk in kernel_:
                 if k > top:
@@ -476,7 +475,7 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
             return
         mid = (l + r) // 2
         run(l, mid)
-        if den == 1 and max(map(int.bit_length, p[l:mid])) <= WIDTH * (mid - l):
+        if not table.denominators and max(map(int.bit_length, p[l:mid])) <= WIDTH * (mid - l):
             block = decimal_mul(p[l:mid], h[: r - l], r - l - 1)
             acc[mid:r] = map(add, acc[mid:r], block[mid - l :])
             run(mid, r)
@@ -499,8 +498,7 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
     depend on the spec and the bit length of max|e|; the coefficients the late
     squarings carry, and so their cost, grow with |e| (ROADMAP item 2).
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     inner = order - spec.shift
     if inner < 0:
         return TruncatedSeries.zero(order)
@@ -620,9 +618,12 @@ def _rational_from_json(value, path: str, key: str | None = None) -> Fraction:
     raise SpecFormatError(f"{path if key is None else f'{path}[{key}]'}: {problem}")
 
 
-def _int_from_json(value, path: str) -> int:
+def _int_from_json(value, path: str, *index: int) -> int:
+    """A wire integer.  An error names ``path`` followed by each ``[index]``;
+    the name is formatted only on error."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecFormatError(f"{path}: expected an integer, got {value!r}")
+        where = path + "".join(f"[{i}]" for i in index)
+        raise SpecFormatError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
@@ -637,13 +638,11 @@ def _set_from_dict(doc, path: str) -> SetDescriptor:
             raw = doc.get("classes")
             if not isinstance(raw, list):
                 raise SpecFormatError(f"{path}.classes: expected a list of [r, m] pairs")
-            classes = []
+            where, classes = f"{path}.classes", []
             for i, pair in enumerate(raw):
                 if not isinstance(pair, list) or len(pair) != 2:
-                    raise SpecFormatError(f"{path}.classes[{i}]: expected a [r, m] pair")
-                classes.append(
-                    [_int_from_json(v, f"{path}.classes[{i}][{j}]") for j, v in enumerate(pair)]
-                )
+                    raise SpecFormatError(f"{where}[{i}]: expected a [r, m] pair")
+                classes.append([_int_from_json(v, where, i, j) for j, v in enumerate(pair)])
             return SetDescriptor.residue_union(classes)
         if kind == SET_MULTIPLES:
             return SetDescriptor.multiples(_int_from_json(doc.get("m"), f"{path}.m"))
@@ -652,7 +651,7 @@ def _set_from_dict(doc, path: str) -> SetDescriptor:
             if not isinstance(raw, list):
                 raise SpecFormatError(f"{path}.members: expected a list of integers")
             return SetDescriptor.explicit(
-                [_int_from_json(v, f"{path}.members[{i}]") for i, v in enumerate(raw)]
+                [_int_from_json(v, f"{path}.members", i) for i, v in enumerate(raw)]
             )
     except ValueError as exc:
         if isinstance(exc, SpecFormatError):

@@ -16,7 +16,7 @@ from operator import add, sub
 
 from divprod.divisors import divisors, triangular
 # binomial_factor: unused, but perfbench's --trace 1 patches it here and fails without it.
-from divprod.series import TruncatedSeries, binomial_factor  # noqa: F401
+from divprod.series import TruncatedSeries, binomial_factor, check_order  # noqa: F401
 
 
 def lambert_cubic_by_divisors(n: int) -> int:
@@ -33,8 +33,7 @@ def lambert_cubic_prefix(order: int) -> TruncatedSeries:
     """Coefficients of sum_{n>=1} n^3 x^n / (1 - x^{2n}) up to ``order``,
     expanded as the double sum over n^3 x^{n(2j+1)}; index 0 is set to 1
     to match the sequence convention."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     terms = [0] * (order + 1)
     terms[0] = 1
     for n in range(1, order + 1):
@@ -68,8 +67,7 @@ def partition_counts(order: int) -> TruncatedSeries:
     """p(0..order) by Euler's pentagonal recurrence, O(order^1.5).  p is 1
     over prod (1 - x^n), so p(n) = -(sum of sign * p(n - place) over the
     terms placed at 1..n)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     terms = list(_pentagonal(order))
     p = [1]
     for n in range(1, order + 1):
@@ -104,8 +102,7 @@ def rogers_ramanujan_sum_side(which: int, order: int) -> TruncatedSeries:
     """
     if type(which) is not int or which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
 
     def head(n: int) -> int:
         return n * n if which == 1 else n * (n + 1)
@@ -134,8 +131,7 @@ def triangular_rep_counts(m: int, order: int) -> TruncatedSeries:
     """
     if type(m) is not int or m < 1:
         raise ValueError("m must be a positive integer")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     places = list(takewhile(lambda t: t <= order, map(triangular, count(1))))
     g = [1]
     for n in range(1, order + 1):

@@ -20,12 +20,13 @@ coefficient.  The arithmetic lives in list kernels:
 
 ``TruncatedSeries.__mul__`` keeps a plain double sum as their reference.
 ``exact_str`` prints a coefficient in full, past the interpreter's limit on
-int-to-str conversion too.
+int-to-str conversion too, and ``_exact_int`` reads digits back the same way.
+``check_order`` refuses every order argument of the package that is not an
+int >= 0.
 """
 
 from __future__ import annotations
 
-import sys
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
 from math import comb
@@ -35,9 +36,25 @@ from typing import Iterable, Iterator, Union
 Rational = Union[int, Fraction]
 
 
+def require_int(*values) -> None:
+    """Refuse a bool, a float or anything else that is not an int, rather
+    than compute with it."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"expected an int, got {type(v).__name__}")
+
+
+def check_order(order: int) -> None:
+    """Refuse an order that is not an int (TypeError) or is negative
+    (ValueError)."""
+    require_int(order)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
 def exact_str(v: Rational) -> str:
-    """``str(v)`` for an int or a Fraction, also where str() raises past
-    ``sys.get_int_max_str_digits()``: the decimal module converts without
+    """``str(v)`` for an int or a Fraction, also where str() raises past the
+    interpreter's int-to-str digit limit: the decimal module converts without
     that limit, and the limit is never raised."""
     try:
         return str(v)
@@ -45,6 +62,14 @@ def exact_str(v: Rational) -> str:
         if isinstance(v, Fraction) and v.denominator != 1:
             return f"{exact_str(v.numerator)}/{exact_str(v.denominator)}"
         return str(Decimal(int(v)))
+
+
+def _exact_int(digits: str) -> int:
+    """``int(digits)``, also past the int-to-str digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
 def sparse_table(order: int, place, coeff=lambda k: 1) -> list[Rational]:
@@ -130,8 +155,7 @@ def binomial_factor(n: int, e: int, order: int) -> TruncatedSeries:
     """
     if n < 1:
         raise ValueError("factor degree n must be >= 1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     out = [0] * (order + 1)
     if e >= 0:
         for k in range(min(e, order // n) + 1):
@@ -192,12 +216,12 @@ def apply_progression(coeffs: list, b: int, m: int, e: int) -> None:
         start = b * k if e < 0 else b * k + m * k * (k - 1) // 2
 
 
-def _pack(coeffs: list[int], width: int) -> int:
-    """sum c_i * 256**(width*i): the positive and the negative parts are
-    packed as unsigned slots and the second is subtracted from the first."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def _pack(coeffs: list[int], width: int, half: int) -> int:
+    """sum c_i * 256**(width*i): each slot holds c_i + half, which the width
+    keeps in range, and the repeated half is subtracted once."""
+    raw = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    bias = half.to_bytes(width, "little") * len(coeffs)
+    return int.from_bytes(raw, "little") - int.from_bytes(bias, "little")
 
 
 def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
@@ -211,8 +235,7 @@ def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
     Adding half a slot to every digit makes each one nonnegative, so the
     borrows of negative coefficients resolve before unpacking.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     square = b is a
     a, b = a[: order + 1], b[: order + 1]
     bound = max(map(abs, a), default=0) * max(map(abs, b), default=0)
@@ -220,10 +243,10 @@ def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
         return [0] * (order + 1)
     bound *= min(len(a), len(b))
     width = (bound.bit_length() + 8) // 8  # one spare bit for the sign
-    packed = _pack(a, width)
-    product = packed * packed if square else packed * _pack(b, width)
-    size = width * (order + 1)
     half = 1 << (8 * width - 1)
+    packed = _pack(a, width, half)
+    product = packed * packed if square else packed * _pack(b, width, half)
+    size = width * (order + 1)
     bias = int.from_bytes(half.to_bytes(width, "little") * (order + 1), "little")
     low = (product + bias) & ((1 << (8 * size)) - 1)
     raw = memoryview(low.to_bytes(size, "little"))
@@ -233,34 +256,22 @@ def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
     ]
 
 
-def _decimal_pack(coeffs: list[int], w: int, digits, ctx: Context) -> Decimal:
-    """sum c_i * 10**(w*i) as a Decimal: the ``digits`` of each |c_i|, padded
-    to w, are joined for the positive and the negative parts, and the second
-    part is subtracted from the first."""
-    zero = "0" * w
-    pos = "".join([digits(c).zfill(w) if c > 0 else zero for c in reversed(coeffs)])
-    if min(coeffs) >= 0:
-        return Decimal(pos)
-    neg = "".join([digits(-c).zfill(w) if c < 0 else zero for c in reversed(coeffs)])
-    return ctx.subtract(Decimal(pos), Decimal(neg))
-
-
 def decimal_mul(a: list[int], b: list[int], order: int) -> list[int]:
     """Coefficients 0..order of the product of the integer polynomials a and b.
 
     Kronecker substitution in base 10**w: each operand is packed into one
     Decimal with a coefficient per w-digit slot, the two are multiplied once
     by libmpdec (a number-theoretic transform at large sizes), and the low
-    order+1 slots are read back.  The slot holds max|a| * max|b| * (number
-    of terms in a sum) below half its size, and adding half a slot to every
-    slot makes each one nonnegative before it is read.  The arithmetic runs
-    in a local context that traps ``Inexact``, so nothing is rounded.  A
-    slot wider than ``sys.get_int_max_str_digits()`` converts through
-    ``Decimal(int)``, ``str(Decimal)`` and ``int(Decimal)``, which have no
-    digit limit, so the limit is never raised.
+    order+1 slots are read back.  w puts max|a| * max|b| * (number of terms
+    in a sum) below 10**(w-1), so with h = 5 * 10**(w-1), half a slot, each
+    coefficient c of an operand or of the product gives a c + h of exactly
+    w digits: an operand is packed as those digits less the repeated h, and
+    the product is read back with the repeated h added, each slot less h.
+    The arithmetic traps ``Inexact`` in a local context, so nothing is
+    rounded.  Digits go through ``exact_str`` and ``_exact_int``, so the
+    int-to-str digit limit is never raised.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     a, b = a[: order + 1], b[: order + 1]
     bound = max(map(abs, a), default=0) * max(map(abs, b), default=0)
     if not bound:
@@ -268,19 +279,16 @@ def decimal_mul(a: list[int], b: list[int], order: int) -> list[int]:
     bound *= min(len(a), len(b))
     # 10**(w-1) > 2**bit_length > bound, as 0.30103 > log10(2).
     w = bound.bit_length() * 30103 // 100000 + 2
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or w <= limit:
-        digits, read = str, int
-    else:
-        digits, read = (lambda c: str(Decimal(c))), (lambda s: int(Decimal(s)))
+    h = 5 * 10 ** (w - 1)
+    half = exact_str(h)
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+
+    def pack(coeffs: list[int]) -> Decimal:
+        digits = "".join([exact_str(c + h) for c in reversed(coeffs)])
+        return ctx.subtract(Decimal(digits), Decimal(half * len(coeffs)))
+
     slots = len(a) + len(b) - 1
-    half = "5".ljust(w, "0")
-    product = ctx.add(
-        ctx.multiply(_decimal_pack(a, w, digits, ctx), _decimal_pack(b, w, digits, ctx)),
-        Decimal(half * slots),
-    )
-    text = str(product).zfill(slots * w)
-    h, end = read(half), len(text)
-    out = [read(text[j - w : j]) - h for j in range(end, end - min(order + 1, slots) * w, -w)]
+    text = str(ctx.add(ctx.multiply(pack(a), pack(b)), Decimal(half * slots)))
+    end = len(text)  # slots * w: the top slot has w digits too
+    out = [_exact_int(text[j - w : j]) - h for j in range(end, end - min(order + 1, slots) * w, -w)]
     return out + [0] * (order + 1 - len(out))

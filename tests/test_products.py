@@ -1188,8 +1188,7 @@ HALVES = ProductSpec(factors=(
     Factor(SetDescriptor.residue_union([(1, 2)]), WeightSpec.linear(Fraction(1, 2))),
     Factor(SetDescriptor.residue_union([(0, 2)]), WeightSpec.linear(Fraction(1, 2))),
 ))
-# Integral up to x^99; (1-x^100)^(-1/2) makes D grow at n = 100, after
-# blocks have been added to acc past 100.
+# Integral up to x^99; (1-x^100)^(-1/2) makes D grow at n = 100.
 LATE_HALF = ProductSpec(factors=(
     Factor(SetDescriptor.all_naturals(), WeightSpec.linear(1)),
     Factor(SetDescriptor.explicit([100]), WeightSpec.table({100: 50})),
@@ -1221,12 +1220,10 @@ def test_blocks_pack_while_the_denominator_is_one(monkeypatch):
     assert coeffs_via_recurrence(HALVES, 400) == schoolbook_recurrence(HALVES, 400)
     assert blocks == [50, 100, 50, 200, 50, 100, 50]
     blocks.clear()
-    # D is raised for the chunk n = 97..128, which holds the first
-    # non-integral p(n) at n = 100, so the block of P[0:100] is not packed.
-    # The block of P[0:50] was added before that raise, which rescales it
-    # in acc.
+    # The merged exponent at x^100 is not an integer, so no block is packed,
+    # not even those that end before D is first raised.
     assert coeffs_via_recurrence(LATE_HALF, 400) == schoolbook_recurrence(LATE_HALF, 400)
-    assert blocks == [50]
+    assert blocks == []
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Series kernel: exactness, truncation semantics, and the binomial factors."""
+"""Series kernel: exactness, truncation semantics, the binomial factors, and
+the order check of every function that takes an order."""
 
 import decimal
 import random
@@ -10,6 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from divprod.divisors import divisor_sums
+from divprod.products import coeffs_via_expansion, coeffs_via_recurrence, gauss_spec, weight_table
+from divprod.sequences import (
+    lambert_cubic_prefix,
+    partition_counts,
+    rogers_ramanujan_sum_side,
+    triangular_rep_counts,
+)
 from divprod.series import (
     TruncatedSeries,
     apply_binomial_factor,
@@ -294,6 +303,9 @@ wide_lists = st.one_of(
     st.lists(st.one_of(small_ints, wide_ints), min_size=1, max_size=24),
 )
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)
+# 2 * WIDTH_EDGE**2, the bound of [M, M] * [M, M] and its x^1 coefficient,
+# is 2**127 - 2**65 + 2: just below kronecker_mul's half slot, 2**127.
+WIDTH_EDGE = 2**63 - 1
 
 
 def decimal_mul_leaves_no_state(a, b, order):
@@ -315,6 +327,9 @@ def decimal_mul_leaves_no_state(a, b, order):
 @example([0, 0], [1, -2, 3], 4)  # a zero operand
 @example([1, -1], [1, 1], 3)  # borrows between slots
 @example([3, 0, -7], [2**4096, -(2**4096)], 9)  # order past both lengths
+@example([-3, -1, -4], [-1, -5, -9, -2], 6)  # all negative
+@example([7], [-9], 3)  # one slot each
+@example([WIDTH_EDGE] * 2, [WIDTH_EDGE] * 2, 2)  # x^1 equals the width bound
 def test_decimal_mul_matches_kronecker_mul(a, b, order):
     assert decimal_mul_leaves_no_state(a, b, order) == kronecker_mul(a, b, order)
     assert decimal_mul_leaves_no_state(a, a, order) == kronecker_mul(a, a, order)
@@ -354,3 +369,33 @@ def test_exact_str_prints_past_the_digit_limit():
     assert exact_str(Fraction(-3, -big)) == f"-3/{Decimal(-big)}"
     assert exact_str(Fraction(big)) == str(Decimal(big))
     assert DIGIT_LIMIT() > 0
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda order: binomial_factor(1, 1, order),
+        lambda order: kronecker_mul([1, 2], [1, 2], order),
+        lambda order: decimal_mul([1, 2], [1, 2], order),
+        lambda order: divisor_sums(order, [(1, 1)]),
+        lambert_cubic_prefix,
+        partition_counts,
+        lambda order: rogers_ramanujan_sum_side(1, order),
+        lambda order: triangular_rep_counts(2, order),
+        lambda order: weight_table(gauss_spec(), order),
+        lambda order: coeffs_via_recurrence(gauss_spec(), order),
+        lambda order: coeffs_via_expansion(gauss_spec(), order),
+    ],
+    ids=["binomial_factor", "kronecker_mul", "decimal_mul", "divisor_sums",
+         "lambert_cubic_prefix", "partition_counts", "rogers_ramanujan_sum_side",
+         "triangular_rep_counts", "weight_table", "coeffs_via_recurrence",
+         "coeffs_via_expansion"],
+)
+def test_every_order_argument_is_a_nonnegative_int(fn):
+    for order, error, message in [
+        (True, TypeError, "expected an int, got bool"),
+        (2.0, TypeError, "expected an int, got float"),
+        (-1, ValueError, "order must be nonnegative"),
+    ]:
+        with pytest.raises(error, match=message):
+            fn(order)
