@@ -325,8 +325,10 @@ def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
     """
     check_order(order)
     factors = [(w, members) for _, w, members in _members_upto(spec, order)]
+    # A linear factor's c is read once, at its first member.
     scale = lcm(*{w.c.denominator if w.kind == WEIGHT_LINEAR else w.by_n[d].denominator
-                  for w, members in factors for d in members})
+                  for w, members in factors
+                  for d in (members[:1] if w.kind == WEIGHT_LINEAR else members)})
     merged = [0] * (order + 1)  # scale * F(d) at each degree d
     for w, members in factors:
         if w.kind == WEIGHT_LINEAR:
@@ -476,8 +478,8 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
         mid = (l + r) // 2
         run(l, mid)
         if not table.denominators and max(map(int.bit_length, p[l:mid])) <= WIDTH * (mid - l):
-            block = decimal_mul(p[l:mid], h[: r - l], r - l - 1)
-            acc[mid:r] = map(add, acc[mid:r], block[mid - l :])
+            block = decimal_mul(p[l:mid], h[: r - l], mid - l, r - l)
+            acc[mid:r] = map(add, acc[mid:r], block)
             run(mid, r)
         else:
             leaf(l, mid, r)

@@ -8,15 +8,16 @@ and the oracles: an immutable container whose ``==`` compares every
 coefficient.  The arithmetic lives in list kernels:
 
 * ``apply_binomial_factor``, the in-place pass that multiplies by one
-  (1 - x^n)^e in O(N) cells per unit of |e|;
+  (1 - x^n)^e in O(N) cells per unit of |e|, done as at most about sqrt(N)
+  slice operations;
 * ``apply_progression``, the in-place product over an arithmetic
   progression, prod_j (1 - x^(b+jm))^(+-1), by Euler's sums, whose cost does
   not grow with the number of degrees in the progression;
 * ``kronecker_mul``, the packed product, on which the expansion squares and
   multiplies;
-* ``decimal_mul``, a second packed product on the decimal module, which only
-  the recurrence's blocks call, so that route and the expansion share no
-  kernel.
+* ``decimal_mul``, a second packed product on the decimal module, which
+  reads back only the product's slots start..stop-1; only the recurrence's
+  blocks call it, so that route and the expansion share no kernel.
 
 ``TruncatedSeries.__mul__`` keeps a plain double sum as their reference.
 ``exact_str`` prints a coefficient in full, past the interpreter's limit on
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from operator import add, sub
 from typing import Iterable, Iterator, Union
@@ -65,11 +67,9 @@ def exact_str(v: Rational) -> str:
 
 
 def _exact_int(digits: str) -> int:
-    """``int(digits)``, also past the int-to-str digit limit."""
-    try:
-        return int(digits)
-    except ValueError:
-        return int(Decimal(digits))
+    """``int(digits)``, also past the int-to-str digit limit: the decimal
+    module reads without that limit."""
+    return int(Decimal(digits))
 
 
 def sparse_table(order: int, place, coeff=lambda k: 1) -> list[Rational]:
@@ -170,21 +170,30 @@ def binomial_factor(n: int, e: int, order: int) -> TruncatedSeries:
 def apply_binomial_factor(coeffs: list, n: int, e: int) -> None:
     """Multiply a coefficient list in place by (1 - x^n)^e, e any integer.
 
-    Each (1 - x^n) application is c[i] -= c[i-n] taken downward; each inverse
-    application is the prefix recurrence c[i] += c[i-n] taken upward.  Exact,
-    and equivalent to a Cauchy product with binomial_factor(n, e, order).
+    Each (1 - x^n) application is c[i] -= c[i-n] for every i >= n at once,
+    one slice ``map``; each inverse application is the prefix recurrence
+    c[i] += c[i-n] taken upward: a running sum (``accumulate``) along each
+    residue class mod n when n*n <= len, else one slice ``map`` per block
+    of n, each block adding the one before it as already updated.  So a unit
+    of |e| makes at most about sqrt(len) slice assignments.  Exact, and
+    equivalent to a Cauchy product with binomial_factor(n, e, order).
     """
     if n < 1:
         raise ValueError("factor degree n must be >= 1")
-    top = len(coeffs) - 1
+    size = len(coeffs)
+    if n >= size:
+        return
     if e >= 0:
         for _ in range(e):
-            for i in range(top, n - 1, -1):
-                coeffs[i] -= coeffs[i - n]
+            coeffs[n:] = map(sub, coeffs[n:], coeffs[: size - n])
+    elif n * n <= size:
+        for _ in range(-e):
+            for r in range(n):
+                coeffs[r::n] = accumulate(coeffs[r::n])
     else:
         for _ in range(-e):
-            for i in range(n, top + 1):
-                coeffs[i] += coeffs[i - n]
+            for i in range(n, size, n):
+                coeffs[i : i + n] = map(add, coeffs[i : i + n], coeffs[i - n : i])
 
 
 def apply_progression(coeffs: list, b: int, m: int, e: int) -> None:
@@ -249,46 +258,59 @@ def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
     size = width * (order + 1)
     bias = int.from_bytes(half.to_bytes(width, "little") * (order + 1), "little")
     low = (product + bias) & ((1 << (8 * size)) - 1)
-    raw = memoryview(low.to_bytes(size, "little"))
-    return [
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(0, size, width)
-    ]
+    raw = low.to_bytes(size, "little")  # bytes: slicing a memoryview is slower
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
 
 
-def decimal_mul(a: list[int], b: list[int], order: int) -> list[int]:
-    """Coefficients 0..order of the product of the integer polynomials a and b.
+def decimal_mul(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
+    """Coefficients start..stop-1 of the product of the integer polynomials
+    a and b (zero past its last slot; empty when start >= stop).
 
     Kronecker substitution in base 10**w: each operand is packed into one
     Decimal with a coefficient per w-digit slot, the two are multiplied once
-    by libmpdec (a number-theoretic transform at large sizes), and the low
-    order+1 slots are read back.  w puts max|a| * max|b| * (number of terms
-    in a sum) below 10**(w-1), so with h = 5 * 10**(w-1), half a slot, each
-    coefficient c of an operand or of the product gives a c + h of exactly
-    w digits: an operand is packed as those digits less the repeated h, and
-    the product is read back with the repeated h added, each slot less h.
-    The arithmetic traps ``Inexact`` in a local context, so nothing is
-    rounded.  Digits go through ``exact_str`` and ``_exact_int``, so the
-    int-to-str digit limit is never raised.
+    by libmpdec (a number-theoretic transform at large sizes), and slots
+    start..stop-1 of the product, and no others, are read back.  w puts
+    max|a| * max|b| * (number of terms in a sum) below 10**(w-1), so with
+    h = 5 * 10**(w-1), half a slot, each coefficient c of an operand or of
+    the product gives a c + h of exactly w digits: an operand is packed as
+    those digits less the repeated h, and the product is read back with the
+    repeated h added, each slot less h.  The arithmetic traps ``Inexact`` in
+    a local context, so nothing is rounded.  Digits go through the builtin
+    ``str`` and ``int``, and through ``exact_str`` and ``_exact_int`` only
+    when the slots are wider than the int-to-str digit limit, which is never
+    raised.
     """
-    check_order(order)
-    a, b = a[: order + 1], b[: order + 1]
+    check_order(start)
+    check_order(stop)
+    out = [0] * max(stop - start, 0)
+    a, b = a[:stop], b[:stop]
     bound = max(map(abs, a), default=0) * max(map(abs, b), default=0)
-    if not bound:
-        return [0] * (order + 1)
+    slots = len(a) + len(b) - 1
+    top = min(stop, slots)  # slots top..stop-1 are past the product
+    if not bound or start >= top:
+        return out
     bound *= min(len(a), len(b))
     # 10**(w-1) > 2**bit_length > bound, as 0.30103 > log10(2).
     w = bound.bit_length() * 30103 // 100000 + 2
     h = 5 * 10 ** (w - 1)
-    half = exact_str(h)
+    # Every slot, h too, is written and read as exactly w digits, so the
+    # builtin str and int raise past the int-to-str digit limit for all of
+    # them or for none: str(h) decides, once, whether the slots go through
+    # exact_str and _exact_int, which are slower per slot.
+    try:
+        half, write, read = str(h), str, int
+    except ValueError:
+        half, write, read = exact_str(h), exact_str, _exact_int
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
 
     def pack(coeffs: list[int]) -> Decimal:
-        digits = "".join([exact_str(c + h) for c in reversed(coeffs)])
+        digits = "".join([write(c + h) for c in reversed(coeffs)])
         return ctx.subtract(Decimal(digits), Decimal(half * len(coeffs)))
 
-    slots = len(a) + len(b) - 1
     text = str(ctx.add(ctx.multiply(pack(a), pack(b)), Decimal(half * slots)))
-    end = len(text)  # slots * w: the top slot has w digits too
-    out = [_exact_int(text[j - w : j]) - h for j in range(end, end - min(order + 1, slots) * w, -w)]
-    return out + [0] * (order + 1 - len(out))
+    # Slot j is the w digits ending j*w from the end (the top slot has w
+    # digits too); only slots start..top-1 are cut out and read.
+    end = len(text) - start * w
+    low = end - (top - start) * w
+    out[: top - start] = [read(text[j - w : j]) - h for j in range(end, low, -w)]
+    return out

@@ -1128,13 +1128,15 @@ def assert_orders_match(spec, orders):
 
 
 def spy_blocks(monkeypatch):
-    """The length of P[l:mid] of every block the recurrence packs."""
+    """The length of P[l:mid] of every block the recurrence packs.  A block
+    reads back only the slots it adds into acc[mid:r]: mid-l .. r-l-1."""
     calls = []
     real = products.decimal_mul
 
-    def spy(a, b, order):
+    def spy(a, b, start, stop):
+        assert (start, stop) == (len(a), len(b))
         calls.append(len(a))
-        return real(a, b, order)
+        return real(a, b, start, stop)
 
     monkeypatch.setattr(products, "decimal_mul", spy)
     return calls

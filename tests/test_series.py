@@ -6,6 +6,7 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -150,6 +151,59 @@ def test_inplace_binomial_matches_series_product(n, e, a):
     coeffs = list(a.coeffs)
     apply_binomial_factor(coeffs, n, e)
     assert S(coeffs) == a * binomial_factor(n, e, a.order)
+
+
+def per_cell(coeffs, n, e):
+    """The reference pass: c[i] -= c[i-n] downward per unit of e >= 0, and
+    c[i] += c[i-n] upward per unit of e < 0, one cell at a time."""
+    top = len(coeffs) - 1
+    for _ in range(abs(e)):
+        if e >= 0:
+            for i in range(top, n - 1, -1):
+                coeffs[i] -= coeffs[i - n]
+        else:
+            for i in range(n, top + 1):
+                coeffs[i] += coeffs[i - n]
+
+
+# Lengths with n*n == len (1, 9, 16, 25, 36), n*n == len + 1 (3, 8, 15, 24,
+# 35) and neither, so that each inverse pass meets both slice forms and the
+# boundary between them; n runs past the length too.
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 5, 8, 9, 15, 16, 24, 25, 35, 36, 50])
+def test_binomial_pass_matches_the_per_cell_pass(size):
+    rng = random.Random(size)
+    ints = [rng.randint(-9, 9) for _ in range(size)]
+    fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(size)]
+    for coeffs in (ints, fractions):
+        for n in range(1, size + 3):
+            for e in range(-4, 5):
+                got, expected = coeffs[:], coeffs[:]
+                apply_binomial_factor(got, n, e)
+                per_cell(expected, n, e)
+                assert got == expected, (size, n, e)
+                assert list(map(type, got)) == list(map(type, expected))
+
+
+class SliceCounter(list):
+    """A list that counts the slice assignments made to it, and refuses any
+    other item assignment."""
+
+    def __setitem__(self, key, value):
+        assert isinstance(key, slice), key
+        self.slices += 1
+        super().__setitem__(key, value)
+
+
+def test_binomial_pass_makes_at_most_sqrt_size_slice_assignments_per_unit():
+    for size in range(1, 401):
+        bound = isqrt(size - 1) + 2  # ceil(sqrt(size)) + 1
+        coeffs = SliceCounter(range(size))
+        for n in range(1, size + 3):
+            for e in (1, -1):  # each undoes the other
+                coeffs.slices = 0
+                apply_binomial_factor(coeffs, n, e)
+                assert coeffs.slices <= bound, (size, n, e, coeffs.slices)
+        assert coeffs == list(range(size))
 
 
 # --- Euler's progression product against per-degree passes ----------------
@@ -308,13 +362,14 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)
 WIDTH_EDGE = 2**63 - 1
 
 
-def decimal_mul_leaves_no_state(a, b, order):
-    """decimal_mul(a, b, order), asserting that the thread's decimal context
-    and the int-to-str digit limit are what they were before the call."""
+def decimal_mul_leaves_no_state(a, b, start, stop):
+    """decimal_mul(a, b, start, stop), asserting that the thread's decimal
+    context and the int-to-str digit limit are what they were before the
+    call."""
     context, limit = decimal.getcontext(), DIGIT_LIMIT()
     before = (context.prec, context.Emax, context.Emin, context.rounding,
               dict(context.traps), dict(context.flags))
-    out = decimal_mul(a, b, order)
+    out = decimal_mul(a, b, start, stop)
     assert decimal.getcontext() is context
     assert (context.prec, context.Emax, context.Emin, context.rounding,
             dict(context.traps), dict(context.flags)) == before
@@ -331,17 +386,30 @@ def decimal_mul_leaves_no_state(a, b, order):
 @example([7], [-9], 3)  # one slot each
 @example([WIDTH_EDGE] * 2, [WIDTH_EDGE] * 2, 2)  # x^1 equals the width bound
 def test_decimal_mul_matches_kronecker_mul(a, b, order):
-    assert decimal_mul_leaves_no_state(a, b, order) == kronecker_mul(a, b, order)
-    assert decimal_mul_leaves_no_state(a, a, order) == kronecker_mul(a, a, order)
+    assert decimal_mul_leaves_no_state(a, b, 0, order + 1) == kronecker_mul(a, b, order)
+    assert decimal_mul_leaves_no_state(a, a, 0, order + 1) == kronecker_mul(a, a, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_lists, wide_lists, st.integers(min_value=0, max_value=50),
+       st.integers(min_value=0, max_value=50))
+@example([1, -1], [1, 1], 2, 2)  # start == stop
+@example([1, 2, 3], [4, 5], 4, 9)  # start past the last product slot (3)
+@example([1, 2, 3], [4, 5], 3, 9)  # start at the last product slot
+@example([-3, -1, -4], [-1, -5, -9, -2], 2, 5)  # the slots a block keeps
+@example([1, 2], [3, 4], 5, 1)  # start > stop
+def test_decimal_mul_reads_back_slots_start_to_stop(a, b, start, stop):
+    full = kronecker_mul(a, b, max(start, stop))
+    assert decimal_mul_leaves_no_state(a, b, start, stop) == full[start:stop]
 
 
 def test_decimal_mul_edge_cases():
-    assert decimal_mul([0, 0, 0], [0], 2) == [0, 0, 0]
-    assert decimal_mul([5], [0, 0], 0) == [0]
-    assert decimal_mul([2], [3], 4) == [6, 0, 0, 0, 0]
-    assert decimal_mul([1, 2, 3], [1, 2, 3], 0) == [1]
+    assert decimal_mul([0, 0, 0], [0], 0, 3) == [0, 0, 0]
+    assert decimal_mul([5], [0, 0], 0, 1) == [0]
+    assert decimal_mul([2], [3], 0, 5) == [6, 0, 0, 0, 0]
+    assert decimal_mul([1, 2, 3], [1, 2, 3], 0, 1) == [1]
     with pytest.raises(ValueError, match="order"):
-        decimal_mul([1], [1], -1)
+        decimal_mul([1], [1], 0, -1)
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT(), reason="no int-to-str digit limit")
@@ -349,9 +417,12 @@ def test_decimal_mul_slot_wider_than_the_digit_limit():
     # Each slot is wider than str(int) may write or int(str) may read.
     big = 10 ** (DIGIT_LIMIT() + 7) + 3
     a, b = [big, -1, 2], [-big, 5]
-    out = decimal_mul_leaves_no_state(a, b, 5)
+    out = decimal_mul_leaves_no_state(a, b, 0, 6)
     assert out == kronecker_mul(a, b, 5)
     assert out[0] == -(big * big)
+    # Slots 2..3 alone are read back the same way; slots past the product are 0.
+    assert decimal_mul_leaves_no_state(a, b, 2, 4) == out[2:4]
+    assert decimal_mul_leaves_no_state(a, b, 4, 6) == [0, 0]
 
 
 def test_exact_str_prints_what_str_prints():
@@ -376,7 +447,8 @@ def test_exact_str_prints_past_the_digit_limit():
     [
         lambda order: binomial_factor(1, 1, order),
         lambda order: kronecker_mul([1, 2], [1, 2], order),
-        lambda order: decimal_mul([1, 2], [1, 2], order),
+        lambda order: decimal_mul([1, 2], [1, 2], 0, order),
+        lambda order: decimal_mul([1, 2], [1, 2], order, 3),
         lambda order: divisor_sums(order, [(1, 1)]),
         lambert_cubic_prefix,
         partition_counts,
@@ -386,7 +458,7 @@ def test_exact_str_prints_past_the_digit_limit():
         lambda order: coeffs_via_recurrence(gauss_spec(), order),
         lambda order: coeffs_via_expansion(gauss_spec(), order),
     ],
-    ids=["binomial_factor", "kronecker_mul", "decimal_mul", "divisor_sums",
+    ids=["binomial_factor", "kronecker_mul", "decimal_mul", "decimal_mul_start", "divisor_sums",
          "lambert_cubic_prefix", "partition_counts", "rogers_ramanujan_sum_side",
          "triangular_rep_counts", "weight_table", "coeffs_via_recurrence",
          "coeffs_via_expansion"],
