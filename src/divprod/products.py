@@ -490,20 +490,19 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries((0,) * spec.shift + tuple(p))
 
 
-def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
-    """Coefficients 0..order by multiplying out the binomial factors, then
-    shifting; never touches the recurrence.
+class ExpansionPlan(NamedTuple):
+    """What ``coeffs_via_expansion`` runs: per ladder power p, the tails
+    (start, step, sign) and passes (n, units) of the unit base it raises to
+    p; and the strays (n, e), each one unit pass of e's sign on the running
+    product at every ladder bit set in |e|."""
 
-    Requires an integer exponent at every degree <= order - shift (linear
-    weights with integer c; table weights divisible by their n), and refuses
-    the first factor, in spec order, without one.  Its passes and products
-    depend on the spec and the bit length of max|e|; the coefficients the late
-    squarings carry, and so their cost, grow with |e| (ROADMAP item 2).
-    """
-    check_order(order)
-    inner = order - spec.shift
-    if inner < 0:
-        return TruncatedSeries.zero(order)
+    groups: dict[int, tuple[list, list]]
+    strays: list[tuple[int, int]]
+
+
+def expansion_plan(spec: ProductSpec, inner: int) -> ExpansionPlan:
+    """The plan for the factors of degree 1..inner that
+    ``coeffs_via_expansion`` runs; it refuses the same factors."""
     ex = [0] * (inner + 1)  # ex[n]: the merged exponent of (1 - x^n)
     for path, w, members in _members_upto(spec, inner):
         if w.kind == WEIGHT_LINEAR:
@@ -511,8 +510,9 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
                 raise SpecFormatError(
                     f"{path}.c: expansion oracle requires integer exponents; linear weight c={w.c}"
                 )
+            c = w.c.numerator
             for n in members:
-                ex[n] -= w.c.numerator
+                ex[n] -= c
         else:
             for n in members:
                 f = w.by_n[n]
@@ -522,48 +522,89 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
                         f"factor at n={n} has exponent {-f / n}"
                     )
                 ex[n] -= f.numerator // n
-    # Degrees are grouped by |e|; a group's unit base is prod (1-x^n)^(sign e)
-    # over its degrees.  One left-to-right binary ladder over the bits j of
-    # max|e| squares the result and multiplies in the base of every group
-    # whose |e| has bit j set, so all groups share the squarings, whose count
-    # grows with the bit length of max|e|.  A class's tail, taken by Euler's
-    # sums (``apply_progression``), carries its majority exponent; every
-    # degree it leaves nonzero, and every degree off a tail, is one pass.
-    groups: dict[int, tuple[list, list]] = {}  # |e| -> (tail starts, lone degrees)
+    # A tail, taken by Euler's sums, carries the most common exponent e of a
+    # progression with the given step from a cut near sqrt(step * inner / 2),
+    # which balances the passes below it against the kernel's
+    # O(inner^2 / cut) cells.  A class holds at most one tail: from the first
+    # degree s of e on, when e holds more than the scan's share of the class
+    # from s on; e is then subtracted from every degree there.  The scan runs
+    # at step 1 first, so that an exponent dense over all n is one tail, not
+    # one per class mod L.  While the class scan mod L follows, step 1 asks
+    # for more than 7/10 of the run, and a class for more than half: at 2/3,
+    # as in p_regular(3), the class tails were faster.
     step = _class_step(spec, inner)
-    if step:
-        # A tail starts at or above a cut near sqrt(step * inner / 2), which
-        # balances the passes below it against the kernel's O(inner^2 / cut)
-        # cells.  Each class mod step holds at most one tail: from the first
-        # degree s of its most common exponent e, when e holds more than half
-        # of the class from s on; e is then subtracted from every degree there.
-        cut = isqrt(step * inner // 2)
-        for first in range(cut, min(cut + step, inner + 1)):
-            run = ex[first::step]
+    groups: dict[int, tuple[list, list]] = {}
+    for m, num, den in ((1, 7, 10), (step, 1, 2)) if step > 1 else ((1, 1, 2),):
+        cut = isqrt(m * inner // 2)
+        for first in range(cut, min(cut + m, inner + 1)):
+            run = ex[first::m]
+            if 2 * run.count(0) > len(run):
+                continue  # 0 is the most common exponent
             e, count = Counter(run).most_common(1)[0]
             if e:
-                s = first + run.index(e) * step
-                if 2 * count > (inner - s) // step + 1:
-                    groups.setdefault(abs(e), ([], []))[0].append((s, e))
-                    ex[s::step] = [x - e for x in ex[s::step]]
-    for n, e in enumerate(ex):
-        if e:
-            groups.setdefault(abs(e), ([], []))[1].append(n)
-    coeffs, bases = None, {}  # bases: the unit base of each set of powers met
-    for j in reversed(range(max(groups, default=0).bit_length())):
+                s = first + run.index(e) * m
+                if den * count > num * ((inner - s) // m + 1):
+                    groups.setdefault(abs(e), ([], []))[0].append((s, m, 1 if e > 0 else -1))
+                    ex[s::m] = [x - e for x in ex[s::m]]
+    # A degree left nonzero joins the group of its |e|, if there is one.
+    # Else it is a stray when the bit length of |e| fits the ladder that the
+    # tails set up, or it joins the largest tail power p that divides |e| as
+    # |e|/p units, when that is at most the bit length of max|e|.  Else it
+    # opens the group |e|.  So no degree makes more passes than max|e| has
+    # bits, and none adds a ladder bit that its own |e| does not.
+    left = [(n, e) for n, e in enumerate(ex) if e]
+    powers, bits = tuple(groups), max(groups, default=0).bit_length()
+    top, strays = max(bits, max((abs(e) for _, e in left), default=0).bit_length()), []
+    for n, e in left:
+        power = abs(e)
+        if power not in groups:
+            if power.bit_length() <= bits:
+                strays.append((n, e))
+                continue
+            power = max((p for p in powers if power % p == 0 and power // p <= top), default=power)
+        groups.setdefault(power, ([], []))[1].append((n, e // power))
+    return ExpansionPlan(groups, strays)
+
+
+def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
+    """Coefficients 0..order by multiplying out the binomial factors, then
+    shifting; never touches the recurrence.
+
+    Requires an integer exponent at every degree <= order - shift (linear
+    weights with integer c; table weights divisible by their n), and refuses
+    the first factor, in spec order, without one.  Its passes and products
+    depend on the spec and the bit length of max|e|; the coefficients the late
+    squarings carry, and so their cost, grow with |e| (ROADMAP item 3).
+    """
+    check_order(order)
+    inner = order - spec.shift
+    if inner < 0:
+        return TruncatedSeries.zero(order)
+    plan = expansion_plan(spec, inner)
+    # One left-to-right binary ladder over the bits j of the largest power
+    # squares the running product and multiplies in the unit base of every
+    # group whose power has bit j set, so all groups share the squarings;
+    # levels with the same set of powers share one base.  Then each stray
+    # with bit j set in its |e| is one unit pass on the running product.
+    coeffs, bases = None, {}
+    for j in reversed(range(max(plan.groups, default=0).bit_length())):
         if coeffs is not None:
             coeffs = kronecker_mul(coeffs, coeffs, inner)
-        if not (key := frozenset(power for power in groups if power >> j & 1)):
-            continue
-        if key not in bases:
-            bases[key] = base = [1] + [0] * inner
-            for power in key:
-                tails, lone = groups[power]
-                for s, e in tails:
-                    apply_progression(base, s, step, e // power)
-                for n in lone:
-                    apply_binomial_factor(base, n, ex[n] // power)
-        coeffs = bases[key] if coeffs is None else kronecker_mul(coeffs, bases[key], inner)
+        if key := frozenset(power for power in plan.groups if power >> j & 1):
+            if key not in bases:
+                bases[key] = base = [1] + [0] * inner
+                for power in key:
+                    tails, passes = plan.groups[power]
+                    for s, m, sign in tails:
+                        apply_progression(base, s, m, sign)
+                    for n, k in passes:
+                        apply_binomial_factor(base, n, k)
+            # The strays patch the running product in place; a copy keeps
+            # the base intact for a later level with the same key.
+            coeffs = bases[key][:] if coeffs is None else kronecker_mul(coeffs, bases[key], inner)
+        for n, e in plan.strays:
+            if abs(e) >> j & 1:
+                apply_binomial_factor(coeffs, n, 1 if e > 0 else -1)
     if coeffs is None:
         coeffs = [1] + [0] * inner
     return TruncatedSeries((0,) * spec.shift + tuple(coeffs))

@@ -319,19 +319,41 @@ def spy_products(monkeypatch):
     return calls
 
 
+def _linear_factor(s, c):
+    return Factor(s, WeightSpec.linear(c))
+
+
+# +3 over all n, and -3 at three members above the cut: the tail of +3 leaves
+# -6 there, which joins the group 3 as two units instead of opening a group 6.
+OPPOSITE_MEMBERS = ProductSpec((
+    _linear_factor(SetDescriptor.all_naturals(), -3),
+    _linear_factor(SetDescriptor.explicit([100, 200, 300]), 6),
+))
+# -3 over all n, and -4 at twelve members above the cut: the tail of -3 leaves
+# -1 there, strays with one pass each at the ladder's bit 0.
+TWELVE_MEMBERS = (20, 40, 60, 80, 100, 120, 140, 160, 180, 200, 220, 240)
+STRAYS_BESIDE_A_TAIL = ProductSpec((
+    _linear_factor(SetDescriptor.all_naturals(), 3),
+    _linear_factor(SetDescriptor.explicit(TWELVE_MEMBERS), 1),
+))
+LADDER_SPECS = {"opposite members": OPPOSITE_MEMBERS, "strays beside a tail": STRAYS_BESIDE_A_TAIL}
+
+
 # One binary ladder over the bits of max|e|: a squaring per bit below the
 # top, and a product wherever a bit below the top is set in some group's
 # |e|.  gauss has |e| = 1; ramanujan and delta(8) have |e| = 8 = 0b1000;
-# jacobi has the groups {1, 2} and square_quotient the groups {1, 2, 3}.
+# jacobi has the groups {1, 2} and square_quotient the groups {1, 2, 3}
+# (all at order 40).  The two specs above have the one group 3 = 0b11 (at
+# order 400): the join and the strays add no bit and no product.
 @pytest.mark.parametrize(
     "name, squarings, multiplies",
     [("gauss", 0, 0), ("ramanujan", 3, 0), ("delta(8)", 3, 0), ("jacobi", 1, 1),
-     ("square_quotient", 1, 1)],
+     ("square_quotient", 1, 1), ("opposite members", 1, 1), ("strays beside a tail", 1, 1)],
 )
 def test_expansion_ladder_squares_and_multiplies(monkeypatch, name, squarings, multiplies):
-    spec = builtin_spec(name)
+    spec, order = (LADDER_SPECS[name], 400) if name in LADDER_SPECS else (builtin_spec(name), 40)
     calls = spy_products(monkeypatch)
-    assert coeffs_via_expansion(spec, 40) == coeffs_via_recurrence(spec, 40)
+    assert coeffs_via_expansion(spec, order) == coeffs_via_recurrence(spec, order)
     assert (calls.count(True), calls.count(False)) == (squarings, multiplies)
 
 
@@ -424,16 +446,15 @@ def spy_progressions(monkeypatch):
     return calls
 
 
-def _linear_factor(s, c):
-    return Factor(s, WeightSpec.linear(c))
-
-
 # (spec, order, the progressions multiplied in, the passes (n, sign) at or
-# above the cut).  Cut = isqrt(L * inner // 2) for inner = order - shift.  A
-# class mod L has a tail when its most common exponent e over the degrees at
-# or above the cut is nonzero and holds more than half of the class from its
-# first degree s with e on.  The tail starts at s, and each degree it leaves
-# nonzero keeps one correction pass.
+# above the cut).  A scan at step m has the cut isqrt(m * inner // 2), for
+# inner = order - shift; the passes are counted from the cut of the finest
+# step that took a tail.  The scan runs at step 1, then at L, the lcm of the
+# moduli.  A class mod m has a tail when its most common exponent e over the
+# degrees at or above the cut is nonzero and holds more than a share of the
+# class from its first degree s with e on: more than half, or more than 7/10
+# at step 1 when a scan at L > 1 follows.  The tail starts at s, and each
+# degree it leaves nonzero keeps one correction pass.
 PROGRESSION_CASES = {
     # L = lcm(5, 7) = 35 exceeds the order: no class mod L holds two degrees.
     "step past the order": (
@@ -533,6 +554,34 @@ PROGRESSION_CASES = {
         {(24, 3, -1), (25, 3, -1)},
         set(),
     ),
+    # p_regular(7) is -1 off the multiples of 7 and 0 on them.  From the cut
+    # 14, -1 holds 6/7 of the degrees from 15 on, so step 1 takes its tail
+    # there, not six class tails mod 7.  That leaves +1 on the multiples of 7
+    # from 21 on: the class 0 mod 7 takes it from its cut 37 on, at 42, and
+    # 21, 28 and 35 keep their passes.
+    "one tail at step 1 and one class tail": (
+        p_regular_spec(7),
+        400,
+        {(15, 1, -1), (42, 7, 1)},
+        {(21, 1), (28, 1), (35, 1)},
+    ),
+    # p_regular(3)'s -1 holds exactly 2/3 of the degrees from the cut 14 on,
+    # not more than 7/10, so the classes 1 and 2 mod 3 keep their own tails.
+    "two thirds is no tail at step 1": (
+        p_regular_spec(3),
+        400,
+        {(25, 3, -1), (26, 3, -1)},
+        set(),
+    ),
+    # One tail of -3 from the cut 14 leaves -1 at the twelve members: strays,
+    # one pass each on the running product.  As a group 1 they would make the
+    # ladder's bit 0 a new set of groups, {1, 3}, which builds the tail again.
+    "strays beside a tail": (
+        STRAYS_BESIDE_A_TAIL,
+        400,
+        {(14, 1, -1)},
+        {(n, -1) for n in TWELVE_MEMBERS},
+    ),
 }
 
 
@@ -557,8 +606,7 @@ def test_expansion_takes_the_full_progression_tails(monkeypatch, case):
     got = coeffs_via_expansion(spec, order)
     assert set(calls) == progressions and len(calls) == len(progressions)
     inner = order - spec.shift
-    step = products._class_step(spec, inner)
-    cut = isqrt(step * inner // 2) if step else inner + 1
+    cut = min((isqrt(m * inner // 2) for _, m, _ in calls), default=inner + 1)
     assert sorted(p for p in passes if p[0] >= cut) == sorted(corrections)
     assert got == per_degree_expansion(spec, order)
     assert got == coeffs_via_recurrence(spec, order)
@@ -642,6 +690,71 @@ def test_equal_ladder_levels_share_one_base(monkeypatch):
     assert coeffs_via_expansion(delta_spec(7), 300) == coeffs_via_recurrence(delta_spec(7), 300)
     assert (progressions, passes) == kernels
     assert (calls.count(True), calls.count(False)) == (2, 2)
+
+
+# --- the expansion's plan ---------------------------------------------------
+
+
+def test_a_multiple_of_a_tail_power_joins_its_group():
+    # -6 at the members is two units of the group 3, at most the 3 bits of
+    # max|e| = 6; the degrees below the cut 14 keep +3, one unit each.
+    plan = products.expansion_plan(OPPOSITE_MEMBERS, 400)
+    passes = [(n, 1) for n in range(1, 14)] + [(100, -2), (200, -2), (300, -2)]
+    assert plan == products.ExpansionPlan({3: ([(14, 1, 1)], passes)}, [])
+
+
+def test_a_huge_exponent_beside_a_tail_is_its_own_group():
+    # The tail of -1 leaves 10^20 at n = 100.  Any |e| is a multiple of the
+    # tail power 1, but 10^20 units are more than max|e| has bits, and its 67
+    # bits do not fit the tail's one-bit ladder: it opens the group 10^20.
+    huge = 10**20
+    spec = ProductSpec((
+        _linear_factor(SetDescriptor.all_naturals(), 1),
+        _linear_factor(SetDescriptor.explicit([100]), -huge),
+    ))
+    plan = products.expansion_plan(spec, 400)
+    assert plan.groups.keys() == {1, huge}
+    assert plan.groups[huge] == ([], [(100, 1)])
+    assert plan.strays == []
+    assert coeffs_via_expansion(spec, 120) == coeffs_via_recurrence(spec, 120)
+
+
+def test_strays_patch_the_running_product_while_its_first_base_recurs():
+    # +3 over all n has the ladder 3 = 0b11, whose two levels share the base
+    # of {3}.  Members at +5 and +4 keep +2 and +1 after the tail: strays,
+    # which patch the running product at bits 1 and 0.  At bit 1 the running
+    # product starts as that base, and bit 0 multiplies the base in again.
+    spec = ProductSpec((
+        _linear_factor(SetDescriptor.all_naturals(), -3),
+        _linear_factor(SetDescriptor.explicit([50, 150, 250]), -2),
+        _linear_factor(SetDescriptor.explicit([70, 170]), -1),
+    ))
+    plan = products.expansion_plan(spec, 400)
+    assert plan.groups.keys() == {3}
+    assert plan.strays == [(50, 2), (70, 1), (150, 2), (170, 1), (250, 2)]
+    got = coeffs_via_expansion(spec, 400)
+    assert got == coeffs_via_recurrence(spec, 400) == per_degree_expansion(spec, 400)
+
+
+def test_a_tail_at_step_1_beside_a_class_tail():
+    # -3 over all n, -2 more on the multiples of 4, -1 more at four members.
+    # At N = 5000, -3 holds 3711 of the 4951 degrees from the cut 50 on, so
+    # step 1 takes it; the multiples of 4 then keep -2, a tail from their cut
+    # 100 on.  The members left at -1 are strays; 44, below the cut with -6,
+    # joins the group 3 as two units.  The multiples of 4 below the cut have
+    # -5, which no tail power divides: they open the group 5.
+    spec = ProductSpec((
+        _linear_factor(SetDescriptor.all_naturals(), 3),
+        _linear_factor(SetDescriptor.multiples(4), 2),
+        _linear_factor(SetDescriptor.explicit([44, 81, 97, 5000]), 1),
+    ))
+    plan = products.expansion_plan(spec, 5000)
+    assert {power: tails for power, (tails, _) in plan.groups.items()} == {
+        3: [(50, 1, -1)], 2: [(100, 4, -1)], 5: [],
+    }
+    assert plan.strays == [(81, -1), (97, -1), (5000, -1)]
+    assert (44, -2) in plan.groups[3][1]
+    assert plan.groups[5][1] == [(n, -1) for n in range(4, 50, 4) if n != 44]
 
 
 def test_expansion_reads_a_linear_exponent_once_per_factor(monkeypatch):
