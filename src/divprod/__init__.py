@@ -4,7 +4,6 @@ from divprod.catalog import run_all, run_check
 from divprod.divisors import (
     sigma,
     sigma_even,
-    sigma_ext,
     sigma_odd,
     sigma_rm,
     square_indicator,
@@ -56,7 +55,6 @@ __all__ = [
     "run_check",
     "sigma",
     "sigma_even",
-    "sigma_ext",
     "sigma_odd",
     "sigma_rm",
     "square_indicator",

@@ -4,16 +4,15 @@ indicators.
 Per-value queries use trial division up to sqrt(n); full prefixes 1..N come
 from the one harmonic sieve, ``divisor_sums`` (each d adds its weight to its
 multiples), which is O(N log N) total.  Everything returns plain ints and
-takes them (``sigma_ext`` a Fraction too); a bool or a float raises TypeError.
+takes them; a bool or a float raises TypeError.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import Iterable
 
-from divprod.series import Rational, check_order, require_int
+from divprod.series import check_order, require_int
 
 
 def divisors(n: int) -> list[int]:
@@ -36,24 +35,6 @@ def divisors(n: int) -> list[int]:
 def sigma(n: int) -> int:
     """Sum of the positive divisors of n >= 1."""
     return sum(divisors(n))
-
-
-def sigma_ext(q: Rational) -> int:
-    """Divisor sum extended to the rationals.
-
-    sigma(q) for positive integers, 1 at q = 0, and 0 for every other
-    rational (negative, or with a nontrivial denominator).  Anything but an
-    int or a Fraction, a bool or a float zero included, raises TypeError.
-    """
-    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
-        raise TypeError(f"expected an exact rational, got {type(q).__name__}")
-    if q == 0:
-        return 1
-    if isinstance(q, Fraction):
-        if q.denominator != 1:
-            return 0
-        q = q.numerator
-    return 0 if q < 0 else sigma(q)
 
 
 def _check_residue(n: int, r: int, m: int) -> None:

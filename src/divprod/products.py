@@ -129,13 +129,6 @@ class SetDescriptor:
     def explicit(cls, members: Sequence[int]) -> "SetDescriptor":
         return cls(SET_EXPLICIT, members=tuple(members))
 
-    def contains(self, n: int) -> bool:
-        if n < 1:
-            return False
-        if self.kind == SET_EXPLICIT:
-            return n in self.members
-        return any(n % m == r for r, m in self.classes)
-
     def members_upto(self, order: int) -> Sequence[int]:
         """Set members <= order, ascending, each once (classes may overlap).
 
@@ -148,15 +141,6 @@ class SetDescriptor:
             (r, m), = self.classes
             return range(r or m, order + 1, m)
         return sorted({n for r, m in self.classes for n in range(r or m, order + 1, m)})
-
-    def to_dict(self) -> dict:
-        if self.kind == SET_EXPLICIT:
-            return {"kind": SET_EXPLICIT, "members": list(self.members)}
-        if self.kind == SET_RESIDUE_UNION:
-            return {"kind": SET_RESIDUE_UNION, "classes": [list(c) for c in self.classes]}
-        if self.kind == SET_MULTIPLES:
-            return {"kind": SET_MULTIPLES, "m": self.classes[0][1]}
-        return {"kind": SET_ALL}
 
 
 WEIGHT_LINEAR = "linear"
@@ -206,25 +190,13 @@ class WeightSpec:
         """The table values keyed by n, built on first read (empty if linear)."""
         return dict(self.values)
 
-    def f_value(self, n: int) -> Fraction:
-        """The weight f(n) at a set member n."""
+    def exponent_at(self, n: int) -> Fraction:
+        """The factor exponent of (1-x^n), i.e. -f(n)/n, at a set member n."""
         if self.kind == WEIGHT_LINEAR:
-            return self.c * n
+            return -self.c
         if n not in self.by_n:
             raise ValueError(f"table weight missing for required n={n}")
-        return self.by_n[n]
-
-    def exponent_at(self, n: int) -> Fraction:
-        """The factor exponent of (1-x^n), i.e. -f(n)/n."""
-        return -self.c if self.kind == WEIGHT_LINEAR else -self.f_value(n) / n
-
-    def to_dict(self) -> dict:
-        if self.kind == WEIGHT_LINEAR:
-            return {"kind": WEIGHT_LINEAR, "c": str(self.c)}
-        return {
-            "kind": WEIGHT_TABLE,
-            "values": {str(n): str(v) for n, v in self.values},
-        }
+        return -self.by_n[n] / n
 
 
 @dataclass(frozen=True)
@@ -239,9 +211,6 @@ class Factor:
             raise ValueError(f"a factor's set must be a SetDescriptor, got {self.set!r}")
         if not isinstance(self.weight, WeightSpec):
             raise ValueError(f"a factor's weight must be a WeightSpec, got {self.weight!r}")
-
-    def to_dict(self) -> dict:
-        return {"set": self.set.to_dict(), "weight": self.weight.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -262,15 +231,6 @@ class ProductSpec:
             raise ValueError(f"shift must be an integer, got {self.shift!r}")
         if self.shift < 0:
             raise ValueError("shift must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "shift": self.shift,
-            "factors": [f.to_dict() for f in self.factors],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -640,6 +600,25 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _past_digit_limit(literal: str, what: str = "integer") -> str:
+    """The problem with a decimal literal that int() refuses for its length,
+    by its digit count rather than its digits."""
+    return f"{what} of {len(literal.lstrip('-'))} digits is past the interpreter's int-to-str limit"
+
+
+class _Oversized(NamedTuple):
+    """Stands in for a JSON integer literal past the int-to-str digit limit."""
+
+    problem: str
+
+
+def _int_or_oversized(literal: str):
+    try:
+        return int(literal)
+    except ValueError:
+        return _Oversized(_past_digit_limit(literal))
+
+
 def _rational_from_json(value, path: str, key: str | None = None) -> Fraction:
     """A wire rational as a Fraction.  An error names ``path``, or
     ``path[key]`` with a key; the name is formatted only on error."""
@@ -650,12 +629,16 @@ def _rational_from_json(value, path: str, key: str | None = None) -> Fraction:
             num, _, den = value.partition("/")
             try:
                 return Fraction(int(num), int(den)) if den else Fraction(int(num))
-            except (ValueError, ZeroDivisionError) as exc:
+            except ZeroDivisionError as exc:
                 problem = f"cannot parse rational {value!r}: {exc}"
+            except ValueError:  # the digits are valid, so one part is too long
+                problem = _past_digit_limit(max(num, den, key=len))
     elif isinstance(value, (bool, float)):
         problem = f"rationals must be strings like \"p/q\" (or ints), got {value!r}"
     elif isinstance(value, int):
         return Fraction(value)
+    elif isinstance(value, _Oversized):
+        problem = value.problem
     else:
         problem = f"expected a rational, got {type(value).__name__}"
     raise SpecFormatError(f"{path if key is None else f'{path}[{key}]'}: {problem}")
@@ -666,6 +649,8 @@ def _int_from_json(value, path: str, *index: int) -> int:
     the name is formatted only on error."""
     if isinstance(value, bool) or not isinstance(value, int):
         where = path + "".join(f"[{i}]" for i in index)
+        if isinstance(value, _Oversized):
+            raise SpecFormatError(f"{where}: {value.problem}")
         raise SpecFormatError(f"{where}: expected an integer, got {value!r}")
     return value
 
@@ -717,12 +702,12 @@ def _weight_from_dict(doc, path: str) -> WeightSpec:
             raise SpecFormatError(f"{path}.values: expected an object mapping n to rationals")
         values, where = [], f"{path}.values"
         for key, v in raw.items():
-            try:
-                if _INTEGER.fullmatch(key) is None:
-                    raise ValueError
-                n = int(key)  # raises past the interpreter's digit limit too
-            except ValueError:
+            if _INTEGER.fullmatch(key) is None:
                 raise SpecFormatError(f"{where}: key {key!r} is not an integer")
+            try:
+                n = int(key)
+            except ValueError:
+                raise SpecFormatError(f"{where}: {_past_digit_limit(key, 'key')}")
             values.append((n, _rational_from_json(v, where, key)))
         try:
             return WeightSpec(WEIGHT_TABLE, values=tuple(values))
@@ -792,7 +777,15 @@ def spec_from_json(text: str) -> ProductSpec:
         return doc
 
     try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
+        try:
+            doc = json.loads(text, object_pairs_hook=unique_keys)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # An integer literal past the int-to-str digit limit: parse again,
+            # reading each such literal as _Oversized, so that the field that
+            # holds it is named.  Only such a document pays for the hook.
+            doc = json.loads(text, object_pairs_hook=unique_keys, parse_int=_int_or_oversized)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except RecursionError:

@@ -1,5 +1,5 @@
-"""Which kernels each module may bind, and the names the benchmark's tracer
-wraps.
+"""Which kernels each module may bind, the names the benchmark's tracer
+wraps, and the names the package ships.
 
 Every comparison needs one side that the other side's kernel did not
 compute.  The oracles stay off both packed products and the expansion
@@ -18,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
+import divprod
 import divprod.catalog as catalog
+import divprod.divisors as divisors
 import divprod.products as products
 import divprod.sequences as sequences
 from divprod.products import (
@@ -31,6 +33,8 @@ from divprod.products import (
     coeffs_via_recurrence,
     weight_table,
 )
+from divprod.report import IdentityReport
+from spec_reference import contains, f_value
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,6 +66,24 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top == "divprod" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_exports_resolve_and_test_only_names_are_gone():
+    """Every name in ``divprod.__all__`` resolves.  The spec serialisers and
+    ``sigma_ext`` are removed, and ``contains`` and ``f_value`` are test
+    references (tests/spec_reference.py); a report still has ``to_dict``."""
+    assert [name for name in divprod.__all__ if not hasattr(divprod, name)] == []
+    gone = {
+        divisors: ("sigma_ext",),
+        SetDescriptor: ("to_dict", "contains"),
+        WeightSpec: ("to_dict", "f_value"),
+        Factor: ("to_dict",),
+        ProductSpec: ("to_dict", "to_json"),
+    }
+    assert [(owner.__name__, name) for owner, names in gone.items()
+            for name in names if hasattr(owner, name)] == []
+    assert not hasattr(divprod, "sigma_ext")
+    assert hasattr(IdentityReport, "to_dict")
 
 
 @pytest.mark.parametrize("name", ["gauss", "ramanujan", "delta(8)", "square_quotient"])
@@ -144,8 +166,8 @@ def test_benchmark_recurrence_terms_reads_the_weight_table(monkeypatch, spec):
     order = 60
     nonzero = [
         k for k in range(1, order + 1)
-        if sum(f.weight.f_value(d) for f in spec.factors
-               for d in range(1, k + 1) if k % d == 0 and f.set.contains(d))
+        if sum(f_value(f.weight, d) for f in spec.factors
+               for d in range(1, k + 1) if k % d == 0 and contains(f.set, d))
     ]
     expected = sum(order - k + 1 for k in nonzero)
     assert layers.recurrence_terms(weight_table(spec, order)) == expected

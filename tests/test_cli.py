@@ -19,11 +19,25 @@ from divprod.products import (
     gauss_spec,
     jacobi_spec,
     load_spec,
+    spec_from_json,
 )
 from divprod.sequences import triangular_rep_counts
 from divprod.series import TruncatedSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _linear_doc(*families):
+    """A spec document of linear weights, one factor per (classes, c)."""
+    return json.dumps({"shift": 0, "factors": [
+        {"set": {"kind": "residueUnion", "classes": classes}, "weight": {"kind": "linear", "c": c}}
+        for classes, c in families
+    ]})
+
+
+# gauss_spec and jacobi_spec as spec files.
+GAUSS_JSON = _linear_doc(([[0, 2]], "-1"), ([[1, 2]], "1"))
+JACOBI_JSON = _linear_doc(([[0, 2]], "-1"), ([[1, 2]], "-2"))
 
 
 def run_cli(argv, capsys):
@@ -132,8 +146,13 @@ def test_compute_writes_file(tmp_path, capsys):
 @pytest.fixture
 def gauss_file(tmp_path):
     path = tmp_path / "gauss.json"
-    path.write_text(gauss_spec().to_json())
+    path.write_text(GAUSS_JSON)
     return path
+
+
+def test_spec_files_hold_the_builtins():
+    assert spec_from_json(GAUSS_JSON) == gauss_spec()
+    assert spec_from_json(JACOBI_JSON) == jacobi_spec()
 
 
 def test_expand_both_agrees(gauss_file, capsys):
@@ -171,7 +190,7 @@ def test_expand_both_reports_a_disagreement(gauss_file, monkeypatch, capsys, fmt
 
 def test_expand_recurrence_only(tmp_path, capsys):
     path = tmp_path / "jacobi.json"
-    path.write_text(jacobi_spec().to_json())
+    path.write_text(JACOBI_JSON)
     code, out, _ = run_cli(
         ["expand", "--spec", str(path), "--order", "9", "--algo", "recurrence"],
         capsys,
@@ -293,6 +312,45 @@ def test_compute_prints_past_the_digit_limit(capsys):
     values = triangular_rep_counts(m, 8).coeffs
     assert json.loads(out)["rows"] == [[n, str(Decimal(v))] for n, v in enumerate(values)]
     assert len(str(Decimal(values[8]))) > DIGIT_LIMIT
+
+
+_WIDE = "7" * 5000
+_ALL_C1 = '{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "1"}}'
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT < len(_WIDE), reason="no int-to-str digit limit below 5000")
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ('{"shift": %s, "factors": [%s]}' % (_WIDE, _ALL_C1), "shift"),
+        ('{"factors": [{"set": {"kind": "multiples", "m": %s}, '
+         '"weight": {"kind": "linear", "c": "1"}}]}' % _WIDE, "factors[0].set.m"),
+        ('{"factors": [%s, {"set": {"kind": "explicit", "members": [3, %s]}, '
+         '"weight": {"kind": "linear", "c": "1"}}]}' % (_ALL_C1, _WIDE), "factors[1].set.members[1]"),
+        ('{"factors": [{"set": {"kind": "residueUnion", "classes": [[1, 2], [-%s, 3]]}, '
+         '"weight": {"kind": "linear", "c": "1"}}]}' % _WIDE, "factors[0].set.classes[1][0]"),
+        ('{"factors": [{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "%s"}}]}' % _WIDE,
+         "factors[0].weight.c"),
+        ('{"factors": [{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": "1/%s"}}]}' % _WIDE,
+         "factors[0].weight.c"),
+        ('{"factors": [{"set": {"kind": "all"}, "weight": {"kind": "linear", "c": %s}}]}' % _WIDE,
+         "factors[0].weight.c"),
+        ('{"factors": [{"set": {"kind": "explicit", "members": [3]}, '
+         '"weight": {"kind": "table", "values": {"%s": "1"}}}]}' % _WIDE, "factors[0].weight.values"),
+        ('{"factors": [{"set": {"kind": "explicit", "members": [3]}, '
+         '"weight": {"kind": "table", "values": {"3": %s}}}]}' % _WIDE, "factors[0].weight.values[3]"),
+    ],
+    ids=["shift", "m", "member", "class", "c", "c-denominator", "c-int", "table-key", "table-value"],
+)
+def test_expand_names_an_integer_past_the_digit_limit(tmp_path, capsys, doc, path):
+    """An integer of 5000 digits exits 2 with its field path and its digit
+    count, and none of its digits."""
+    (tmp_path / "wide.json").write_text(doc)
+    code, out, err = run_cli(["expand", "--spec", str(tmp_path / "wide.json"), "--order", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ")
+    assert "5000 digits" in err
+    assert "7777" not in err and len(err.encode()) < 300
 
 
 @pytest.fixture
@@ -657,7 +715,7 @@ _GAUSS = ["expand", "--spec", "gauss.json", "--order", "30", "--algo"]
 )
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, stdout_sha256, stderr):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "gauss.json").write_text(gauss_spec().to_json())
+    (tmp_path / "gauss.json").write_text(GAUSS_JSON)
     got_code, out, err = run_cli(argv, capsys)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest(), err) == (
         code, stdout_sha256, stderr,
@@ -677,7 +735,7 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, stdo
 )
 def test_csv_rows_have_the_header_field_count(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "gauss.json").write_text(gauss_spec().to_json())
+    (tmp_path / "gauss.json").write_text(GAUSS_JSON)
     code, out, _ = run_cli([*argv, "--format", "csv"], capsys)
     assert code in (0, 1)
     header, *rows = csv.reader(out.splitlines())

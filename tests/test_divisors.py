@@ -11,7 +11,6 @@ from divprod.divisors import (
     divisors,
     sigma,
     sigma_even,
-    sigma_ext,
     sigma_odd,
     sigma_rm,
     sigma_rm_table,
@@ -33,18 +32,6 @@ def test_divisors_matches_full_scan(n):
 
 def test_sigma_of_six():
     assert sigma(6) == 1 + 2 + 3 + 6 == 12
-
-
-def test_sigma_ext_at_zero():
-    assert sigma_ext(0) == 1
-    assert sigma_ext(Fraction(0, 5)) == 1
-
-
-# A float or a bool is refused before the zero test, whatever its value.
-@pytest.mark.parametrize("q", [0.0, -0.0, 2.0, False, True])
-def test_sigma_ext_refuses_float_and_bool(q):
-    with pytest.raises(TypeError, match="expected an exact rational"):
-        sigma_ext(q)
 
 
 # The per-value functions compute on ints only: a float would come back as a
@@ -72,16 +59,6 @@ def test_sigma_ext_refuses_float_and_bool(q):
 def test_per_value_functions_refuse_non_ints(call):
     with pytest.raises(TypeError, match="expected an int"):
         call()
-
-
-def test_sigma_ext_off_the_naturals():
-    assert sigma_ext(Fraction(3, 2)) == 0
-    assert sigma_ext(-3) == 0
-    assert sigma_ext(Fraction(-7, 2)) == 0
-
-
-def test_sigma_ext_integral_fraction():
-    assert sigma_ext(Fraction(4, 2)) == sigma(2) == 3
 
 
 def test_sigma_odd_even_of_six():
