@@ -1,15 +1,7 @@
 """Exact q-series products, divisor-sum recurrences, and identity checks."""
 
 from divprod.catalog import run_all, run_check
-from divprod.divisors import (
-    sigma,
-    sigma_even,
-    sigma_odd,
-    sigma_rm,
-    square_indicator,
-    triangular,
-    triangular_indicator,
-)
+from divprod.divisors import triangular
 from divprod.products import (
     Factor,
     ProductSpec,
@@ -18,7 +10,6 @@ from divprod.products import (
     builtin_spec,
     coeffs_via_expansion,
     coeffs_via_recurrence,
-    cross_check,
     load_spec,
     weight_table,
 )
@@ -44,7 +35,6 @@ __all__ = [
     "builtin_spec",
     "coeffs_via_expansion",
     "coeffs_via_recurrence",
-    "cross_check",
     "lambert_cubic_by_divisors",
     "lambert_cubic_prefix",
     "load_spec",
@@ -53,13 +43,7 @@ __all__ = [
     "rogers_ramanujan_sum_side",
     "run_all",
     "run_check",
-    "sigma",
-    "sigma_even",
-    "sigma_odd",
-    "sigma_rm",
-    "square_indicator",
     "triangular",
-    "triangular_indicator",
     "triangular_rep_counts",
     "weight_table",
 ]

@@ -21,22 +21,17 @@ from functools import cache
 from itertools import chain
 
 from divprod.catalog import ALL_CHECKS, CATALOG, FAIL, run_all, run_check
-from divprod.divisors import (
-    sigma_rm_table,
-    sigma_table,
-    square_indicator,
-    triangular,
-    triangular_indicator,
-)
+from divprod.divisors import sigma_rm_table, sigma_table, triangular
 from divprod.products import (
     BUILTIN_SPEC_NAMES,
     coeffs_via_expansion,
     coeffs_via_recurrence,
     load_spec,
+    past_digit_limit,
     resolve_name,
 )
 from divprod.report import first_mismatch
-from divprod.series import exact_str
+from divprod.series import exact_str, sparse_table
 from divprod.sequences import (
     lambert_cubic_by_divisors,
     partition_counts,
@@ -62,8 +57,8 @@ _SEQUENCES = {
     "sigma_odd": lambda order: _from_one(sigma_rm_table(order, 1, 2)),
     "sigma_even": lambda order: _from_one(sigma_rm_table(order, 0, 2)),
     "sigma_rm(r,m)": lambda r, m, order: _from_one(sigma_rm_table(order, r, m)),
-    "s": _per_n(square_indicator),
-    "t": _per_n(triangular_indicator),
+    "s": lambda order: list(enumerate(sparse_table(order, lambda k: k * k))),
+    "t": lambda order: list(enumerate(sparse_table(order, triangular))),
     "T": _per_n(triangular),
     "a": _per_n(lambert_cubic_by_divisors),
     "partition": lambda order: list(enumerate(partition_counts(order).coeffs)),
@@ -171,6 +166,18 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+def _order(text: str) -> int:
+    """An ``--order`` literal as int() reads it.  Decimal digits that int()
+    refuses only for their count are named by that count, not echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            raise argparse.ArgumentTypeError(past_digit_limit(text)) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -181,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, run, order=True):
         if order:
-            p.add_argument("--order", type=int, default=100, metavar="N",
+            p.add_argument("--order", type=_order, default=100, metavar="N",
                            help="truncation order (default 100)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")

@@ -33,7 +33,6 @@ from operator import add, mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from divprod.divisors import divisor_sums
-from divprod.report import IdentityReport, first_mismatch
 from divprod.series import (
     Rational,
     TruncatedSeries,
@@ -583,12 +582,6 @@ def _class_step(spec: ProductSpec, inner: int) -> int:
     return step
 
 
-def cross_check(spec: ProductSpec, order: int) -> IdentityReport:
-    """Run both coefficient algorithms and report the first disagreement."""
-    miss = first_mismatch(coeffs_via_recurrence(spec, order), coeffs_via_expansion(spec, order))
-    return IdentityReport("cross_check", order, miss)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format
 # ---------------------------------------------------------------------------
@@ -600,7 +593,16 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _past_digit_limit(literal: str, what: str = "integer") -> str:
+# A string longer than this is named by its length in an error, not echoed.
+_SHOWN_CHARS = 100
+
+
+def _shown(text: str) -> str:
+    """``text`` quoted for an error message, or its length if it is long."""
+    return repr(text) if len(text) <= _SHOWN_CHARS else f"of {len(text)} characters"
+
+
+def past_digit_limit(literal: str, what: str = "integer") -> str:
     """The problem with a decimal literal that int() refuses for its length,
     by its digit count rather than its digits."""
     return f"{what} of {len(literal.lstrip('-'))} digits is past the interpreter's int-to-str limit"
@@ -616,7 +618,7 @@ def _int_or_oversized(literal: str):
     try:
         return int(literal)
     except ValueError:
-        return _Oversized(_past_digit_limit(literal))
+        return _Oversized(past_digit_limit(literal))
 
 
 def _rational_from_json(value, path: str, key: str | None = None) -> Fraction:
@@ -624,15 +626,15 @@ def _rational_from_json(value, path: str, key: str | None = None) -> Fraction:
     ``path[key]`` with a key; the name is formatted only on error."""
     if isinstance(value, str):
         if _RATIONAL.fullmatch(value) is None:
-            problem = f"cannot parse rational {value!r}: expected \"p/q\" or \"p\""
+            problem = f"cannot parse rational {_shown(value)}: expected \"p/q\" or \"p\""
         else:
             num, _, den = value.partition("/")
             try:
                 return Fraction(int(num), int(den)) if den else Fraction(int(num))
             except ZeroDivisionError as exc:
-                problem = f"cannot parse rational {value!r}: {exc}"
+                problem = f"cannot parse rational {_shown(value)}: {exc}"
             except ValueError:  # the digits are valid, so one part is too long
-                problem = _past_digit_limit(max(num, den, key=len))
+                problem = past_digit_limit(max(num, den, key=len))
     elif isinstance(value, (bool, float)):
         problem = f"rationals must be strings like \"p/q\" (or ints), got {value!r}"
     elif isinstance(value, int):
@@ -703,11 +705,11 @@ def _weight_from_dict(doc, path: str) -> WeightSpec:
         values, where = [], f"{path}.values"
         for key, v in raw.items():
             if _INTEGER.fullmatch(key) is None:
-                raise SpecFormatError(f"{where}: key {key!r} is not an integer")
+                raise SpecFormatError(f"{where}: key {_shown(key)} is not an integer")
             try:
                 n = int(key)
             except ValueError:
-                raise SpecFormatError(f"{where}: {_past_digit_limit(key, 'key')}")
+                raise SpecFormatError(f"{where}: {past_digit_limit(key, 'key')}")
             values.append((n, _rational_from_json(v, where, key)))
         try:
             return WeightSpec(WEIGHT_TABLE, values=tuple(values))

@@ -71,8 +71,17 @@ def test_runtime_imports_only_the_standard_library():
 def test_exports_resolve_and_test_only_names_are_gone():
     """Every name in ``divprod.__all__`` resolves.  The spec serialisers and
     ``sigma_ext`` are removed, and ``contains`` and ``f_value`` are test
-    references (tests/spec_reference.py); a report still has ``to_dict``."""
+    references (tests/spec_reference.py); a report still has ``to_dict``.
+    The per-value sigma and indicator functions and ``cross_check`` are
+    removed too: the sieves, ``sparse_table`` and ``expand --algo both`` do
+    their work, so ``products`` binds nothing from ``report``."""
     assert [name for name in divprod.__all__ if not hasattr(divprod, name)] == []
+    removed = ("sigma", "sigma_rm", "sigma_odd", "sigma_even", "square_indicator",
+               "triangular_indicator", "cross_check")
+    assert [(mod.__name__, name) for mod in (divprod, divisors, products)
+            for name in removed if hasattr(mod, name)] == []
+    assert [name for name, value in vars(products).items()
+            if getattr(value, "__module__", None) == "divprod.report"] == []
     gone = {
         divisors: ("sigma_ext",),
         SetDescriptor: ("to_dict", "contains"),

@@ -23,7 +23,7 @@ from divprod.catalog import (
     run_check,
 )
 from divprod.cli import main
-from divprod.divisors import sigma, sigma_even, sigma_odd
+from divprod.divisors import sigma_rm_table, sigma_table
 from divprod.products import (
     Factor,
     ProductSpec,
@@ -37,26 +37,31 @@ from divprod.sequences import lambert_cubic_by_divisors
 
 # --- hand-checked instances ------------------------------------------------
 
+# sigma, sigma_odd and sigma_even at 0..6 (slot 0 unused).
+sigma = sigma_table(6)
+sigma_odd = sigma_rm_table(6, 1, 2)
+sigma_even = sigma_rm_table(6, 0, 2)
+
 
 def test_partition_recurrence_hand_values():
     # n=5: 5*7 = 1*5 + 3*3 + 4*2 + 7*1 + 6*1 = 35
-    assert 5 * 7 == sigma(1) * 5 + sigma(2) * 3 + sigma(3) * 2 + sigma(4) * 1 + sigma(5) * 1
+    assert 5 * 7 == sigma[1] * 5 + sigma[2] * 3 + sigma[3] * 2 + sigma[4] * 1 + sigma[5] * 1
     assert run_check("partition_recurrence", 5).passed
 
 
 def test_jacobi_square_hand_values():
     # n=1: -1 = -(1+1)/2 with an empty sum
     # n=4:  4 = -(7+1)/2 + (sigma(3)+sigma_odd(3)) = -4 + 8
-    assert -(sigma(4) + sigma_odd(4)) // 2 + (sigma(3) + sigma_odd(3)) == 4
+    assert -(sigma[4] + sigma_odd[4]) // 2 + (sigma[3] + sigma_odd[3]) == 4
     assert run_check("jacobi_square", 4).passed
 
 
 def test_triangular_hand_values():
     # n=6: terms at T(k) in {0,1,3}: (4-8) + (6-0) + (4-0) = 6
     acc = (
-        (sigma_odd(6) - sigma_even(6))
-        + (sigma_odd(5) - sigma_even(5))
-        + (sigma_odd(3) - sigma_even(3))
+        (sigma_odd[6] - sigma_even[6])
+        + (sigma_odd[5] - sigma_even[5])
+        + (sigma_odd[3] - sigma_even[3])
     )
     assert acc == 6
     assert run_check("triangular", 6).passed
@@ -66,8 +71,8 @@ def test_ramanujan_a_hand_values():
     # n=2: (2-1)*8 = 8*a(1)*(sigma_odd(1)-sigma_even(1))
     # n=3: 2*28 = 8*(a(2)*1 + a(1)*(1-2)) = 8*7
     a = [lambert_cubic_by_divisors(n) for n in range(4)]
-    assert (2 - 1) * a[2] == 8 * a[1] * (sigma_odd(1) - sigma_even(1))
-    assert (3 - 1) * a[3] == 8 * (a[2] * 1 + a[1] * (sigma_odd(2) - sigma_even(2)))
+    assert (2 - 1) * a[2] == 8 * a[1] * (sigma_odd[1] - sigma_even[1])
+    assert (3 - 1) * a[3] == 8 * (a[2] * 1 + a[1] * (sigma_odd[2] - sigma_even[2]))
     assert run_check("ramanujan_a", 3).passed
 
 
@@ -87,7 +92,7 @@ def test_rogers_ramanujan_hand_values():
 
 def test_square_eta_quotient_hand_values():
     # n=4: 4 = (7-15+4) + 2*(sigma(3)-0+0)
-    assert 4 == (sigma(4) - 5 * sigma(2) + 4 * sigma(1)) + 2 * sigma(3)
+    assert 4 == (sigma[4] - 5 * sigma[2] + 4 * sigma[1]) + 2 * sigma[3]
     assert run_check("square_eta_quotient", 4).passed
 
 

@@ -661,7 +661,9 @@ _GAUSS = ["expand", "--spec", "gauss.json", "--order", "30", "--algo"]
 
 # (argv, exit code, sha256 of stdout, stderr) for every command in both
 # formats and the usage errors; expand runs on gauss.json in the working
-# directory, whose path the JSON document echoes.
+# directory, whose path the JSON document echoes.  Where argparse exits, the
+# stderr pinned is its last line: the usage lines above it wrap at the
+# terminal's width.
 @pytest.mark.parametrize(
     "argv,code,stdout_sha256,stderr",
     [
@@ -711,12 +713,37 @@ _GAUSS = ["expand", "--spec", "gauss.json", "--order", "30", "--algo"]
         (["verify", "all", "--order", "0"], 2, _EMPTY, "error: --order must be >= 1\n"),
         (["expand", "--spec", "gauss.json", "--order", "-1"], 2, _EMPTY,
          "error: --order must be nonnegative\n"),
+        (["compute", "s", "--order", "30"], 0,
+         "38f85101511d2fb72462a8e65f45e09477f00ff31183bcc8070452a22656b6c4", ""),
+        (["compute", "s", "--order", "30", "--format", "csv"], 0,
+         "36f4a1fe44462af2c78d6727d0b8f59f2ce570e6de070897247539ba64c31e13", ""),
+        (["compute", "t", "--order", "30"], 0,
+         "edab92c645948fe2cd8d307f15a474af728a643b8f81b34e24d55e04e7f754d7", ""),
+        (["compute", "t", "--order", "30", "--format", "csv"], 0,
+         "d9340fdbfc7f169d333a125d66ccfffd8109ddde19b9b9de9e357c8ffdfed8b5", ""),
+        (["compute", "sigma", "--order", "30"], 0,
+         "92e8030e010e47c16503b6a1ba1c5fb7fcc0435a5de525f15b8478c7a51ff706", ""),
+        (["compute", "sigma", "--order", "30", "--format", "csv"], 0,
+         "bdbcddcae6c1b8cb2bb9d20e688ced4ee199b0228041f718bcfeb42cc07d38c7", ""),
+        (["compute", "sigma_odd", "--order", "30"], 0,
+         "7827900dfad82ff1198baabc821880bcb4242533bf0b52269f50d694547fbd13", ""),
+        (["compute", "sigma_odd", "--order", "30", "--format", "csv"], 0,
+         "2978afb53304cb50c371376049ca4f26ac34c69ad706a6f45c8d202e4ad9bcf2", ""),
+        (["compute", "sigma", "--order", "abc"], 2, _EMPTY,
+         "divprod compute: error: argument --order: invalid int value: 'abc'\n"),
+        (["compute", "sigma", "--order", "1" * 5000], 2, _EMPTY,
+         "divprod compute: error: argument --order: integer of 5000 digits is past the "
+         "interpreter's int-to-str limit\n"),
     ],
 )
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, stdout_sha256, stderr):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gauss.json").write_text(GAUSS_JSON)
-    got_code, out, err = run_cli(argv, capsys)
+    try:
+        got_code, out, err = run_cli(argv, capsys)
+    except SystemExit as exc:
+        got_code, (out, err) = exc.code, capsys.readouterr()
+        err = err.splitlines(keepends=True)[-1]
     assert (got_code, hashlib.sha256(out.encode()).hexdigest(), err) == (
         code, stdout_sha256, stderr,
     )

@@ -6,19 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from divprod.divisors import (
-    divisor_sums,
-    divisors,
-    sigma,
-    sigma_even,
-    sigma_odd,
-    sigma_rm,
-    sigma_rm_table,
-    sigma_table,
-    square_indicator,
-    triangular,
-    triangular_indicator,
-)
+from divprod.divisors import divisor_sums, divisors, sigma_rm_table, sigma_table, triangular
+from divprod.series import sparse_table
 
 
 def brute_divisors(n):
@@ -31,29 +20,25 @@ def test_divisors_matches_full_scan(n):
 
 
 def test_sigma_of_six():
-    assert sigma(6) == 1 + 2 + 3 + 6 == 12
+    assert sigma_table(6)[6] == 1 + 2 + 3 + 6 == 12
 
 
-# The per-value functions compute on ints only: a float would come back as a
+# The divisor functions compute on ints only: a float would come back as a
 # float or a wrong 0, and a bool as its truth value.
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: sigma(6.0),
-        lambda: sigma(2.5),
-        lambda: sigma(True),
+        lambda: sigma_table(6.0),
+        lambda: sigma_table(2.5),
+        lambda: sigma_table(True),
         lambda: divisors(2.0),
-        lambda: sigma_odd(Fraction(6)),
-        lambda: sigma_rm(6.0, 1, 2),
-        lambda: sigma_rm(6, 1.0, 2),
-        lambda: sigma_rm(6, 1, True),
+        lambda: sigma_rm_table(Fraction(6), 1, 2),
+        lambda: sigma_rm_table(6, 1.0, 2),
+        lambda: sigma_rm_table(6, 1, True),
         lambda: sigma_rm_table(10, 1, 2.0),
         lambda: sigma_rm_table(10.0, 1, 2),
-        lambda: sigma_table(True),
-        lambda: square_indicator(4.0),
         lambda: triangular(2.5),
         lambda: triangular(True),
-        lambda: triangular_indicator(3.0),
     ],
 )
 def test_per_value_functions_refuse_non_ints(call):
@@ -62,34 +47,29 @@ def test_per_value_functions_refuse_non_ints(call):
 
 
 def test_sigma_odd_even_of_six():
-    assert sigma_odd(6) == 1 + 3 == 4
-    assert sigma_even(6) == 2 + 6 == 8
+    assert sigma_rm_table(6, 1, 2)[6] == 1 + 3 == 4
+    assert sigma_rm_table(6, 0, 2)[6] == 2 + 6 == 8
 
 
 def test_sigma_rm_example():
-    assert sigma_rm(6, 1, 5) == 1 + 6 == 7
+    assert sigma_rm_table(6, 1, 5)[6] == 1 + 6 == 7
 
 
 def test_sigma_rm_rejects_non_canonical_residue():
     with pytest.raises(ValueError, match="non-canonical residue"):
-        sigma_rm(6, 5, 5)
+        sigma_rm_table(6, 5, 5)
     with pytest.raises(ValueError, match="non-canonical residue"):
-        sigma_rm(6, -1, 2)
-
-
-def test_sigma_rm_rejects_zero():
-    with pytest.raises(ValueError):
-        sigma_rm(0, 1, 2)
+        sigma_rm_table(6, -1, 2)
 
 
 @given(st.integers(min_value=1, max_value=400))
 def test_odd_plus_even_is_sigma(n):
-    assert sigma_odd(n) + sigma_even(n) == sigma(n)
+    assert sigma_rm_table(n, 1, 2)[n] + sigma_rm_table(n, 0, 2)[n] == sigma_table(n)[n]
 
 
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=6))
 def test_residue_classes_partition_sigma(n, m):
-    assert sum(sigma_rm(n, r, m) for r in range(m)) == sigma(n)
+    assert sum(sigma_rm_table(n, r, m)[n] for r in range(m)) == sigma_table(n)[n]
 
 
 def test_tables_match_per_value_functions():
@@ -99,10 +79,11 @@ def test_tables_match_per_value_functions():
     even = sigma_rm_table(order, 0, 2)
     r25 = sigma_rm_table(order, 2, 5)
     for n in range(1, order + 1):
-        assert tab[n] == sigma(n)
-        assert odd[n] == sigma_odd(n)
-        assert even[n] == sigma_even(n)
-        assert r25[n] == sigma_rm(n, 2, 5)
+        ds = brute_divisors(n)
+        assert tab[n] == sum(ds)
+        assert odd[n] == sum(d for d in ds if d % 2 == 1)
+        assert even[n] == sum(d for d in ds if d % 2 == 0)
+        assert r25[n] == sum(d for d in ds if d % 5 == 2)
 
 
 def scan_divisor_sums(order, pairs):
@@ -141,22 +122,14 @@ def test_tables_refuse_a_negative_order(call):
         call()
 
 
+# The square and triangular indicators are sparse tables over k*k and T(k).
 def test_square_indicator():
-    assert square_indicator(0) == 1
-    assert square_indicator(9) == 1
-    assert square_indicator(10) == 0
     squares = {k * k for k in range(32)}
-    assert [square_indicator(n) for n in range(1000)] == [
-        1 if n in squares else 0 for n in range(1000)
-    ]
+    assert sparse_table(999, lambda k: k * k) == [1 if n in squares else 0 for n in range(1000)]
 
 
 def test_triangular_numbers():
     assert triangular(0) == 0
     assert triangular(3) == 6
-    assert triangular_indicator(6) == 1
-    assert triangular_indicator(5) == 0
     tris = {k * (k + 1) // 2 for k in range(50)}
-    assert [triangular_indicator(n) for n in range(1000)] == [
-        1 if n in tris else 0 for n in range(1000)
-    ]
+    assert sparse_table(999, triangular) == [1 if n in tris else 0 for n in range(1000)]

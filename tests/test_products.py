@@ -19,7 +19,6 @@ from divprod.products import (
     builtin_spec,
     coeffs_via_expansion,
     coeffs_via_recurrence,
-    cross_check,
     delta_spec,
     gauss_spec,
     jacobi_spec,
@@ -32,7 +31,6 @@ from divprod.products import (
     square_quotient_spec,
     weight_table,
 )
-from divprod.report import Failure
 from divprod.sequences import (
     lambert_cubic_by_divisors,
     regular_partition_counts,
@@ -835,20 +833,9 @@ def test_shift_larger_than_order():
     assert coeffs_via_expansion(spec, 5) == TruncatedSeries.zero(5)
 
 
-def test_cross_check_builtins():
-    assert cross_check(jacobi_spec(), 200).passed
-    assert cross_check(ramanujan_spec(), 200).passed
-    assert cross_check(delta_spec(8), 100).passed
-
-
-def test_cross_check_reports_mismatch_location(monkeypatch):
-    # The routes agree on every integer spec, so the expansion is patched to
-    # return jacobi's: gauss is 1 + x + x^3 + ..., jacobi is 1 - 2x + ...
-    jacobi = coeffs_via_expansion(jacobi_spec(), 6)
-    monkeypatch.setattr(products, "coeffs_via_expansion", lambda spec, order: jacobi)
-    report = cross_check(gauss_spec(), 6)
-    assert not report.passed
-    assert report.first_failure == Failure(1, 1, -2)
+def test_routes_agree_on_builtins():
+    for spec, order in ((jacobi_spec(), 200), (ramanujan_spec(), 200), (delta_spec(8), 100)):
+        assert coeffs_via_recurrence(spec, order) == coeffs_via_expansion(spec, order)
 
 
 # --- built-in spec table ---------------------------------------------------
@@ -1681,6 +1668,18 @@ def _linear_doc(c):
             r"^factors\[0\]\.weight\.c: integer of 5000 digits is past the interpreter's "
             r"int-to-str limit$",
             id="rational-past-int-digit-limit",
+        ),
+        # A string that fails the grammar past 100 characters is named by its length.
+        pytest.param(
+            _linear_doc("1" * 4999 + "x"),
+            r"^factors\[0\]\.weight\.c: cannot parse rational of 5000 characters: "
+            r'expected "p/q" or "p"$',
+            id="long-rational-named-by-length",
+        ),
+        pytest.param(
+            _explicit_table_doc({"1" * 4999 + "x": "1"}),
+            r"^factors\[0\]\.weight\.values: key of 5000 characters is not an integer$",
+            id="long-key-named-by-length",
         ),
         # The parse that reads such integers still reports a later syntax error.
         pytest.param(

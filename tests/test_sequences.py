@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from divprod.divisors import triangular, triangular_indicator
+from divprod.divisors import triangular
 from divprod.products import (
     Factor,
     ProductSpec,
@@ -235,7 +235,8 @@ def test_rogers_ramanujan_rejects_bad_selector():
 
 def test_delta_one_is_triangular_indicator():
     d1 = triangular_rep_counts(1, 120)
-    assert all(d1[n] == triangular_indicator(n) for n in range(121))
+    tris = {k * (k + 1) // 2 for k in range(16)}  # T(15) = 120
+    assert all(d1[n] == (1 if n in tris else 0) for n in range(121))
 
 
 def test_delta_two_spot_values():
