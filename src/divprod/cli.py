@@ -23,6 +23,7 @@ from itertools import chain
 from divprod.catalog import ALL_CHECKS, CATALOG, FAIL, run_all, run_check
 from divprod.divisors import sigma_rm_table, sigma_table, triangular
 from divprod.products import (
+    _SHOWN_CHARS,
     BUILTIN_SPEC_NAMES,
     coeffs_via_expansion,
     coeffs_via_recurrence,
@@ -168,13 +169,16 @@ def _cmd_catalog(args) -> int:
 
 def _order(text: str) -> int:
     """An ``--order`` literal as int() reads it.  Decimal digits that int()
-    refuses only for their count are named by that count, not echoed."""
+    refuses only for their count are named by that count, and any other
+    literal past ``_SHOWN_CHARS`` by its length; neither is echoed."""
     try:
         return int(text)
     except ValueError:
         digits = text.removeprefix("-")
         if digits.isascii() and digits.isdigit():
             raise argparse.ArgumentTypeError(past_digit_limit(text)) from None
+        if len(text) > _SHOWN_CHARS:
+            raise argparse.ArgumentTypeError(f"invalid int value of {len(text)} characters") from None
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 

@@ -542,18 +542,22 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
     plan = expansion_plan(spec, inner)
     # One left-to-right binary ladder over the bits j of the largest power
     # squares the running product and multiplies in the unit base of every
-    # group whose power has bit j set, so all groups share the squarings;
-    # levels with the same set of powers share one base.  Then each stray
-    # with bit j set in its |e| is one unit pass on the running product.
-    coeffs, bases = None, {}
-    for j in reversed(range(max(plan.groups, default=0).bit_length())):
+    # group whose power has bit j set, so all groups share the squarings.
+    # A base applies its groups by descending power, and each prefix of
+    # groups is built once: levels with the same set of powers share one
+    # base, and a set that extends a built prefix starts from its copy.
+    # Then each stray with bit j set in its |e| is one unit pass on the
+    # running product.
+    powers = sorted(plan.groups, reverse=True)
+    coeffs, bases = None, {(): [1] + [0] * inner}
+    for j in reversed(range(max(powers, default=0).bit_length())):
         if coeffs is not None:
             coeffs = kronecker_mul(coeffs, coeffs, inner)
-        if key := frozenset(power for power in plan.groups if power >> j & 1):
-            if key not in bases:
-                bases[key] = base = [1] + [0] * inner
-                for power in key:
-                    tails, passes = plan.groups[power]
+        if key := tuple(power for power in powers if power >> j & 1):
+            for i in range(1, len(key) + 1):
+                if key[:i] not in bases:
+                    bases[key[:i]] = base = bases[key[: i - 1]][:]
+                    tails, passes = plan.groups[key[i - 1]]
                     for s, m, sign in tails:
                         apply_progression(base, s, m, sign)
                     for n, k in passes:
@@ -623,7 +627,8 @@ def _int_or_oversized(literal: str):
 
 def _rational_from_json(value, path: str, key: str | None = None) -> Fraction:
     """A wire rational as a Fraction.  An error names ``path``, or
-    ``path[key]`` with a key; the name is formatted only on error."""
+    ``path[key]`` with a key (a key past ``_SHOWN_CHARS`` by its length);
+    the name is formatted only on error."""
     if isinstance(value, str):
         if _RATIONAL.fullmatch(value) is None:
             problem = f"cannot parse rational {_shown(value)}: expected \"p/q\" or \"p\""
@@ -643,7 +648,9 @@ def _rational_from_json(value, path: str, key: str | None = None) -> Fraction:
         problem = value.problem
     else:
         problem = f"expected a rational, got {type(value).__name__}"
-    raise SpecFormatError(f"{path if key is None else f'{path}[{key}]'}: {problem}")
+    if key is not None:
+        path += f"[{key}]" if len(key) <= _SHOWN_CHARS else f"[key of {len(key)} characters]"
+    raise SpecFormatError(f"{path}: {problem}")
 
 
 def _int_from_json(value, path: str, *index: int) -> int:

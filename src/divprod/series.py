@@ -14,7 +14,10 @@ coefficient.  The arithmetic lives in list kernels:
   progression, prod_j (1 - x^(b+jm))^(+-1), by Euler's sums, whose cost does
   not grow with the number of degrees in the progression;
 * ``kronecker_mul``, the packed product, on which the expansion squares and
-  multiplies;
+  multiplies, and which sums the catalog's relations; slots of up to 8
+  bytes go to and from signed 8-byte words (``array``) by byte-plane
+  slices, with no Python step per coefficient, and wider slots by one
+  ``to_bytes`` and one ``from_bytes`` per coefficient;
 * ``decimal_mul``, a second packed product on the decimal module, which
   reads back only the product's slots start..stop-1; only the recurrence's
   blocks call it, so that route and the expansion share no kernel.
@@ -28,6 +31,8 @@ int >= 0.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import accumulate
@@ -225,12 +230,37 @@ def apply_progression(coeffs: list, b: int, m: int, e: int) -> None:
         start = b * k if e < 0 else b * k + m * k * (k - 1) // 2
 
 
+_BIG_ENDIAN = sys.byteorder == "big"
+_SIGN_FILL = bytes(128) + b"\xff" * 128  # a top byte -> the byte that extends its sign
+
+
+def _repeat(half: int, width: int, count: int) -> int:
+    """half in each of count width-byte slots."""
+    return int.from_bytes(half.to_bytes(width, "little") * count, "little")
+
+
+def _words(values) -> array:
+    """Signed 8-byte words from a list of ints, or from their little-endian
+    bytes, held little-endian."""
+    words = array("q", values)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
 def _pack(coeffs: list[int], width: int, half: int) -> int:
-    """sum c_i * 256**(width*i): each slot holds c_i + half, which the width
-    keeps in range, and the repeated half is subtracted once."""
-    raw = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    bias = half.to_bytes(width, "little") * len(coeffs)
-    return int.from_bytes(raw, "little") - int.from_bytes(bias, "little")
+    """sum c_i * 256**(width*i), with each slot read as c_i + half, which the
+    width keeps in range, and the repeated half subtracted once.  Up to 8
+    bytes, a slot is the low bytes of c_i's word copied one byte plane at a
+    time, and xor with half turns its two's complement into c_i + half."""
+    bias = _repeat(half, width, len(coeffs))
+    if width > 8:
+        raw = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+        return int.from_bytes(raw, "little") - bias
+    words, slots = _words(coeffs).tobytes(), bytearray(width * len(coeffs))
+    for j in range(width):
+        slots[j::width] = words[j::8]
+    return (int.from_bytes(slots, "little") ^ bias) - bias
 
 
 def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
@@ -242,12 +272,16 @@ def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
     the product exactly when its magnitude stays below half the slot, which
     the width guarantees from max|a| * max|b| * (number of terms in a sum).
     Adding half a slot to every digit makes each one nonnegative, so the
-    borrows of negative coefficients resolve before unpacking.
+    borrows of negative coefficients resolve before unpacking.  A slot of up
+    to 8 bytes holds every coefficient of both operands and the product in
+    a signed 8-byte word, so those go through ``array`` and slices of whole
+    byte planes.
     """
     check_order(order)
     square = b is a
     a, b = a[: order + 1], b[: order + 1]
-    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0)
+    bound = max(max(a, default=0), -min(a, default=0))
+    bound *= bound if square else max(max(b, default=0), -min(b, default=0))
     if not bound:
         return [0] * (order + 1)
     bound *= min(len(a), len(b))
@@ -256,10 +290,20 @@ def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
     packed = _pack(a, width, half)
     product = packed * packed if square else packed * _pack(b, width, half)
     size = width * (order + 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * (order + 1), "little")
+    bias = _repeat(half, width, order + 1)
     low = (product + bias) & ((1 << (8 * size)) - 1)
-    raw = low.to_bytes(size, "little")  # bytes: slicing a memoryview is slower
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
+    if width > 8:
+        raw = low.to_bytes(size, "little")  # bytes: slicing a memoryview is slower
+        return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
+    # Two's complement slots, spread one byte plane at a time into words
+    # whose high bytes repeat the sign of the slot's top byte.
+    raw, words = (low ^ bias).to_bytes(size, "little"), bytearray(8 * (order + 1))
+    for j in range(width):
+        words[j::8] = raw[j::width]
+    fill = raw[width - 1 :: width].translate(_SIGN_FILL)
+    for j in range(width, 8):
+        words[j::8] = fill
+    return _words(words).tolist()
 
 
 def decimal_mul(a: list[int], b: list[int], start: int, stop: int) -> list[int]:

@@ -734,6 +734,12 @@ _GAUSS = ["expand", "--spec", "gauss.json", "--order", "30", "--algo"]
         (["compute", "sigma", "--order", "1" * 5000], 2, _EMPTY,
          "divprod compute: error: argument --order: integer of 5000 digits is past the "
          "interpreter's int-to-str limit\n"),
+        # A literal that is not all digits is echoed up to 100 characters,
+        # and named by its length past them.
+        (["compute", "sigma", "--order", "1" * 99 + "x"], 2, _EMPTY,
+         f"divprod compute: error: argument --order: invalid int value: '{'1' * 99}x'\n"),
+        (["compute", "sigma", "--order", "1" * 4999 + "x"], 2, _EMPTY,
+         "divprod compute: error: argument --order: invalid int value of 5000 characters\n"),
     ],
 )
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, stdout_sha256, stderr):

@@ -691,6 +691,20 @@ def test_equal_ladder_levels_share_one_base(monkeypatch):
     assert (calls.count(True), calls.count(False)) == (2, 2)
 
 
+def test_a_group_shared_by_two_ladder_levels_is_built_once(monkeypatch):
+    # square_quotient has the groups 1, 2 and 3, on the levels {3, 2} at bit
+    # 1 and {3, 1} at bit 0: both bases start from one build of group 3, so
+    # each of its 4 progressions is multiplied in once.
+    spec = square_quotient_spec()
+    plan = products.expansion_plan(spec, 400)
+    assert sorted(plan.groups) == [1, 2, 3]
+    tails = [t for power in plan.groups for t in plan.groups[power][0]]
+    progressions = spy_progressions(monkeypatch)
+    assert coeffs_via_expansion(spec, 400) == coeffs_via_recurrence(spec, 400)
+    assert len(progressions) == len(tails) == 4
+    assert sorted(progressions) == sorted(tails)
+
+
 # --- the expansion's plan ---------------------------------------------------
 
 
@@ -1680,6 +1694,14 @@ def _linear_doc(c):
             _explicit_table_doc({"1" * 4999 + "x": "1"}),
             r"^factors\[0\]\.weight\.values: key of 5000 characters is not an integer$",
             id="long-key-named-by-length",
+        ),
+        # A valid key past 100 characters, before a value that fails the
+        # grammar, is named by its length in the path.
+        pytest.param(
+            _explicit_table_doc({"1" * 1000: "x"}),
+            r"^factors\[0\]\.weight\.values\[key of 1000 characters\]: cannot parse rational 'x': "
+            r'expected "p/q" or "p"$',
+            id="long-valid-key-named-by-length-in-path",
         ),
         # The parse that reads such integers still reports a later syntax error.
         pytest.param(

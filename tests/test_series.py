@@ -343,6 +343,73 @@ def test_kronecker_mul_cancelling_signs():
     assert kronecker_mul([0, 0], [5], 2) == [0, 0, 0]
 
 
+def slot_width(a, b, order):
+    """The slot width in bytes that kronecker_mul takes for a and b: slots
+    of up to 8 bytes are packed and read back as 8-byte words."""
+    a, b = a[: order + 1], b[: order + 1]
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    return (bound.bit_length() + 8) // 8
+
+
+def assert_matches_schoolbook(a, b, order, width):
+    assert slot_width(a, b, order) == width
+    assert kronecker_mul(a, b, order) == schoolbook(a, b, order)
+    assert kronecker_mul(a, a, order) == schoolbook(a, a, order)  # b is a: a square
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_kronecker_mul_at_each_slot_width(width):
+    half = 1 << (8 * width - 1)
+    # Every power of two below half a slot and its neighbours, of both signs:
+    # their bytes reach every plane of the slot and both signs of its top byte.
+    values = [s * ((1 << k) + d) for k in range(8 * width - 1) for d in (-1, 0, 1) for s in (1, -1)]
+    for one in ([1], [-1]):
+        assert_matches_schoolbook(values, one, len(values) - 1, width)
+        assert kronecker_mul(values, one, len(values) - 1) == [one[0] * c for c in values]
+    # One-term operands on both sides of the width boundary.
+    for c in (half - 1, -(half - 1)):
+        assert_matches_schoolbook([c], [1], 0, width)
+        assert_matches_schoolbook([c], [-1], 3, width)
+    assert_matches_schoolbook([half], [1], 0, width + 1)
+    assert_matches_schoolbook([-half], [-1], 2, width + 1)
+    # Equal signs put the middle coefficient of the product at its bound:
+    # just inside half a slot, and just past it.
+    for n in (2, 5):
+        inside = isqrt((half - 1) // n)
+        assert_matches_schoolbook([inside] * n, [-inside] * n, 2 * n - 2, width)
+        assert_matches_schoolbook([-inside] * n, [-inside] * n, 2 * n, width)
+        past = isqrt(half // n) + 1
+        assert_matches_schoolbook([past] * n, [-past] * n, 2 * n - 2, width + 1)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_kronecker_mul_truncates_at_each_slot_width(width):
+    rng = random.Random(width)
+    for n in (1, 3, 17):
+        top = isqrt(((1 << (8 * width - 1)) - 1) // n)
+        a = [rng.randint(-top, top) for _ in range(n)]
+        b = [rng.randint(-top, top) for _ in range(n)]
+        a[0], b[-1] = top, -top  # the width reached, whatever the draw
+        assert slot_width(a, b, n - 1) == width
+        negative = [-abs(c) or -1 for c in a]
+        pairs = ((a, b), (a, a), (negative, negative), (negative, a[:1]))
+        for order in (0, n // 2, n - 1, 2 * n + 3):  # below both lengths, and past them
+            for x, y in pairs:
+                assert kronecker_mul(x, y, order) == schoolbook(x, y, order), (x, y, order)
+
+
+def test_kronecker_mul_near_the_word_limit():
+    # |c| up to 2**63 - 1 fits a signed 8-byte word, with 8-byte slots; -2**63
+    # takes 9 and the per-slot path.
+    for c in (2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1):
+        for a in ([c], [-c], [c, -c, 0, c], [-c, -c]):
+            assert_matches_schoolbook(a, [1], len(a) + 1, 8)
+            assert_matches_schoolbook(a, [-1], 0, 8)
+    assert_matches_schoolbook([-(2**63)], [1], 1, 9)
+    c = 2**31 - 1  # 2 * c * c is just below 2**63
+    assert_matches_schoolbook([c, -c], [-c, c], 3, 8)
+
+
 def test_kronecker_rejects_negative_arguments():
     with pytest.raises(ValueError, match="order"):
         kronecker_mul([1], [1], -1)
