@@ -7,8 +7,9 @@ and at most one *relation*, for start <= n <= N:
 
     (n - shift) * lhs[n] = scale * sum_k kernel[k] * operand[n - k] + diagonal[n]
 
-The kernel is a divisor sum (sigma, sigma_odd - sigma_even, sigma_{r,5}, ...)
-or a sparse series over the squares or the triangular numbers.
+The kernel is a sum of divisor-sum terms a * sigma_{r,m}(k/d), written as
+data (``_divisor_kernel``), or a sparse series over the squares or the
+triangular numbers.
 
 A table is a function of the check's ``Tables``, built once per check however
 many fields name it.  Tables look the oracles, the divisor sieves and the
@@ -30,7 +31,7 @@ none builds a table past it.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from divprod.divisors import sigma_rm_table, sigma_table, triangular
@@ -164,33 +165,32 @@ def _expansion(spec: ProductSpec) -> Table:
     return lambda t: coeffs_via_expansion(spec, t.order).coeffs
 
 
-def _sigma(t):
-    return sigma_table(t.order)
+def _divisor_kernel(*terms: tuple[int, int, int, int]) -> Table:
+    """The table of the sum over ``terms`` (a, r, m, d) of a * sigma_{r,m}(k/d),
+    a term vanishing where d does not divide k.  Each distinct (r, m) is
+    sieved once, in the order of the terms, sigma_{0,1} by ``sigma_table``."""
+
+    def kernel(t):
+        order, sieves = t.order, {}
+        table = [0] * (order + 1)
+        for a, r, m, d in terms:
+            if (r, m) not in sieves:
+                sieves[r, m] = sigma_table(order) if m == 1 else sigma_rm_table(order, r, m)
+            table[::d] = map(add, table[::d], map(a.__mul__, sieves[r, m][: order // d + 1]))
+        return table
+
+    return kernel
 
 
-def _odd_minus_even(t):
-    return list(map(sub, sigma_rm_table(t.order, 1, 2), sigma_rm_table(t.order, 0, 2)))
-
-
-def _sigma_plus_odd(t):
-    """sigma + sigma_odd, which is even: sigma_even + 2 sigma_odd."""
-    return list(map(add, sigma_table(t.order), sigma_rm_table(t.order, 1, 2)))
+_sigma = _divisor_kernel((1, 0, 1, 1))
+_odd_minus_even = _divisor_kernel((1, 1, 2, 1), (-1, 0, 2, 1))
+# sigma + sigma_odd, which is even: sigma_even + 2 sigma_odd.
+_sigma_plus_odd = _divisor_kernel((1, 0, 1, 1), (1, 1, 2, 1))
+_eta_quotient_h = _divisor_kernel((1, 0, 1, 1), (-5, 0, 1, 2), (4, 0, 1, 4))
 
 
 def _minus_half(t):
     return [-v // 2 for v in t(_sigma_plus_odd)]
-
-
-def _eta_quotient_h(t):
-    """h(k) = sigma(k) - 5 sigma(k/2) + 4 sigma(k/4), sigma vanishing off
-    the integers."""
-    sig = sigma_table(t.order)
-    h = sig[:]
-    for k in range(2, t.order + 1, 2):
-        h[k] -= 5 * sig[k // 2]
-    for k in range(4, t.order + 1, 4):
-        h[k] += 4 * sig[k // 4]
-    return h
 
 
 def _partitions(t):
@@ -225,26 +225,23 @@ def _oracle_recurrence(
 
 
 def p_regular(p: int) -> Identity:
-    """f counts the partitions whose parts repeat fewer than p times; the
-    kernel is sigma - sigma_{0,p}."""
+    """f counts the partitions whose parts repeat fewer than p times."""
     return _oracle_recurrence(
         f"p_regular_{p}",
         lambda t: regular_partition_counts(p, t.order).coeffs,
         p_regular_spec(p),  # raises for p < 2
-        lambda t: list(map(sub, sigma_table(t.order), sigma_rm_table(t.order, 0, p))),
+        _divisor_kernel((1, 0, 1, 1), (-1, 0, p, 1)),
     )
 
 
 def rogers_ramanujan(which: int) -> Identity:
-    """f is a Rogers-Ramanujan sum side; the kernel is sigma_{r1,5} +
-    sigma_{r2,5} with (r1, r2) = (1, 4) for the first identity and (2, 3)
-    for the second."""
+    """f is the sum side of the first or the second Rogers-Ramanujan identity."""
     r1, r2 = (1, 4) if which == 1 else (2, 3)
     return _oracle_recurrence(
         f"rogers_ramanujan_{which}",
         lambda t: rogers_ramanujan_sum_side(which, t.order).coeffs,
         rogers_ramanujan_spec(which),  # raises unless which is 1 or 2
-        lambda t: list(map(add, sigma_rm_table(t.order, r1, 5), sigma_rm_table(t.order, r2, 5))),
+        _divisor_kernel((1, r1, 5, 1), (1, r2, 5, 1)),
     )
 
 

@@ -134,7 +134,8 @@ def _cmd_verify(args) -> int:
             raise ValueError('"all" cannot be combined with explicit identity ids')
         reports = run_all(args.order)
     else:
-        unknown = [i for i in ids if i not in ALL_CHECKS]
+        unknown = [i if len(i) <= _SHOWN_CHARS else f"an id of {len(i)} characters"
+                   for i in ids if i not in ALL_CHECKS]
         if unknown:
             raise ValueError(
                 f"unknown identities: {', '.join(unknown)}; "
@@ -182,6 +183,21 @@ def _order(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+def _choice(*choices: str):
+    """A ``type`` for an option with ``choices``: a value up to ``_SHOWN_CHARS``
+    goes on to argparse's own check, a longer one is named by its length."""
+
+    def check(text: str) -> str:
+        if len(text) > _SHOWN_CHARS:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice of {len(text)} characters "
+                f"(choose from {', '.join(map(repr, choices))})"
+            )
+        return text
+
+    return check
+
+
 @cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -194,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         if order:
             p.add_argument("--order", type=_order, default=100, metavar="N",
                            help="truncation order (default 100)")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
+        formats = ("json", "csv")
+        p.add_argument("--format", choices=formats, type=_choice(*formats), default="json",
                        help="output format (default json)")
         p.add_argument("--out", metavar="PATH", default=None,
                        help="write output to PATH instead of stdout")
@@ -207,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="expand a product spec file to coefficients")
     p_expand.add_argument("--spec", required=True, metavar="PATH",
                           help="path to a product spec JSON file")
-    p_expand.add_argument("--algo", choices=("recurrence", "expansion", "both"),
+    algos = ("recurrence", "expansion", "both")
+    p_expand.add_argument("--algo", choices=algos, type=_choice(*algos),
                           default="both", help="coefficient algorithm (default both)")
     add_common(p_expand, _cmd_expand)
 

@@ -874,19 +874,25 @@ def resolve_name(table: Mapping[str, Callable], name: str, what: str) -> Callabl
 
     ``delta(8)`` finds the maker under ``delta(m)`` and binds 8 as its
     first argument; a bare name finds a bare key.  Arguments are decimal
-    integers, optionally negative, which the maker validates.  When nothing
-    matches, ValueError names the unknown ``what`` and lists the table.
+    integers, optionally negative, which the maker validates; one past the
+    int-to-str digit limit is named by its digit count.  When nothing
+    matches, ValueError names the unknown ``what`` (a long name by its
+    length) and lists the table.
     """
     match = _CALL.fullmatch(name)
     if match is not None:
         head, raw = match.groups()
-        args = [int(a) for a in raw.split(",")] if raw else []
+        try:
+            args = [int(a) for a in raw.split(",")] if raw else []
+        except ValueError:  # the digits are valid, so one argument is too long
+            longest = max(raw.split(","), key=lambda a: len(a.lstrip("-")))
+            raise ValueError(past_digit_limit(longest, f"{what} argument")) from None
         for signature, make in table.items():
             sig_head, _, params = signature.partition("(")
             arity = len(params.split(",")) if params else 0
             if sig_head == head and arity == len(args):
                 return partial(make, *args)
-    raise ValueError(f"unknown {what} {name!r}; available: {', '.join(table)}")
+    raise ValueError(f"unknown {what} {_shown(name)}; available: {', '.join(table)}")
 
 
 _BUILTIN_SPECS: dict[str, Callable[..., ProductSpec]] = {

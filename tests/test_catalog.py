@@ -30,6 +30,12 @@ from divprod.products import (
     SetDescriptor,
     WeightSpec,
     coeffs_via_expansion,
+    delta_spec,
+    p_regular_spec,
+    ramanujan_spec,
+    rogers_ramanujan_spec,
+    square_quotient_spec,
+    weight_table,
 )
 from divprod.report import first_mismatch
 from divprod.sequences import lambert_cubic_by_divisors
@@ -361,3 +367,73 @@ def test_families_reject_bad_parameters(family, bad, message):
     with pytest.raises(ValueError, match=message):
         family(bad)
 
+
+# --- the divisor kernels ------------------------------------------------------
+
+# The ordered (order, r, m) of each check's sieve calls at N = 50, with
+# sigma_table(order) as (order, 0, 1): one sieve per residue class a kernel
+# names, in the order of its terms, and none for the other tables.
+_ODD_EVEN = [(50, 1, 2), (50, 0, 2)]
+_SIEVE_CALLS = {
+    "partition_recurrence": [(50, 0, 1)],
+    "jacobi_square": [(50, 0, 1), (50, 1, 2)],
+    "triangular": _ODD_EVEN,
+    "ramanujan_a": _ODD_EVEN,
+    **{f"p_regular_{p}": [(50, 0, 1), (50, 0, p)] for p in (2, 3, 5, 7)},
+    "rogers_ramanujan_1": [(50, 1, 5), (50, 4, 5)],
+    "rogers_ramanujan_2": [(50, 2, 5), (50, 3, 5)],
+    "square_eta_quotient": [(50, 0, 1)],
+    **{f"delta_{m}": _ODD_EVEN for m in (1, 2, 4, 6, 8, 10, 12)},
+    "jacobi_square_verbatim": [(50, 0, 1), (50, 1, 2)],
+    "ramanujan_a_verbatim": _ODD_EVEN,
+    "p_regular_verbatim_2": [],
+}
+
+
+def spy_sieves(monkeypatch):
+    """A list the sieve calls in catalog fill with (order, r, m)."""
+    calls = []
+
+    def rm_spy(order, r, m):
+        calls.append((order, r, m))
+        return sigma_rm_table(order, r, m)
+
+    monkeypatch.setattr(catalog, "sigma_table", lambda order: rm_spy(order, 0, 1))
+    monkeypatch.setattr(catalog, "sigma_rm_table", rm_spy)
+    return calls
+
+
+def test_each_check_makes_its_pinned_sieve_calls(monkeypatch):
+    calls = spy_sieves(monkeypatch)
+    made = {}
+    for record in CATALOG:
+        calls.clear()
+        record.check(50)
+        made[record.id] = list(calls)
+    assert made == _SIEVE_CALLS
+
+
+# prod (1-x^n)^(-1), whose recurrence kernel is sigma.
+_PARTITIONS_SPEC = ProductSpec((Factor(SetDescriptor.all_naturals(), WeightSpec.linear(1)),))
+
+# Each divisor kernel, scaled, is the recurrence kernel of a product spec:
+# (kernel, scale, spec).
+_KERNEL_PRODUCTS = {
+    **{f"delta_{m}": (catalog._odd_minus_even, m, delta_spec(m))
+       for m in (1, 2, 4, 6, 8, 10, 12)},
+    "ramanujan": (catalog._odd_minus_even, 8, ramanujan_spec()),
+    "square_quotient": (catalog._eta_quotient_h, 2, square_quotient_spec()),
+    "partitions": (catalog._sigma, 1, _PARTITIONS_SPEC),
+    **{f"p_regular_{p}": (p_regular(p).relation.kernel, 1, p_regular_spec(p))
+       for p in (2, 3, 5, 7)},
+    **{
+        f"rogers_ramanujan_{w}": (rogers_ramanujan(w).relation.kernel, 1, rogers_ramanujan_spec(w))
+        for w in (1, 2)
+    },
+}
+
+
+@pytest.mark.parametrize("kernel, scale, spec", _KERNEL_PRODUCTS.values(), ids=_KERNEL_PRODUCTS)
+def test_divisor_kernel_is_its_products_weight_table(kernel, scale, spec):
+    table = Tables(300)(kernel)
+    assert [scale * v for v in table] == list(weight_table(spec, 300).values)

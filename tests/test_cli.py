@@ -1,5 +1,6 @@
 """CLI contract: selectors, formats, exit codes, byte stability."""
 
+import argparse
 import csv
 import hashlib
 import importlib
@@ -657,6 +658,12 @@ def test_default_output_matches_the_benchmark_reference(monkeypatch, tmp_path):
 _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 _FAILS = ["jacobi_square_verbatim", "ramanujan_a_verbatim", "p_regular_verbatim_2"]
 _GAUSS = ["expand", "--spec", "gauss.json", "--order", "30", "--algo"]
+_AVAILABLE = ("available: sigma, sigma_odd, sigma_even, sigma_rm(r,m), s, t, T, a, partition, "
+              "q_regular(p), rr1, rr2, delta(m)\n")
+_KNOWN = ("known: delta_1, delta_10, delta_12, delta_2, delta_4, delta_6, delta_8, jacobi_square, "
+          "jacobi_square_verbatim, p_regular_2, p_regular_3, p_regular_5, p_regular_7, "
+          "p_regular_verbatim_2, partition_recurrence, ramanujan_a, ramanujan_a_verbatim, "
+          "rogers_ramanujan_1, rogers_ramanujan_2, square_eta_quotient, triangular\n")
 
 
 # (argv, exit code, sha256 of stdout, stderr) for every command in both
@@ -701,15 +708,27 @@ _GAUSS = ["expand", "--spec", "gauss.json", "--order", "30", "--algo"]
              "d9340fdbfc7f169d333a125d66ccfffd8109ddde19b9b9de9e357c8ffdfed8b5", "")
             for algo in ("both", "recurrence", "expansion")
         ),
-        (["compute", "mobius"], 2, _EMPTY,
-         "error: unknown sequence 'mobius'; available: sigma, sigma_odd, sigma_even, "
-         "sigma_rm(r,m), s, t, T, a, partition, q_regular(p), rr1, rr2, delta(m)\n"),
+        (["compute", "mobius"], 2, _EMPTY, "error: unknown sequence 'mobius'; " + _AVAILABLE),
         (["verify", "no_such_identity"], 2, _EMPTY,
-         "error: unknown identities: no_such_identity; known: delta_1, delta_10, delta_12, "
-         "delta_2, delta_4, delta_6, delta_8, jacobi_square, jacobi_square_verbatim, "
-         "p_regular_2, p_regular_3, p_regular_5, p_regular_7, p_regular_verbatim_2, "
-         "partition_recurrence, ramanujan_a, ramanujan_a_verbatim, rogers_ramanujan_1, "
-         "rogers_ramanujan_2, square_eta_quotient, triangular\n"),
+         "error: unknown identities: no_such_identity; " + _KNOWN),
+        # A name, an id or a choice is echoed up to 100 characters and named
+        # by its length past them; a numeric argument past the int-to-str
+        # limit is named by its digit count.
+        (["compute", "x" * 100], 2, _EMPTY, f"error: unknown sequence '{'x' * 100}'; " + _AVAILABLE),
+        (["compute", "x" * 5000], 2, _EMPTY,
+         "error: unknown sequence of 5000 characters; " + _AVAILABLE),
+        (["compute", "delta(" + "1" * 5000 + ")"], 2, _EMPTY,
+         "error: sequence argument of 5000 digits is past the interpreter's int-to-str limit\n"),
+        (["compute", "sigma_rm(1,-" + "1" * 5000 + ")"], 2, _EMPTY,
+         "error: sequence argument of 5000 digits is past the interpreter's int-to-str limit\n"),
+        (["verify", "bogus", "x" * 5000], 2, _EMPTY,
+         "error: unknown identities: bogus, an id of 5000 characters; " + _KNOWN),
+        (["catalog", "--format", "x" * 5000], 2, _EMPTY,
+         "divprod catalog: error: argument --format: invalid choice of 5000 characters "
+         "(choose from 'json', 'csv')\n"),
+        ([*_GAUSS, "x" * 101], 2, _EMPTY,
+         "divprod expand: error: argument --algo: invalid choice of 101 characters "
+         "(choose from 'recurrence', 'expansion', 'both')\n"),
         (["verify", "all", "--order", "0"], 2, _EMPTY, "error: --order must be >= 1\n"),
         (["expand", "--spec", "gauss.json", "--order", "-1"], 2, _EMPTY,
          "error: --order must be nonnegative\n"),
@@ -754,6 +773,29 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, stdo
         code, stdout_sha256, stderr,
     )
 
+
+
+def _last_error_line(parse, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    assert exc.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "command, option, choices",
+    [("catalog", "--format", ("json", "csv")),
+     ("expand", "--algo", ("recurrence", "expansion", "both"))],
+)
+@pytest.mark.parametrize("value", ["xml", "x" * 100])
+def test_a_short_invalid_choice_is_argparses_own_message(capsys, command, option, choices, value):
+    # The message of a plain option with the same choices, in the format of
+    # the running Python's argparse.
+    plain = argparse.ArgumentParser(prog=f"divprod {command}")
+    plain.add_argument(option, choices=choices)
+    expected = _last_error_line(lambda: plain.parse_args([option, value]), capsys)
+    argv = [command, option, value] + (["--spec", "gauss.json"] if command == "expand" else [])
+    assert _last_error_line(lambda: main(argv), capsys) == expected
 
 @pytest.mark.parametrize(
     "argv",

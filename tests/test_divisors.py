@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divprod.catalog import Tables, _divisor_kernel
 from divprod.divisors import divisor_sums, divisors, sigma_rm_table, sigma_table, triangular
 from divprod.series import sparse_table
+from test_catalog import spy_sieves
 
 
 def brute_divisors(n):
@@ -133,3 +135,45 @@ def test_triangular_numbers():
     assert triangular(3) == 6
     tris = {k * (k + 1) // 2 for k in range(50)}
     assert sparse_table(999, triangular) == [1 if n in tris else 0 for n in range(1000)]
+
+
+# --- the catalog's divisor kernels, sum of a * sigma_{r,m}(k/d) -------------
+
+
+def brute_kernel(terms, order):
+    """Per value k: the sum over the terms (a, r, m, d) with d | k of a times
+    the divisors of k/d that are r mod m."""
+    return [
+        sum(a * sum(e for e in brute_divisors(k // d) if e % m == r)
+            for a, r, m, d in terms if k % d == 0)
+        for k in range(order + 1)
+    ]
+
+
+_term = st.tuples(
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda m: st.tuples(st.integers(min_value=0, max_value=m - 1), st.just(m))
+    ),
+    st.integers(min_value=1, max_value=6),
+).map(lambda t: (t[0], *t[1], t[2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_term, min_size=1, max_size=4), st.sampled_from([0, 1, 60]))
+def test_divisor_kernel_matches_brute_force(terms, order):
+    assert _divisor_kernel(*terms)(Tables(order)) == brute_kernel(terms, order)
+
+
+@pytest.mark.parametrize(
+    "order, terms",
+    [
+        (5, [(2, 0, 1, 6), (1, 1, 2, 1)]),  # d past the order reaches no k
+        (0, [(3, 0, 1, 4)]),  # only slot 0
+        (60, [(1, 1, 3, 1), (-2, 1, 3, 2), (3, 1, 3, 5), (1, 0, 1, 3)]),  # (1, 3) three times
+    ],
+)
+def test_divisor_kernel_sieves_each_residue_class_once(monkeypatch, order, terms):
+    calls = spy_sieves(monkeypatch)
+    assert _divisor_kernel(*terms)(Tables(order)) == brute_kernel(terms, order)
+    assert calls == [(order, r, m) for r, m in dict.fromkeys((r, m) for _, r, m, _ in terms)]
