@@ -23,7 +23,6 @@ from itertools import chain
 from divprod.catalog import ALL_CHECKS, CATALOG, FAIL, run_all, run_check
 from divprod.divisors import sigma_rm_table, sigma_table, triangular
 from divprod.products import (
-    _SHOWN_CHARS,
     BUILTIN_SPEC_NAMES,
     coeffs_via_expansion,
     coeffs_via_recurrence,
@@ -32,7 +31,7 @@ from divprod.products import (
     resolve_name,
 )
 from divprod.report import first_mismatch
-from divprod.series import exact_str, sparse_table
+from divprod.series import _SHOWN_CHARS, exact_str, sparse_table
 from divprod.sequences import (
     lambert_cubic_by_divisors,
     partition_counts,

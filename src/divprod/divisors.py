@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from divprod.series import check_order, require_int
+from divprod.series import _SHOWN_CHARS, check_order, exact_str, require_int
 
 
 def divisors(n: int) -> list[int]:
@@ -34,13 +34,27 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _shown_int(name: str, v: int) -> str:
+    """``name=v`` for an error message, or, past ``_SHOWN_CHARS`` digits,
+    v named by its digit count rather than its digits."""
+    if -(10**_SHOWN_CHARS) < v < 10**_SHOWN_CHARS:
+        return f"{name}={v}"
+    return f"{'negative ' if v < 0 else ''}{name} of {len(exact_str(abs(v)))} digits"
+
+
+def non_canonical(r: int, m: int) -> str:
+    """The error for a residue class r mod m with r outside 0 <= r < m."""
+    shown = f"{_shown_int('r', r)}, {_shown_int('m', m)}"
+    return f"non-canonical residue: need 0 <= r < m, got {shown}"
+
+
 def _check_residue(order: int, r: int, m: int) -> None:
     """The order and r, m are ints, with r canonical mod m."""
     require_int(order, r, m)
     if m < 1:
         raise ValueError("modulus must be a positive integer")
     if not 0 <= r < m:
-        raise ValueError(f"non-canonical residue: need 0 <= r < m, got r={r}, m={m}")
+        raise ValueError(non_canonical(r, m))
 
 
 def divisor_sums(order: int, weights: Iterable[tuple[int, int]]) -> list[int]:

@@ -32,8 +32,9 @@ from math import gcd, isqrt, lcm, prod
 from operator import add, mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from divprod.divisors import divisor_sums
+from divprod.divisors import divisor_sums, non_canonical
 from divprod.series import (
+    _SHOWN_CHARS,
     Rational,
     TruncatedSeries,
     apply_binomial_factor,
@@ -100,9 +101,7 @@ class SetDescriptor:
             if m < 1:
                 raise ValueError("residue modulus must be a positive integer")
             if not 0 <= r < m:
-                raise ValueError(
-                    f"non-canonical residue: need 0 <= r < m, got r={r}, m={m}"
-                )
+                raise ValueError(non_canonical(r, m))
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("residue union classes must be duplicate-free")
         if self.kind == SET_ALL and self.classes != ((0, 1),):
@@ -396,7 +395,10 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
     when every merged exponent is an integer (``table.denominators`` is
     empty, so D = 1 throughout) and the widest P(j) of P[l:mid] has at most
     ``WIDTH * (mid - l)`` bits; otherwise the schoolbook loop solves
-    [mid, r) from l.  The expansion route never calls that product.
+    [mid, r) from l.  The expansion route never calls that product.  It
+    multiplies a block on CPython ints while the product has at most 1024
+    words of 19 digits, where libmpdec would take quadratic time, and by
+    libmpdec's number-theoretic transform, the faster there, past that.
     """
     check_order(order)
     inner = order - spec.shift
@@ -595,10 +597,6 @@ def _class_step(spec: ProductSpec, inner: int) -> int:
 # "1.5e0" and non-ASCII digits, which the wire format does not.
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-# A string longer than this is named by its length in an error, not echoed.
-_SHOWN_CHARS = 100
 
 
 def _shown(text: str) -> str:

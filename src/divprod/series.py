@@ -18,9 +18,13 @@ coefficient.  The arithmetic lives in list kernels:
   bytes go to and from signed 8-byte words (``array``) by byte-plane
   slices, with no Python step per coefficient, and wider slots by one
   ``to_bytes`` and one ``from_bytes`` per coefficient;
-* ``decimal_mul``, a second packed product on the decimal module, which
-  reads back only the product's slots start..stop-1; only the recurrence's
-  blocks call it, so that route and the expansion share no kernel.
+* ``decimal_mul``, a second packed product, which reads back only the
+  product's slots start..stop-1; only the recurrence's blocks call it, so
+  that route and the expansion share no kernel.  Below libmpdec's switch to
+  its number-theoretic transform, 1024 words of 19 digits, libmpdec
+  multiplies in quadratic time and CPython's ints are faster, so the slots
+  are bytes of an int; past it they are digits of a Decimal, since the
+  transform beats CPython's Karatsuba there.
 
 ``TruncatedSeries.__mul__`` keeps a plain double sum as their reference.
 ``exact_str`` prints a coefficient in full, past the interpreter's limit on
@@ -41,6 +45,11 @@ from operator import add, sub
 from typing import Iterable, Iterator, Union
 
 Rational = Union[int, Fraction]
+
+
+# A value longer than this many characters, or an int of more digits, is
+# named by its length in an error message, not echoed.
+_SHOWN_CHARS = 100
 
 
 def require_int(*values) -> None:
@@ -306,23 +315,41 @@ def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
     return _words(words).tolist()
 
 
+# libmpdec multiplies in quadratic time up to a product of 1024 words, and
+# by its number-theoretic transform past that; a word holds 19 decimal
+# digits on a 64-bit build, so the switch lies at 1024 * 19 digits over all
+# of a product's slots.
+_TRANSFORM_DIGITS = 1024 * 19
+
+
 def decimal_mul(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
     """Coefficients start..stop-1 of the product of the integer polynomials
     a and b (zero past its last slot; empty when start >= stop).
 
-    Kronecker substitution in base 10**w: each operand is packed into one
-    Decimal with a coefficient per w-digit slot, the two are multiplied once
-    by libmpdec (a number-theoretic transform at large sizes), and slots
-    start..stop-1 of the product, and no others, are read back.  w puts
-    max|a| * max|b| * (number of terms in a sum) below 10**(w-1), so with
-    h = 5 * 10**(w-1), half a slot, each coefficient c of an operand or of
-    the product gives a c + h of exactly w digits: an operand is packed as
-    those digits less the repeated h, and the product is read back with the
-    repeated h added, each slot less h.  The arithmetic traps ``Inexact`` in
-    a local context, so nothing is rounded.  Digits go through the builtin
-    ``str`` and ``int``, and through ``exact_str`` and ``_exact_int`` only
-    when the slots are wider than the int-to-str digit limit, which is never
-    raised.
+    Kronecker substitution: each operand is packed into one number with a
+    coefficient per slot, the two are multiplied once, and slots
+    start..stop-1 of the product, and no others, are read back.  w digits
+    per slot put max|a| * max|b| * (number of terms in a sum) below
+    10**(w-1), and the product's slots * w digits pick the multiplier:
+
+    * up to ``_TRANSFORM_DIGITS``, where libmpdec multiplies in quadratic
+      time, CPython's ints multiply faster (2400 by 4800 digits: 0.16 ms
+      against libmpdec's 0.43 ms, which grows fourfold per doubling;
+      libmpdec 2.5.1 on x86-64).  The slots are ``width`` bytes, from the
+      same bound plus one spare sign bit, each written by its own
+      ``to_bytes`` and read by its own ``from_bytes``;
+    * past it, libmpdec's number-theoretic transform beats CPython's
+      Karatsuba, so the slots are w decimal digits of a Decimal, multiplied
+      in a local context that traps ``Inexact``, so nothing is rounded.
+
+    Either way, with h half a slot, each coefficient c of an operand or of
+    the product is held as c + h, which is nonnegative and fills at most
+    its slot: an operand is packed as those slots less the repeated h, and
+    the product is read back with the repeated h added, each slot less h.
+    On the Decimal side c + h has exactly w digits, and the digits go
+    through the builtin ``str`` and ``int``, and through ``exact_str`` and
+    ``_exact_int`` only when the slots are wider than the int-to-str digit
+    limit, which is never raised.  No code is shared with ``kronecker_mul``.
     """
     check_order(start)
     check_order(stop)
@@ -336,6 +363,20 @@ def decimal_mul(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
     bound *= min(len(a), len(b))
     # 10**(w-1) > 2**bit_length > bound, as 0.30103 > log10(2).
     w = bound.bit_length() * 30103 // 100000 + 2
+    if slots * w <= _TRANSFORM_DIGITS:
+        width = (bound.bit_length() + 8) // 8  # one spare bit for the sign
+        h = 1 << (8 * width - 1)
+        half = h.to_bytes(width, "little")
+
+        def pack_bytes(coeffs: list[int]) -> int:
+            raw = b"".join([(c + h).to_bytes(width, "little") for c in coeffs])
+            return int.from_bytes(raw, "little") - int.from_bytes(half * len(coeffs), "little")
+
+        product = pack_bytes(a) * pack_bytes(b) + int.from_bytes(half * slots, "little")
+        raw = product.to_bytes(width * slots, "little")
+        out[: top - start] = [int.from_bytes(raw[i : i + width], "little") - h
+                              for i in range(width * start, width * top, width)]
+        return out
     h = 5 * 10 ** (w - 1)
     # Every slot, h too, is written and read as exactly w digits, so the
     # builtin str and int raise past the int-to-str digit limit for all of

@@ -13,6 +13,7 @@ is built without the packed products that sum its right side.
 import ast
 import importlib
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import divprod.catalog as catalog
 import divprod.divisors as divisors
 import divprod.products as products
 import divprod.sequences as sequences
+import divprod.series as series
 from divprod.products import (
     Factor,
     ProductSpec,
@@ -51,6 +53,21 @@ def test_sequences_binds_no_kernel_of_another_route():
 
 def test_catalog_binds_no_recurrence_block_product():
     assert "decimal_mul" not in vars(catalog)
+
+
+def test_recurrence_block_product_loads_no_helper_of_the_expansions():
+    """Every name that ``decimal_mul``'s code loads, in its nested functions
+    too, is none of ``kronecker_mul`` and its helpers: below libmpdec's
+    transform it packs bytes of an int as ``kronecker_mul`` does, but with
+    its own code."""
+    names, codes = set(), [series.decimal_mul.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    # Both sides, and ctx.subtract, which only the nested Decimal packer loads.
+    assert {"Context", "from_bytes", "subtract"} <= names
+    assert not names & {"kronecker_mul", "_pack", "_words", "_repeat", "_SIGN_FILL"}
 
 
 def test_runtime_imports_only_the_standard_library():

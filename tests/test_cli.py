@@ -759,11 +759,22 @@ _KNOWN = ("known: delta_1, delta_10, delta_12, delta_2, delta_4, delta_6, delta_
          f"divprod compute: error: argument --order: invalid int value: '{'1' * 99}x'\n"),
         (["compute", "sigma", "--order", "1" * 4999 + "x"], 2, _EMPTY,
          "divprod compute: error: argument --order: invalid int value of 5000 characters\n"),
+        # A residue r or modulus m is echoed up to 100 digits and named by
+        # its digit count past them, from a sequence name or a spec class.
+        (["compute", f"sigma_rm({'1' * 100},3)", "--order", "5"], 2, _EMPTY,
+         f"error: non-canonical residue: need 0 <= r < m, got r={'1' * 100}, m=3\n"),
+        (["compute", f"sigma_rm({'1' * 4000},3)", "--order", "5"], 2, _EMPTY,
+         "error: non-canonical residue: need 0 <= r < m, got r of 4000 digits, m=3\n"),
+        (["compute", f"sigma_rm({'9' * 102},{'1' * 101})", "--order", "5"], 2, _EMPTY,
+         "error: non-canonical residue: need 0 <= r < m, got r of 102 digits, m of 101 digits\n"),
+        (["expand", "--spec", "residue.json", "--order", "5"], 2, _EMPTY,
+         "error: factors[0].set: non-canonical residue: need 0 <= r < m, got r of 4000 digits, m=3\n"),
     ],
 )
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, stdout_sha256, stderr):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gauss.json").write_text(GAUSS_JSON)
+    (tmp_path / "residue.json").write_text(_linear_doc(([[int("1" * 4000), 3]], "1")))
     try:
         got_code, out, err = run_cli(argv, capsys)
     except SystemExit as exc:

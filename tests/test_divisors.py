@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from divprod.catalog import Tables, _divisor_kernel
 from divprod.divisors import divisor_sums, divisors, sigma_rm_table, sigma_table, triangular
+from divprod.products import SetDescriptor
 from divprod.series import sparse_table
 from test_catalog import spy_sieves
 
@@ -62,6 +63,24 @@ def test_sigma_rm_rejects_non_canonical_residue():
         sigma_rm_table(6, 5, 5)
     with pytest.raises(ValueError, match="non-canonical residue"):
         sigma_rm_table(6, -1, 2)
+
+
+@pytest.mark.parametrize(
+    "r, m, shown",
+    [
+        (-(10**99), 3, f"r=-1{'0' * 99}, m=3"),  # 100 digits: echoed
+        (10**100, 3, "r of 101 digits, m=3"),
+        (-(10**100), 3, "negative r of 101 digits, m=3"),
+        (10**6000, 10**5000, "r of 6001 digits, m of 5001 digits"),  # past the int-to-str limit
+    ],
+    ids=["100-digits", "101-digits", "negative", "past-the-limit"],
+)
+def test_a_long_residue_is_named_by_its_digit_count(r, m, shown):
+    message = f"non-canonical residue: need 0 <= r < m, got {shown}"
+    for make in (lambda: sigma_rm_table(6, r, m), lambda: SetDescriptor.residue_union([(r, m)])):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 @given(st.integers(min_value=1, max_value=400))

@@ -20,6 +20,7 @@ from divprod.sequences import (
     rogers_ramanujan_sum_side,
     triangular_rep_counts,
 )
+import divprod.series as series
 from divprod.series import (
     TruncatedSeries,
     apply_binomial_factor,
@@ -452,6 +453,10 @@ def decimal_mul_leaves_no_state(a, b, start, stop):
 @example([-3, -1, -4], [-1, -5, -9, -2], 6)  # all negative
 @example([7], [-9], 3)  # one slot each
 @example([WIDTH_EDGE] * 2, [WIDTH_EDGE] * 2, 2)  # x^1 equals the width bound
+# Past the switch to libmpdec's transform: 1199 slots of 35 digits, and 3
+# slots of 12947 digits.
+@example([2**50 - 3, -(2**49)] * 300, [-(2**50) + 1, 7] * 300, 1300)
+@example([2**22000 + 1, -5], [-(2**21000), 3], 4)
 def test_decimal_mul_matches_kronecker_mul(a, b, order):
     assert decimal_mul_leaves_no_state(a, b, 0, order + 1) == kronecker_mul(a, b, order)
     assert decimal_mul_leaves_no_state(a, a, 0, order + 1) == kronecker_mul(a, a, order)
@@ -477,6 +482,63 @@ def test_decimal_mul_edge_cases():
     assert decimal_mul([1, 2, 3], [1, 2, 3], 0, 1) == [1]
     with pytest.raises(ValueError, match="order"):
         decimal_mul([1], [1], 0, -1)
+
+
+def contexts_built(monkeypatch, a, b, start, stop):
+    """decimal_mul(a, b, start, stop) and the number of decimal contexts it
+    built: one on libmpdec's side of the switch, none on the int side."""
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args or kwargs)
+        return decimal.Context(*args, **kwargs)
+
+    monkeypatch.setattr(series, "Context", spy)
+    return decimal_mul_leaves_no_state(a, b, start, stop), len(built)
+
+
+def test_decimal_mul_switches_to_libmpdec_past_its_transform_threshold(monkeypatch):
+    assert series._TRANSFORM_DIGITS == 1024 * 19
+    # bound = 2**49 * 1 * 512 = 2**58, of 59 bits: 19 digits a slot, so 1024
+    # slots are exactly the threshold's 19456 digits, and the ints multiply.
+    a, b = [1, -1] * 256, [2**49, -(2**49) + 1] * 256 + [3]
+    out, built = contexts_built(monkeypatch, a, b, 0, 1024)
+    assert (out, built) == (kronecker_mul(a, b, 1023), 0)
+    # bound = 2**59, of 60 bits: 20 digits a slot, one more, and libmpdec
+    # multiplies.
+    b[0] = 2**50
+    out, built = contexts_built(monkeypatch, a, b, 0, 1024)
+    assert (out, built) == (kronecker_mul(a, b, 1023), 1)
+
+
+def _signed(rng, bits, size):
+    return [rng.randint(-(2**bits), 2**bits) for _ in range(size)]
+
+
+_rng = random.Random(32)
+# (a, b, contexts built) on each side of the switch: signed slots of 6 bytes
+# or 17 digits, and slots wider than 8 bytes.
+SIDES = [
+    (_signed(_rng, 20, 20), _signed(_rng, 20, 30), 0),
+    (_signed(_rng, 20, 600), _signed(_rng, 20, 700), 1),
+    (_signed(_rng, 300, 12), _signed(_rng, 200, 9), 0),
+    (_signed(_rng, 20000, 3), _signed(_rng, 15000, 4), 1),
+]
+
+
+@pytest.mark.parametrize("a, b, built", SIDES, ids=["int-narrow", "decimal-narrow", "int-wide",
+                                                    "decimal-wide"])
+def test_decimal_mul_matches_kronecker_mul_on_both_sides_of_the_switch(monkeypatch, a, b, built):
+    top = len(a) + len(b) - 1
+    full = kronecker_mul(a, b, top + 2)
+    assert contexts_built(monkeypatch, a, b, 0, top + 3) == (full, built)
+    # A window, as a block asks for: slots len(a) .. top-1, and one that
+    # stops short of the product's top slot.
+    assert contexts_built(monkeypatch, a, b, len(a), top) == (full[len(a) : top], built)
+    assert contexts_built(monkeypatch, a, b, 3, top - 2) == (full[3 : top - 2], built)
+    # From the top slot on, only zeros; nothing is multiplied.
+    assert contexts_built(monkeypatch, a, b, top, top + 3) == ([0, 0, 0], 0)
+    assert contexts_built(monkeypatch, a, b, top + 1, top + 2) == ([0], 0)
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT(), reason="no int-to-str digit limit")
