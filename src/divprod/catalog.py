@@ -39,6 +39,7 @@ from divprod.products import (
     Factor,
     ProductSpec,
     WeightSpec,
+    _shown,
     coeffs_via_expansion,
     coeffs_via_recurrence,
     delta_spec,
@@ -351,9 +352,8 @@ def run_check(identity_id: str, order: int) -> IdentityReport:
     try:
         check = ALL_CHECKS[identity_id]
     except KeyError:
-        raise ValueError(
-            f"unknown identity {identity_id!r}; known: {', '.join(sorted(ALL_CHECKS))}"
-        )
+        shown = _shown(identity_id) if isinstance(identity_id, str) else repr(identity_id)
+        raise ValueError(f"unknown identity {shown}; known: {', '.join(sorted(ALL_CHECKS))}")
     return check(order)
 
 

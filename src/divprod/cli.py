@@ -197,7 +197,7 @@ def _choice(*choices: str):
     return check
 
 
-@cache  # one parser per process: parse_args leaves it unchanged
+@cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divprod",
@@ -240,7 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # as parse_args reports them, but a long one by its length
+        parser.error("unrecognized arguments: " + " ".join(
+            e if len(e) <= _SHOWN_CHARS else f"an argument of {len(e)} characters"
+            for e in extras))
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:  # a SpecFormatError is a ValueError

@@ -67,33 +67,27 @@ class SpecFormatError(ValueError):
 @dataclass(frozen=True)
 class SetDescriptor:
     """A subset of the positive integers: a union of residue classes r mod m
-    (canonical 0 <= r < m) or an explicit finite list.
+    (canonical 0 <= r < m), or, with no classes, an explicit finite list.
 
-    ``kind`` is the wire label.  ``all`` is stored as the class (0, 1) and
-    ``multiples`` of m as (0, m), but each keeps its own JSON form.
+    A set is given by its classes or by its members, never both.  All
+    naturals are the class (0, 1) and the multiples of m the class (0, m),
+    so each equals its residue-union form.
     """
 
-    kind: str
     classes: tuple[tuple[int, int], ...] = ()
     members: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind == SET_EXPLICIT:
-            if self.classes:
-                raise ValueError("an explicit set takes members, not classes")
+        object.__setattr__(self, "classes", tuple(self.classes))
+        if not self.classes:
             if not all(type(n) is int and n > 0 for n in self.members):
                 raise ValueError("explicit members must be positive integers")
             if len(set(self.members)) != len(self.members):
                 raise ValueError("explicit members must be duplicate-free")
             object.__setattr__(self, "members", tuple(sorted(self.members)))
             return
-        if self.kind not in (SET_ALL, SET_RESIDUE_UNION, SET_MULTIPLES):
-            raise ValueError(f"unknown set kind {self.kind!r}")
         if self.members:
-            raise ValueError(f"a {self.kind} set takes classes, not members")
-        object.__setattr__(self, "classes", tuple(self.classes))
-        if not self.classes:
-            raise ValueError("residue union needs at least one (r, m) class")
+            raise ValueError("a set takes classes or members, not both")
         for c in self.classes:
             if not (type(c) is tuple and len(c) == 2 and all(type(v) is int for v in c)):
                 raise ValueError(f"residue class {c!r} must be a pair of integers")
@@ -104,28 +98,26 @@ class SetDescriptor:
                 raise ValueError(non_canonical(r, m))
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("residue union classes must be duplicate-free")
-        if self.kind == SET_ALL and self.classes != ((0, 1),):
-            raise ValueError(f"the set of all naturals is the class (0, 1), got {self.classes!r}")
-        if self.kind == SET_MULTIPLES and (len(self.classes) != 1 or self.classes[0][0] != 0):
-            raise ValueError(f"multiples of m are one class (0, m), got {self.classes!r}")
 
     @classmethod
     def all_naturals(cls) -> "SetDescriptor":
-        return cls(SET_ALL, classes=((0, 1),))
+        return cls(classes=((0, 1),))
 
     @classmethod
     def residue_union(cls, classes: Sequence[tuple[int, int]]) -> "SetDescriptor":
-        return cls(SET_RESIDUE_UNION, classes=tuple(tuple(c) for c in classes))
+        if not (classes := tuple(tuple(c) for c in classes)):
+            raise ValueError("residue union needs at least one (r, m) class")
+        return cls(classes=classes)
 
     @classmethod
     def multiples(cls, m: int) -> "SetDescriptor":
         if type(m) is not int or m < 1:
             raise ValueError("multiples requires a positive modulus")
-        return cls(SET_MULTIPLES, classes=((0, m),))
+        return cls(classes=((0, m),))
 
     @classmethod
     def explicit(cls, members: Sequence[int]) -> "SetDescriptor":
-        return cls(SET_EXPLICIT, members=tuple(members))
+        return cls(members=tuple(members))
 
     def members_upto(self, order: int) -> Sequence[int]:
         """Set members <= order, ascending, each once (classes may overlap).
@@ -133,7 +125,7 @@ class SetDescriptor:
         One class is its range.  Several are walked as ranges and merged, so
         the cost is the sum of order/m over the classes plus a sort.
         """
-        if self.kind == SET_EXPLICIT:
+        if not self.classes:
             return self.members[: bisect_right(self.members, order)]
         if len(self.classes) == 1:
             (r, m), = self.classes
@@ -677,7 +669,8 @@ def _set_from_dict(doc, path: str) -> SetDescriptor:
             for i, pair in enumerate(raw):
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise SpecFormatError(f"{where}[{i}]: expected a [r, m] pair")
-                classes.append([_int_from_json(v, where, i, j) for j, v in enumerate(pair)])
+                r, m = pair
+                classes.append((_int_from_json(r, where, i, 0), _int_from_json(m, where, i, 1)))
             return SetDescriptor.residue_union(classes)
         if kind == SET_MULTIPLES:
             return SetDescriptor.multiples(_int_from_json(doc.get("m"), f"{path}.m"))
@@ -784,15 +777,8 @@ def spec_from_json(text: str) -> ProductSpec:
         return doc
 
     try:
-        try:
-            doc = json.loads(text, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError:
-            raise
-        except ValueError:
-            # An integer literal past the int-to-str digit limit: parse again,
-            # reading each such literal as _Oversized, so that the field that
-            # holds it is named.  Only such a document pays for the hook.
-            doc = json.loads(text, object_pairs_hook=unique_keys, parse_int=_int_or_oversized)
+        # An int past the digit limit reads as _Oversized, so its field is named.
+        doc = json.loads(text, object_pairs_hook=unique_keys, parse_int=_int_or_oversized)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except RecursionError:

@@ -7,14 +7,14 @@ readings are the direct definitions the tests check them against.
 
 import json
 
-from divprod.products import SET_EXPLICIT, SET_MULTIPLES, SET_RESIDUE_UNION, WEIGHT_LINEAR
+from divprod.products import SET_EXPLICIT, SET_RESIDUE_UNION, WEIGHT_LINEAR
 
 
 def contains(s, n: int) -> bool:
     """Whether the set descriptor ``s`` holds n."""
     if n < 1:
         return False
-    if s.kind == SET_EXPLICIT:
+    if not s.classes:
         return n in s.members
     return any(n % m == r for r, m in s.classes)
 
@@ -29,13 +29,9 @@ def f_value(w, n: int):
 
 
 def _set_doc(s) -> dict:
-    if s.kind == SET_EXPLICIT:
-        return {"kind": SET_EXPLICIT, "members": list(s.members)}
-    if s.kind == SET_RESIDUE_UNION:
+    if s.classes:
         return {"kind": SET_RESIDUE_UNION, "classes": [list(c) for c in s.classes]}
-    if s.kind == SET_MULTIPLES:
-        return {"kind": SET_MULTIPLES, "m": s.classes[0][1]}
-    return {"kind": s.kind}
+    return {"kind": SET_EXPLICIT, "members": list(s.members)}
 
 
 def _weight_doc(w) -> dict:
@@ -45,7 +41,8 @@ def _weight_doc(w) -> dict:
 
 
 def spec_to_json(spec) -> str:
-    """The spec as a wire document, each field in the form of its kind."""
+    """The spec as a wire document: a set as its classes or its members, a
+    weight in the form of its kind."""
     return json.dumps({
         "shift": spec.shift,
         "factors": [{"set": _set_doc(f.set), "weight": _weight_doc(f.weight)}

@@ -55,19 +55,53 @@ def test_catalog_binds_no_recurrence_block_product():
     assert "decimal_mul" not in vars(catalog)
 
 
+def _loaded_names(*functions) -> set[str]:
+    """Every global and attribute name that the functions' code loads, in
+    their nested functions too."""
+    names, codes = set(), [f.__code__ for f in functions]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return names
+
+
 def test_recurrence_block_product_loads_no_helper_of_the_expansions():
     """Every name that ``decimal_mul``'s code loads, in its nested functions
     too, is none of ``kronecker_mul`` and its helpers: below libmpdec's
     transform it packs bytes of an int as ``kronecker_mul`` does, but with
     its own code."""
-    names, codes = set(), [series.decimal_mul.__code__]
-    while codes:
-        code = codes.pop()
-        names.update(code.co_names)
-        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    names = _loaded_names(series.decimal_mul)
     # Both sides, and ctx.subtract, which only the nested Decimal packer loads.
     assert {"Context", "from_bytes", "subtract"} <= names
     assert not names & {"kronecker_mul", "_pack", "_words", "_repeat", "_SIGN_FILL"}
+
+
+# Each coefficient route's functions, and the names only that route may load.
+_RECURRENCE = (products.coeffs_via_recurrence, products.weight_table,
+               products.denominator_schedule, products._coprime_base)
+_EXPANSION = (products.coeffs_via_expansion, products.expansion_plan, products._class_step)
+_RECURRENCE_ONLY = {"decimal_mul", "weight_table", "denominator_schedule", "_coprime_base"}
+_EXPANSION_ONLY = {"kronecker_mul", "apply_binomial_factor", "apply_progression",
+                   "expansion_plan", "_class_step"}
+
+
+@pytest.mark.parametrize("function", _RECURRENCE, ids=lambda f: f.__name__)
+def test_recurrence_function_loads_no_name_of_the_expansion(function):
+    """The routes stay independent in their code, whatever a run exercises;
+    the refused-kernel tests below cover the calls that run."""
+    assert not _loaded_names(function) & _EXPANSION_ONLY
+
+
+@pytest.mark.parametrize("function", _EXPANSION, ids=lambda f: f.__name__)
+def test_expansion_function_loads_no_name_of_the_recurrence(function):
+    assert not _loaded_names(function) & _RECURRENCE_ONLY
+
+
+def test_each_route_loads_its_own_packed_product():
+    # The scans above read names that the routes do load.
+    assert "decimal_mul" in _loaded_names(*_RECURRENCE)
+    assert "kronecker_mul" in _loaded_names(*_EXPANSION)
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -128,8 +128,12 @@ def test_run_all_sorted_and_passing():
 
 
 def test_run_check_unknown_id():
-    with pytest.raises(ValueError, match="unknown identity"):
+    with pytest.raises(ValueError, match="^unknown identity 'fermat_last'; known: delta_1, "):
         run_check("fermat_last", 10)
+    # A long id is named by its length, not echoed.
+    with pytest.raises(ValueError, match="^unknown identity of 5000 characters; known: ") as exc:
+        run_check("x" * 5000, 10)
+    assert len(str(exc.value)) < 400
 
 
 def test_delta_check_passes_for_odd_m():

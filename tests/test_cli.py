@@ -759,6 +759,12 @@ _KNOWN = ("known: delta_1, delta_10, delta_12, delta_2, delta_4, delta_6, delta_
          f"divprod compute: error: argument --order: invalid int value: '{'1' * 99}x'\n"),
         (["compute", "sigma", "--order", "1" * 4999 + "x"], 2, _EMPTY,
          "divprod compute: error: argument --order: invalid int value of 5000 characters\n"),
+        (["catalog", "x" * 100], 2, _EMPTY,
+         f"divprod: error: unrecognized arguments: {'x' * 100}\n"),
+        (["catalog", "x" * 5000], 2, _EMPTY,
+         "divprod: error: unrecognized arguments: an argument of 5000 characters\n"),
+        (["verify", "all", "--order", "5", "--zz", "x" * 5000], 2, _EMPTY,
+         "divprod: error: unrecognized arguments: --zz an argument of 5000 characters\n"),
         # A residue r or modulus m is echoed up to 100 digits and named by
         # its digit count past them, from a sequence name or a spec class.
         (["compute", f"sigma_rm({'1' * 100},3)", "--order", "5"], 2, _EMPTY,

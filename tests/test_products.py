@@ -59,8 +59,9 @@ def test_set_membership():
     assert list(ex.members_upto(6)) == [2, 5]
 
     assert list(SetDescriptor.all_naturals().members_upto(4)) == [1, 2, 3, 4]
-    # Stored as the same classes, but the wire forms differ.
-    assert SetDescriptor.all_naturals() != SetDescriptor.residue_union([(0, 1)])
+    # All naturals are the class (0, 1), whatever the wire form.
+    assert SetDescriptor.all_naturals() == SetDescriptor.residue_union([(0, 1)])
+    assert hash(SetDescriptor.all_naturals()) == hash(SetDescriptor.residue_union([(0, 1)]))
 
 
 def test_overlapping_residue_classes_yield_members_once():
@@ -106,13 +107,14 @@ def test_members_upto_walks_the_membership_predicate(s, order):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 10**6])
-def test_multiples_keeps_its_wire_form(m):
-    assert SetDescriptor.multiples(m).kind == "multiples"
-    assert SetDescriptor.multiples(m) != SetDescriptor.residue_union([(0, m)])
+def test_multiples_is_its_residue_union_form(m):
+    # A set is its classes: the wire label it was read from is not kept.
+    assert SetDescriptor.multiples(m) == SetDescriptor.residue_union([(0, m)])
+    assert hash(SetDescriptor.multiples(m)) == hash(SetDescriptor.residue_union([(0, m)]))
 
 
 def test_classes_given_as_a_list_are_stored_as_a_tuple():
-    s = SetDescriptor("residueUnion", classes=[(1, 2)])
+    s = SetDescriptor(classes=[(1, 2)])
     assert s == SetDescriptor.residue_union([(1, 2)])
     assert hash(s) == hash(SetDescriptor.residue_union([(1, 2)]))
 
@@ -141,8 +143,8 @@ def test_set_validation():
         (lambda: SetDescriptor.residue_union([(1, 2, 3)]),
          r"residue class \(1, 2, 3\) must be a pair of integers"),
         (lambda: SetDescriptor.residue_union([(1,)]), r"residue class \(1,\) must be a pair"),
-        (lambda: SetDescriptor("residueUnion", classes=(5,)), "residue class 5 must be a pair"),
-        (lambda: SetDescriptor("residueUnion", classes=([1, 2],)),
+        (lambda: SetDescriptor(classes=(5,)), "residue class 5 must be a pair"),
+        (lambda: SetDescriptor(classes=([1, 2],)),
          r"residue class \[1, 2\] must be a pair"),
         (lambda: SetDescriptor.multiples(1.5), "multiples requires a positive modulus"),
         (lambda: SetDescriptor.multiples("3"), "multiples requires a positive modulus"),
@@ -177,15 +179,11 @@ def test_table_weight_stores_an_exact_zero_c():
 @pytest.mark.parametrize(
     "make, needle",
     [
-        # all walks 1, 4, 7, ... here, but its JSON form is all naturals.
-        (lambda: SetDescriptor("all", classes=((1, 3),)), "all naturals is the class"),
-        # walks 2, 3, 4, 6, ..., but its JSON form is the multiples of 2.
-        (lambda: SetDescriptor("multiples", classes=((0, 2), (0, 3))), r"one class \(0, m\)"),
-        (lambda: SetDescriptor("multiples", classes=((1, 3),)), r"one class \(0, m\)"),
-        (lambda: SetDescriptor("all", classes=((0, 1),), members=(2,)), "all set takes classes"),
-        (lambda: SetDescriptor("multiples", classes=((0, 2),), members=(2,)), "multiples set"),
-        (lambda: SetDescriptor("residueUnion", classes=((1, 2),), members=(3,)), "residueUnion set"),
-        (lambda: SetDescriptor("explicit", classes=((0, 1),), members=(2,)), "explicit set takes"),
+        # A set is its classes or its members: given both, it is neither.
+        (lambda: SetDescriptor(classes=((0, 1),), members=(2,)), "classes or members, not both"),
+        (lambda: SetDescriptor(classes=((0, 2),), members=(2,)), "classes or members, not both"),
+        (lambda: SetDescriptor(classes=((1, 2),), members=(3,)), "classes or members, not both"),
+        (lambda: SetDescriptor(members=(2,), classes=((0, 1),)), "classes or members, not both"),
         (lambda: WeightSpec("linear", c=1, values=((1, 1),)), "linear weight takes c"),
         (lambda: WeightSpec("table", c=1, values=((1, 1),)), "table weight takes values"),
         # A factor and a spec hold values of their own types only: anything
@@ -200,8 +198,8 @@ def test_table_weight_stores_an_exact_zero_c():
     ],
 )
 def test_constructors_reject_fields_the_kind_does_not_carry(make, needle):
-    # The wire form of a kind holds only its own fields, so such a value
-    # would not equal its own JSON round trip.
+    # A value holds only the fields of its kind, so that it equals its own
+    # JSON round trip.
     with pytest.raises(ValueError, match=needle):
         make()
 

@@ -416,6 +416,47 @@ def test_kronecker_rejects_negative_arguments():
         kronecker_mul([1], [1], -1)
 
 
+class _BigEndianWords:
+    """``array("q", ...)`` as a big-endian host holds it: ints are stored
+    with their most significant byte first, bytes are kept as given, and
+    ``tolist`` reads each word most significant byte first."""
+
+    def __init__(self, typecode, values):
+        assert typecode == "q"
+        if isinstance(values, (bytes, bytearray)):
+            self.raw = bytes(values)
+        else:
+            self.raw = b"".join(v.to_bytes(8, "big", signed=True) for v in values)
+
+    def byteswap(self):
+        self.raw = b"".join(self.raw[i : i + 8][::-1] for i in range(0, len(self.raw), 8))
+
+    def tobytes(self):
+        return self.raw
+
+    def tolist(self):
+        return [int.from_bytes(self.raw[i : i + 8], "big", signed=True)
+                for i in range(0, len(self.raw), 8)]
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_kronecker_mul_on_a_big_endian_host(monkeypatch, width):
+    # The byteswap in series._words turns a big-endian host's words into the
+    # little-endian bytes that the slots are cut from, and back.
+    monkeypatch.setattr(series, "array", _BigEndianWords)
+    monkeypatch.setattr(series, "_BIG_ENDIAN", True)
+    rng = random.Random(width)
+    for n in (1, 2, 5, 17):
+        top = isqrt(((1 << (8 * width - 1)) - 1) // n)
+        a = [rng.randint(-top, top) for _ in range(n)]
+        b = [rng.randint(-top, top) for _ in range(n)]
+        a[0], b[-1] = top, -top  # the width reached, whatever the draw
+        assert slot_width(a, b, n - 1) == width
+        for order in (0, n - 1, 2 * n):
+            assert kronecker_mul(a, b, order) == schoolbook(a, b, order), (a, b, order)
+            assert kronecker_mul(a, a, order) == schoolbook(a, a, order), (a, order)
+
+
 # --- the recurrence's packed product against kronecker_mul ------------------
 
 wide_ints = st.integers(min_value=-(2**4096), max_value=2**4096)
