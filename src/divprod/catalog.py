@@ -16,8 +16,10 @@ many fields name it.  Tables look the oracles, the divisor sieves and the
 coefficient routes up among this module's globals when the check runs, and
 nothing is kept from one check to the next.  The oracles never go through the
 recurrence engine.  A check reports the first index at which two sides
-differ (``report.first_mismatch``).  A relation's right side is one packed
-product (``series.kronecker_mul``) to N; its left side is an oracle, a
+differ (``report.first_mismatch``, one pass over two lists).  A relation's
+sides are lists built by ``map`` over slices of its tables, with no Python
+step per coefficient; its right side is one packed product
+(``series.kronecker_mul``) to N, and its left side is an oracle, a
 sieve or a sparse table, none of which a packed product computes: neither
 ``kronecker_mul`` nor the recurrence's ``decimal_mul``, which this module
 does not bind.
@@ -31,8 +33,9 @@ none builds a table past it.
 
 from __future__ import annotations
 
-from operator import add
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from itertools import repeat
+from operator import add, mul
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from divprod.divisors import sigma_rm_table, sigma_table, triangular
 from divprod.products import (
@@ -103,14 +106,18 @@ class Relation(NamedTuple):
     shift: int = 0
     start: int = 1
 
-    def sides(self, t: Tables) -> tuple[Iterator[Rational], Iterator[Rational]]:
-        """Both sides for n = start..N; the right side's sums are one packed
-        product to N."""
-        lhs, sums = t(self.lhs), kronecker_mul(t(self.kernel), t(self.operand), t.order)
-        diagonal = t(self.diagonal) if self.diagonal else [0] * (t.order + 1)
-        span = range(self.start, t.order + 1)
-        left = ((n - self.shift) * lhs[n] for n in span)
-        return left, (self.scale * sums[n] + diagonal[n] for n in span)
+    def sides(self, t: Tables) -> tuple[list[Rational], list[Rational]]:
+        """Both sides for n = start..N, as lists built by ``map`` over slices;
+        the right side's sums are one packed product to N."""
+        start, stop = self.start, t.order + 1
+        weights = range(start - self.shift, stop - self.shift)  # n - shift
+        left = list(map(mul, weights, t(self.lhs)[start:stop]))
+        right = kronecker_mul(t(self.kernel), t(self.operand), t.order)[start:stop]
+        if self.scale != 1:
+            right = list(map(mul, repeat(self.scale), right))
+        if self.diagonal:
+            right = list(map(add, right, t(self.diagonal)[start:stop]))
+        return left, right
 
 
 class Identity(NamedTuple):

@@ -182,19 +182,34 @@ def _order(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+def _long_choice(text: str, choices) -> str:
+    """The message for a value past ``_SHOWN_CHARS`` that is not a choice."""
+    return (f"invalid choice of {len(text)} characters "
+            f"(choose from {', '.join(map(repr, choices))})")
+
+
 def _choice(*choices: str):
     """A ``type`` for an option with ``choices``: a value up to ``_SHOWN_CHARS``
     goes on to argparse's own check, a longer one is named by its length."""
 
     def check(text: str) -> str:
         if len(text) > _SHOWN_CHARS:
-            raise argparse.ArgumentTypeError(
-                f"invalid choice of {len(text)} characters "
-                f"(choose from {', '.join(map(repr, choices))})"
-            )
+            raise argparse.ArgumentTypeError(_long_choice(text, choices))
         return text
 
     return check
+
+
+def _command(argv: list[str]) -> str | None:
+    """The command argparse reads from ``argv``: the top level takes only -h,
+    so it is the first argument without a dash.  None where there is none, or
+    where a help request before it stops argparse first."""
+    for arg in argv:
+        if arg == "-h" or (len(arg) > 2 and "--help".startswith(arg)):
+            return None
+        if not arg.startswith("-"):
+            return arg
+    return None
 
 
 @cache  # one parser per process: parsing leaves it unchanged
@@ -236,11 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog = sub.add_parser("catalog", help="list identities, built-in specs, sequences")
     add_common(p_catalog, _cmd_catalog, order=False)
 
+    # For main, which names a long unknown command by its length.
+    parser.set_defaults(commands=tuple(sub.choices))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    command = _command(sys.argv[1:] if argv is None else argv)
+    if command is not None and len(command) > _SHOWN_CHARS:  # longer than any command
+        parser.error("argument command: " + _long_choice(command, parser.get_default("commands")))
     args, extras = parser.parse_known_args(argv)
     if extras:  # as parse_args reports them, but a long one by its length
         parser.error("unrecognized arguments: " + " ".join(
@@ -249,7 +269,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:  # a SpecFormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        message, path = str(exc), getattr(exc, "filename", None)
+        if isinstance(path, str) and len(path) > _SHOWN_CHARS:
+            message = f"[Errno {exc.errno}] {exc.strerror}: a path of {len(path)} characters"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

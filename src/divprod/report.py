@@ -8,7 +8,9 @@ scan that finds that index, for the catalog and for the coefficient routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import compress, count
+from operator import ne
+from typing import Optional, Sequence
 
 from divprod.series import Rational, exact_str
 
@@ -21,19 +23,19 @@ class Failure:
 
 
 def first_mismatch(
-    lhs: Iterable[Rational], rhs: Iterable[Rational], start: int = 0
+    lhs: Sequence[Rational], rhs: Sequence[Rational], start: int = 0
 ) -> Optional[Failure]:
     """The first index where the two sides differ, counting the first pair as
     index ``start``; None when they agree throughout.
 
-    Pairs are drawn one at a time, so a lazily computed side is never
-    evaluated past the first mismatch.  Sides of unequal length raise
-    ValueError.
+    Both sides are sequences, compared in one C-level pass and read back by
+    index at the mismatch.  Sides of unequal length raise ValueError; a side
+    without a length, such as a generator, raises TypeError.
     """
-    for n, (a, b) in enumerate(zip(lhs, rhs, strict=True), start):
-        if a != b:
-            return Failure(n, a, b)
-    return None
+    if len(lhs) != len(rhs):
+        raise ValueError(f"sides of unequal length: {len(lhs)} and {len(rhs)}")
+    n = next(compress(count(start), map(ne, lhs, rhs)), None)
+    return None if n is None else Failure(n, lhs[n - start], rhs[n - start])
 
 
 @dataclass(frozen=True)

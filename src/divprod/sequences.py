@@ -66,17 +66,24 @@ def _pentagonal(order: int):
 def partition_counts(order: int) -> TruncatedSeries:
     """p(0..order) by Euler's pentagonal recurrence, O(order^1.5).  p is 1
     over prod (1 - x^n), so p(n) = -(sum of sign * p(n - place) over the
-    terms placed at 1..n)."""
+    terms placed at 1..n): p(n - place) is added where the term is negative
+    and subtracted where it is positive."""
     check_order(order)
-    terms = list(_pentagonal(order))
+    added, subtracted = [], []
+    for place, sign in _pentagonal(order):
+        (added if sign is sub else subtracted).append(place)
     p = [1]
     for n in range(1, order + 1):
         total = 0
-        for place, sign in terms:
+        for place in added:
             if place > n:
                 break
-            total = sign(total, p[n - place])
-        p.append(-total)
+            total += p[n - place]
+        for place in subtracted:
+            if place > n:
+                break
+            total -= p[n - place]
+        p.append(total)
     return TruncatedSeries(p)
 
 
@@ -132,14 +139,16 @@ def triangular_rep_counts(m: int, order: int) -> TruncatedSeries:
     if type(m) is not int or m < 1:
         raise ValueError("m must be a positive integer")
     check_order(order)
-    places = list(takewhile(lambda t: t <= order, map(triangular, count(1))))
+    # Each place t with its weight (m + 1) t, computed once.
+    places = [(t, (m + 1) * t)
+              for t in takewhile(lambda t: t <= order, map(triangular, count(1)))]
     g = [1]
     for n in range(1, order + 1):
         acc = 0
-        for t in places:
+        for t, weight in places:
             if t > n:
                 break
-            acc += ((m + 1) * t - n) * g[n - t]
+            acc += (weight - n) * g[n - t]
         # g has integer coefficients, so the division is exact; a remainder is a defect.
         q, r = divmod(acc, n)
         if r:

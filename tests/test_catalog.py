@@ -39,6 +39,7 @@ from divprod.products import (
 )
 from divprod.report import first_mismatch
 from divprod.sequences import lambert_cubic_by_divisors
+from divprod.series import kronecker_mul
 
 
 # --- hand-checked instances ------------------------------------------------
@@ -166,8 +167,21 @@ def test_relation_right_side_matches_schoolbook_sum(identity):
     relation = identity.relation
     for order in (relation.start, relation.start + 1, 7, 60, 300):
         t = Tables(order)
-        _, right = relation.sides(t)
-        assert list(right) == schoolbook_right_side(relation, t)
+        left, right = relation.sides(t)
+        assert right == schoolbook_right_side(relation, t)
+        assert (left, right) == per_n_sides(relation, t)
+
+
+def per_n_sides(relation, t):
+    """Both sides for n = start..N, one n at a time: (n - shift) * lhs[n],
+    and scale * sums[n] + diagonal[n] over one packed product's sums."""
+    lhs, sums = t(relation.lhs), kronecker_mul(t(relation.kernel), t(relation.operand), t.order)
+    diagonal = t(relation.diagonal) if relation.diagonal else [0] * (t.order + 1)
+    span = range(relation.start, t.order + 1)
+    return (
+        [(n - relation.shift) * lhs[n] for n in span],
+        [relation.scale * sums[n] + diagonal[n] for n in span],
+    )
 
 
 # --- pinned negative tests -------------------------------------------------

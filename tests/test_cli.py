@@ -1,9 +1,11 @@
 """CLI contract: selectors, formats, exit codes, byte stability."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import importlib
+import io
 import json
 import subprocess
 import sys
@@ -666,6 +668,19 @@ _KNOWN = ("known: delta_1, delta_10, delta_12, delta_2, delta_4, delta_6, delta_
           "rogers_ramanujan_1, rogers_ramanujan_2, square_eta_quotient, triangular\n")
 
 
+def _plain_command_error(command):
+    """argparse's own last stderr line for an unknown command, from a plain
+    parser with the same commands, in the running Python's format."""
+    plain = argparse.ArgumentParser(prog="divprod")
+    sub = plain.add_subparsers(dest="command", required=True)
+    for name in ("compute", "expand", "verify", "catalog"):
+        sub.add_parser(name)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+        plain.parse_args([command])
+    return err.getvalue().splitlines(keepends=True)[-1]
+
+
 # (argv, exit code, sha256 of stdout, stderr) for every command in both
 # formats and the usage errors; expand runs on gauss.json in the working
 # directory, whose path the JSON document echoes.  Where argparse exits, the
@@ -765,6 +780,29 @@ _KNOWN = ("known: delta_1, delta_10, delta_12, delta_2, delta_4, delta_6, delta_
          "divprod: error: unrecognized arguments: an argument of 5000 characters\n"),
         (["verify", "all", "--order", "5", "--zz", "x" * 5000], 2, _EMPTY,
          "divprod: error: unrecognized arguments: --zz an argument of 5000 characters\n"),
+        # An unknown command: argparse's own message, and past 100
+        # characters the command named by its length.
+        (["zzz"], 2, _EMPTY, _plain_command_error("zzz")),
+        (["x" * 5000], 2, _EMPTY,
+         "divprod: error: argument command: invalid choice of 5000 characters "
+         "(choose from 'compute', 'expand', 'verify', 'catalog')\n"),
+        (["--", "x" * 101, "--order", "5"], 2, _EMPTY,
+         "divprod: error: argument command: invalid choice of 101 characters "
+         "(choose from 'compute', 'expand', 'verify', 'catalog')\n"),
+        # A path that cannot be opened is echoed up to 100 characters and
+        # named by its length past them.
+        (["expand", "--spec", "missing.json", "--order", "3"], 2, _EMPTY,
+         "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+        (["verify", "all", "--order", "5", "--out", "/nonexistent/abc"], 2, _EMPTY,
+         "error: [Errno 2] No such file or directory: '/nonexistent/abc'\n"),
+        (["expand", "--spec", "x" * 5000, "--order", "3"], 2, _EMPTY,
+         "error: [Errno 36] File name too long: a path of 5000 characters\n"),
+        (["verify", "all", "--order", "5", "--out", "/nonexistent/" + "x" * 5000], 2, _EMPTY,
+         "error: [Errno 36] File name too long: a path of 5013 characters\n"),
+        (["expand", "--spec", "/nonexistent/" + "x" * 87, "--order", "3"], 2, _EMPTY,
+         f"error: [Errno 2] No such file or directory: '/nonexistent/{'x' * 87}'\n"),
+        (["expand", "--spec", "/nonexistent/" + "x" * 88, "--order", "3"], 2, _EMPTY,
+         "error: [Errno 2] No such file or directory: a path of 101 characters\n"),
         # A residue r or modulus m is echoed up to 100 digits and named by
         # its digit count past them, from a sequence name or a spec class.
         (["compute", f"sigma_rm({'1' * 100},3)", "--order", "5"], 2, _EMPTY,
@@ -790,6 +828,15 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, stdo
         code, stdout_sha256, stderr,
     )
 
+
+
+@pytest.mark.parametrize("help_flag", ["-h", "--he", "--help"])
+def test_a_help_request_before_a_long_command_prints_help(capsys, help_flag):
+    # argparse stops at the help request before it reads the command.
+    with pytest.raises(SystemExit) as exc:
+        main([help_flag, "x" * 5000])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == cli.build_parser().format_help()
 
 
 def _last_error_line(parse, capsys):

@@ -4,12 +4,15 @@ The enumerators here are deliberately naive (recursive multiset counting,
 nested tuple loops) so the oracles' recurrences and series expansions are
 checked against something with no shared machinery.  The partition oracles are
 also checked against the part-by-part dynamic programs they replaced, kept
-here as references.  The last test compares each oracle, by ``==``, with the
-product expansion the catalog pins it to.
+here as references, and the two recurrence oracles against their loops with
+every sign and weight computed per term.  The last test compares each
+oracle, by ``==``, with the product expansion the catalog pins it to.
 """
 
 from functools import partial
+from itertools import count, takewhile
 from math import comb
+from operator import add, sub
 
 import pytest
 
@@ -77,6 +80,46 @@ def regular_partition_dp(p, order):
     return dp
 
 
+def pentagonal_partition_reference(order):
+    """p(0..order) by the pentagonal recurrence as it is written, one sign
+    call per term: the reference for the oracle, which splits its places by
+    sign once and adds or subtracts in two loops."""
+    terms = []
+    for k in count(1):
+        pair = (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+        places = [place for place in pair if place <= order]
+        terms += [(place, sub if k % 2 else add) for place in places]
+        if len(places) < 2:
+            break
+    p = [1]
+    for n in range(1, order + 1):
+        total = 0
+        for place, sign in terms:
+            if place > n:
+                break
+            total = sign(total, p[n - place])
+        p.append(-total)
+    return p
+
+
+def miller_reference(m, order):
+    """The m-th power of psi by Miller's recurrence, each weight (m + 1) t - n
+    computed whole at every term: the reference for the oracle, which keeps
+    (m + 1) t beside each place."""
+    places = list(takewhile(lambda t: t <= order, map(triangular, count(1))))
+    g = [1]
+    for n in range(1, order + 1):
+        acc = 0
+        for t in places:
+            if t > n:
+                break
+            acc += ((m + 1) * t - n) * g[n - t]
+        q, r = divmod(acc, n)
+        assert not r
+        g.append(q)
+    return g
+
+
 def count_triangular_tuples(m, n):
     """Ordered m-tuples of triangular numbers summing to n."""
     tris = [triangular(k) for k in range(n + 2) if triangular(k) <= n]
@@ -133,6 +176,15 @@ def test_partition_matches_the_dp_at_every_order():
     for order in range(301):
         assert list(partition_counts(order)) == reference[: order + 1]
     assert list(partition_counts(2000)) == partition_dp(2000)
+
+
+def test_partition_matches_the_sign_call_loop_at_every_order():
+    # The recurrence's terms do not depend on its order, so one table holds
+    # them all; each order is still run on its own.
+    reference = pentagonal_partition_reference(600)
+    for order in range(601):
+        assert list(partition_counts(order)) == reference[: order + 1]
+    assert list(partition_counts(2000)) == pentagonal_partition_reference(2000)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 10**30])
@@ -283,6 +335,17 @@ def test_delta_matches_binomial_series_form(m, orders):
     # Orders below m cover the j <= min(m, order) bound of the reference.
     for order in orders:
         assert triangular_rep_counts(m, order).coeffs == triangular_power_by_series(m, order)
+
+
+@pytest.mark.parametrize("m", range(1, 16))
+def test_delta_matches_the_whole_weight_loop_at_every_order(m):
+    reference = miller_reference(m, 600)
+    for order in range(601):
+        assert list(triangular_rep_counts(m, order)) == reference[: order + 1]
+
+
+def test_delta_matches_the_whole_weight_loop_at_a_large_m():
+    assert list(triangular_rep_counts(1000, 300)) == miller_reference(1000, 300)
 
 
 @pytest.mark.parametrize("m", [10**6, 10**30])
