@@ -379,10 +379,12 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
 
     The sums are relaxed (van der Hoeven's divide and conquer): ``acc[n]``
     holds the terms of the P(j) already added in blocks.  A range [l, r) of
-    at most ``LEAF`` terms runs the schoolbook loop from ``acc[n]`` over the
-    terms with l <= n-k.  A longer range solves [l, mid), adds the product
-    of P[l:mid] and h[0:r-l] into acc[mid:r], and solves [mid, r): each of
-    the O(log N) levels of blocks costs about one packed product of N terms.
+    at most ``LEAF`` terms runs the schoolbook sum from ``acc[n]`` over the
+    terms with l <= n-k, one ``sum(map(mul, h[1:], ...))`` per n over P(n-1)
+    down to P(l), with no Python step per term.  A longer range solves
+    [l, mid), adds the product of P[l:mid] and h[0:r-l] into acc[mid:r],
+    and solves [mid, r): each of the O(log N) levels of blocks costs about
+    one packed product of N terms.
     The rule for packing: a block is packed by ``series.decimal_mul`` only
     when every merged exponent is an integer (``table.denominators`` is
     empty, so D = 1 throughout) and the widest P(j) of P[l:mid] has at most
@@ -398,7 +400,7 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
         return TruncatedSeries.zero(order)
     table = weight_table(spec, inner)
     b, h = table.scale, table.numerators
-    kernel = [(k, hk) for k, hk in enumerate(h) if hk]
+    h1 = h[1:]  # h(k) for k = 1..inner, the leaf's sums start at k = 1
     p = [1] + [0] * inner
     acc = [0] * (inner + 1)
     ends = [min(n, inner) for n in range(CHUNK, inner + CHUNK, CHUNK)]
@@ -407,20 +409,17 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
 
     def leaf(l: int, start: int, r: int) -> None:
         nonlocal den, due
-        p_, acc_, kernel_ = p, acc, kernel  # local reads in the loop over terms
+        # The sums run over P(n-1) down to P(l); a stop of -1 would count
+        # from the end of p, so the slices down to P(0) stop at None.
+        below = l - 1 if l else None
         for n in range(start or 1, r):
             if n == due:
                 due += CHUNK
                 t = next(bounds) // den
                 if t > 1:
                     den *= t
-                    p_[:n] = map(mul, p_[:n], repeat(t))
-            s, top = acc_[n], n - l
-            for k, hk in kernel_:
-                if k > top:
-                    break
-                s += hk * p_[n - k]
-            p_[n], rem = divmod(s, b * n)
+                    p[:n] = map(mul, p[:n], repeat(t))
+            p[n], rem = divmod(sum(map(mul, h1, p[n - 1 : below : -1]), acc[n]), b * n)
             if rem:
                 raise ArithmeticError(f"inexact division at n={n}")
 
@@ -438,6 +437,9 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
             leaf(l, mid, r)
 
     run(0, inner + 1)
+    # run's closure cell refers to run; left alone, that cycle would keep p,
+    # acc and the table alive until the cyclic collector next ran.
+    del run
     if den > 1:
         p = [_tighten(Fraction(c, den)) for c in p]
     return TruncatedSeries((0,) * spec.shift + tuple(p))

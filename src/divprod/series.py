@@ -23,8 +23,10 @@ coefficient.  The arithmetic lives in list kernels:
   that route and the expansion share no kernel.  Below libmpdec's switch to
   its number-theoretic transform, 1024 words of 19 digits, libmpdec
   multiplies in quadratic time and CPython's ints are faster, so the slots
-  are bytes of an int; past it they are digits of a Decimal, since the
-  transform beats CPython's Karatsuba there.
+  are bytes of an int, slots of up to 8 bytes written and read by byte
+  planes of 8-byte words with no Python step per coefficient, wider ones
+  by a ``to_bytes`` and a ``from_bytes`` per coefficient; past it they are
+  digits of a Decimal, since the transform beats CPython's Karatsuba there.
 
 ``TruncatedSeries.__mul__`` keeps a plain double sum as their reference.
 ``exact_str`` prints a coefficient in full, past the interpreter's limit on
@@ -39,7 +41,7 @@ import sys
 from array import array
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
 from operator import add, sub
 from typing import Iterable, Iterator, Union
@@ -315,6 +317,33 @@ def kronecker_mul(a: list[int], b: list[int], order: int) -> list[int]:
     return _words(words).tolist()
 
 
+def _slots_from_words(coeffs: list[int], width: int) -> bytearray:
+    """The low ``width`` <= 8 bytes of each coefficient's two's complement,
+    slot after slot, little-endian: the coefficients go into an array of
+    signed 8-byte words, whose byte planes 0..width-1 are copied into the
+    slots' byte planes, with no Python step per coefficient."""
+    words = array("q", coeffs)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw, slots = words.tobytes(), bytearray(width * len(coeffs))
+    for j in range(width):
+        slots[j::width] = raw[j::8]
+    return slots
+
+
+def _words_from_slots(raw: bytes, width: int) -> list[int]:
+    """The unsigned little-endian ``width`` <= 8 byte slots of raw as ints:
+    the slots' byte planes are copied into planes 0..width-1 of an array of
+    unsigned 8-byte words, read at once."""
+    words = bytearray(8 * (len(raw) // width))
+    for j in range(width):
+        words[j::8] = raw[j::width]
+    words = array("Q", words)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
 # libmpdec multiplies in quadratic time up to a product of 1024 words, and
 # by its number-theoretic transform past that; a word holds 19 decimal
 # digits on a 64-bit build, so the switch lies at 1024 * 19 digits over all
@@ -336,8 +365,13 @@ def decimal_mul(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
       time, CPython's ints multiply faster (2400 by 4800 digits: 0.16 ms
       against libmpdec's 0.43 ms, which grows fourfold per doubling;
       libmpdec 2.5.1 on x86-64).  The slots are ``width`` bytes, from the
-      same bound plus one spare sign bit, each written by its own
-      ``to_bytes`` and read by its own ``from_bytes``;
+      same bound plus one spare sign bit.  A slot of up to 8 bytes holds
+      every coefficient in a signed 8-byte word, so the slots are written
+      and read by byte planes of ``array`` words (``_slots_from_words`` and
+      ``_words_from_slots``), with no Python step per coefficient; a wider
+      slot is written by its own ``to_bytes`` and read by its own
+      ``from_bytes``, which cost less than splitting each coefficient into
+      8-byte limbs;
     * past it, libmpdec's number-theoretic transform beats CPython's
       Karatsuba, so the slots are w decimal digits of a Decimal, multiplied
       in a local context that traps ``Inexact``, so nothing is rounded.
@@ -369,13 +403,19 @@ def decimal_mul(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
         half = h.to_bytes(width, "little")
 
         def pack_bytes(coeffs: list[int]) -> int:
+            bias = int.from_bytes(half * len(coeffs), "little")
+            if width <= 8:
+                return (int.from_bytes(_slots_from_words(coeffs, width), "little") ^ bias) - bias
             raw = b"".join([(c + h).to_bytes(width, "little") for c in coeffs])
-            return int.from_bytes(raw, "little") - int.from_bytes(half * len(coeffs), "little")
+            return int.from_bytes(raw, "little") - bias
 
         product = pack_bytes(a) * pack_bytes(b) + int.from_bytes(half * slots, "little")
-        raw = product.to_bytes(width * slots, "little")
-        out[: top - start] = [int.from_bytes(raw[i : i + width], "little") - h
-                              for i in range(width * start, width * top, width)]
+        raw = product.to_bytes(width * slots, "little")[width * start : width * top]
+        if width <= 8:
+            out[: top - start] = map(sub, _words_from_slots(raw, width), repeat(h))
+        else:
+            out[: top - start] = [int.from_bytes(raw[i : i + width], "little") - h
+                                  for i in range(0, len(raw), width)]
         return out
     h = 5 * 10 ** (w - 1)
     # Every slot, h too, is written and read as exactly w digits, so the

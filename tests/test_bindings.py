@@ -77,6 +77,19 @@ def test_recurrence_block_product_loads_no_helper_of_the_expansions():
     assert not names & {"kronecker_mul", "_pack", "_words", "_repeat", "_SIGN_FILL"}
 
 
+def test_expansion_product_loads_no_helper_of_the_recurrences():
+    """The other direction: the byte-plane helpers that ``decimal_mul``
+    loads are loaded by none of ``kronecker_mul`` and its helpers, and load
+    none of theirs, so a packing bug in either product is not common to both
+    routes."""
+    helpers = {"_slots_from_words", "_words_from_slots"}
+    assert helpers <= _loaded_names(series.decimal_mul)
+    kronecker = (series.kronecker_mul, series._pack, series._words, series._repeat)
+    assert not _loaded_names(*kronecker) & helpers
+    assert not _loaded_names(series._slots_from_words, series._words_from_slots) & {
+        "kronecker_mul", "_pack", "_words", "_repeat", "_SIGN_FILL", "_BIG_ENDIAN"}
+
+
 # Each coefficient route's functions, and the names only that route may load.
 _RECURRENCE = (products.coeffs_via_recurrence, products.weight_table,
                products.denominator_schedule, products._coprime_base)

@@ -1,5 +1,6 @@
 """Recurrence engine: weight tables, the two coefficient routes, spec JSON."""
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -1296,6 +1297,13 @@ def test_relaxed_recurrence_on_seeded_integer_specs(seed, order):
     assert coeffs_via_recurrence(spec, order) == schoolbook_recurrence(spec, order)
 
 
+# c = 1/3 over all n and -5/6 on 1 mod 4: D is raised at every chunk.
+THIRDS = ProductSpec(factors=(
+    Factor(SetDescriptor.all_naturals(), WeightSpec.linear(Fraction(1, 3))),
+    Factor(SetDescriptor.residue_union([(1, 4)]), WeightSpec.linear(Fraction(-5, 6))),
+))
+
+
 # c = 1/2 twice: the table's scale is 2 while every p(n) is an integer, so
 # blocks are packed on a kernel b*g(k) with b > 1.
 HALVES = ProductSpec(factors=(
@@ -1314,10 +1322,7 @@ LATE_HALF = ProductSpec(factors=(
     "spec",
     [
         _over_all(WeightSpec.table({n: 1 for n in range(1, 401)})),
-        ProductSpec(factors=(
-            Factor(SetDescriptor.all_naturals(), WeightSpec.linear(Fraction(1, 3))),
-            Factor(SetDescriptor.residue_union([(1, 4)]), WeightSpec.linear(Fraction(-5, 6))),
-        )),
+        THIRDS,
         HALVES,
         LATE_HALF,
     ],
@@ -1358,6 +1363,40 @@ def test_width_rule_keeps_wide_blocks_in_the_schoolbook_loop(monkeypatch, c, pac
     blocks = spy_blocks(monkeypatch)
     assert coeffs_via_recurrence(spec, 400) == schoolbook_recurrence(spec, 400)
     assert blocks == packed
+
+
+# A range of at most LEAF = 64 terms is one leaf: up to N = 63 the first
+# leaf (l = 0) solves all of [0, N]; from N = 64 on the range splits, and
+# after a packed block the later leaves (l > 0) end their sums at P(l).
+# The partition numbers, unlike gauss's 0/1 coefficients, are nonzero at
+# every l, so a sum that stops short of P(l) or runs past it shows.
+@pytest.mark.parametrize("order", [63, 64, 65, 127, 128, 129])
+def test_recurrence_leaves_at_their_boundaries(monkeypatch, order):
+    assert products.LEAF == 64
+    blocks = spy_blocks(monkeypatch)
+    partitions = _over_all(WeightSpec.linear(1))
+    assert coeffs_via_recurrence(partitions, order) == schoolbook_recurrence(partitions, order)
+    assert bool(blocks) == (order >= 64)
+    # D is raised at n = 33, 65 and 97, and no block is packed.
+    blocks.clear()
+    ends = [32, 64, 96, 128]
+    bounds = list(products.denominator_schedule(weight_table(THIRDS, 128), ends))
+    assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+    assert coeffs_via_recurrence(THIRDS, order) == schoolbook_recurrence(THIRDS, order)
+    assert blocks == []
+
+
+@pytest.mark.parametrize("spec", [builtin_spec("gauss"), THIRDS], ids=["integer", "rational"])
+def test_recurrence_leaves_no_reference_cycle(spec):
+    # Each call's p, acc, table and schedule are freed when it returns, not
+    # at the cyclic collector's next run.
+    gc.collect()
+    gc.disable()
+    try:
+        coeffs_via_recurrence(spec, 300)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- the recurrence's denominator schedule -------------------------------

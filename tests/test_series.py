@@ -4,6 +4,7 @@ the order check of every function that takes an order."""
 import decimal
 import random
 import sys
+import types
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
@@ -593,6 +594,72 @@ def test_decimal_mul_slot_wider_than_the_digit_limit():
     # Slots 2..3 alone are read back the same way; slots past the product are 0.
     assert decimal_mul_leaves_no_state(a, b, 2, 4) == out[2:4]
     assert decimal_mul_leaves_no_state(a, b, 4, 6) == [0, 0]
+
+
+def slot_width_cases(width):
+    """Operand pairs whose slot on decimal_mul's int side is ``width`` bytes,
+    h = 2**(8*width - 1) being half a slot: coefficients at +-(h - 1), the
+    slot's extremes, times a single +-1, and n-term operands whose bound
+    n * t**2 nears h, one pair all negative."""
+    h = 1 << (8 * width - 1)
+    rng = random.Random(width)
+    cases = [([h - 1, -(h - 1), 0, h - 1, -(h - 1)], [1]),
+             ([-1], [-(h - 1), h - 1, -(h - 1)]),
+             ([-(h - 1)] * 3, [-1])]
+    for n in (2, 5, 17):
+        t = isqrt((h - 1) // n)
+        a = [rng.randint(-t, t) for _ in range(n)]
+        b = [rng.randint(-t, t) for _ in range(n)]
+        a[0], b[-1] = t, -t  # the width reached, whatever the draw
+        cases += [(a, b), ([-rng.randint(1, t) for _ in range(n - 1)] + [-t], [-t] * n)]
+    return cases
+
+
+@pytest.mark.parametrize("width", range(1, 25))
+def test_decimal_mul_int_side_at_every_slot_width(monkeypatch, width):
+    # Slots of 1-8 bytes go by byte planes of 8-byte words, and those of
+    # 9-16 and 17-24 bytes, two and three words wide, by a call per
+    # coefficient.
+    for a, b in slot_width_cases(width):
+        assert slot_width(a, b, len(a) + len(b)) == width, (a, b)
+        top = len(a) + len(b) - 1  # the product's slots are 0 .. top-1
+        full = schoolbook(a, b, top + 3)
+        # Windows inside the product, windows whose stop is past it, and
+        # windows with start >= top, which are all zeros.
+        windows = [(0, top), (1, top - 1), (len(a), top), (0, top + 3), (top - 1, top + 2),
+                   (top, top), (top, top + 2), (top + 1, top + 4)]
+        for start, stop in windows:
+            assert contexts_built(monkeypatch, a, b, start, stop) == (full[start:stop], 0), (a, b, start)
+
+
+class _BigEndianSignedOrUnsignedWords(_BigEndianWords):
+    """``array("q", ...)`` or ``array("Q", ...)`` as a big-endian host holds
+    it."""
+
+    def __init__(self, typecode, values):
+        assert typecode in ("q", "Q")
+        signed = typecode == "q"
+        if isinstance(values, (bytes, bytearray)):
+            self.raw = bytes(values)
+        else:
+            self.raw = b"".join(v.to_bytes(8, "big", signed=signed) for v in values)
+        self.signed = signed
+
+    def tolist(self):
+        return [int.from_bytes(self.raw[i : i + 8], "big", signed=self.signed)
+                for i in range(0, len(self.raw), 8)]
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_decimal_mul_byte_planes_on_a_big_endian_host(monkeypatch, width):
+    # The byteswaps in decimal_mul's helpers turn a big-endian host's words
+    # into the little-endian bytes that the slots are cut from, and back.
+    monkeypatch.setattr(series, "array", _BigEndianSignedOrUnsignedWords)
+    monkeypatch.setattr(series, "sys", types.SimpleNamespace(byteorder="big"))
+    for a, b in slot_width_cases(width):
+        top = len(a) + len(b) - 1
+        assert decimal_mul(a, b, 0, top + 2) == schoolbook(a, b, top + 1), (a, b)
+        assert decimal_mul(a, b, len(a), top) == schoolbook(a, b, top)[len(a) : top], (a, b)
 
 
 def test_exact_str_prints_what_str_prints():
