@@ -48,6 +48,8 @@ SET_ALL = "all"
 SET_RESIDUE_UNION = "residueUnion"
 SET_MULTIPLES = "multiples"
 SET_EXPLICIT = "explicit"
+WEIGHT_LINEAR = "linear"
+WEIGHT_TABLE = "table"
 
 
 def _exact(x, what: str) -> Fraction:
@@ -133,47 +135,37 @@ class SetDescriptor:
         return sorted({n for r, m in self.classes for n in range(r or m, order + 1, m)})
 
 
-WEIGHT_LINEAR = "linear"
-WEIGHT_TABLE = "table"
-
-
 @dataclass(frozen=True, eq=True)
 class WeightSpec:
-    """Either f(n) = c*n (kind ``linear``) or an explicit table of f values."""
+    """A weight f on a factor's set: f(n) = c*n when ``c`` is given, else
+    the explicit table ``values`` of (n, f(n)) pairs.  A weight takes c or
+    table values, never both; an empty table is a table, not linear(0)."""
 
-    kind: str
-    c: Fraction = Fraction(0)
+    c: Fraction | None = None
     values: tuple[tuple[int, Fraction], ...] = ()
 
     def __post_init__(self):
-        if self.kind == WEIGHT_LINEAR:
+        if self.c is not None:
             if self.values:
-                raise ValueError("a linear weight takes c, not table values")
+                raise ValueError("a weight takes c or table values, not both")
             object.__setattr__(self, "c", _exact(self.c, "linear weight c"))
-        elif self.kind == WEIGHT_TABLE:
-            if _exact(self.c, "table weight c") != 0:
-                raise ValueError(f"a table weight takes values, not c; got c={self.c!r}")
-            object.__setattr__(self, "c", Fraction(0))
-            seen = {}
-            for n, v in self.values:
-                if not (type(n) is int and n > 0):
-                    raise ValueError("table keys must be positive integers")
-                if n in seen:
-                    raise ValueError(f"duplicate table entry for n={n}")
-                seen[n] = v if type(v) is Fraction else _exact(v, f"table value at n={n}")
-            object.__setattr__(
-                self, "values", tuple(sorted(seen.items()))
-            )
-        else:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+            return
+        seen = {}
+        for n, v in self.values:
+            if not (type(n) is int and n > 0):
+                raise ValueError("table keys must be positive integers")
+            if n in seen:
+                raise ValueError(f"duplicate table entry for n={n}")
+            seen[n] = v if type(v) is Fraction else _exact(v, f"table value at n={n}")
+        object.__setattr__(self, "values", tuple(sorted(seen.items())))
 
     @classmethod
     def linear(cls, c: Rational) -> "WeightSpec":
-        return cls(WEIGHT_LINEAR, c=c)
+        return cls(c=_exact(c, "linear weight c"))  # c=None would be a table
 
     @classmethod
     def table(cls, values: Mapping[int, Rational]) -> "WeightSpec":
-        return cls(WEIGHT_TABLE, values=tuple(values.items()))
+        return cls(values=tuple(values.items()))
 
     @cached_property
     def by_n(self) -> dict[int, Fraction]:
@@ -182,7 +174,7 @@ class WeightSpec:
 
     def exponent_at(self, n: int) -> Fraction:
         """The factor exponent of (1-x^n), i.e. -f(n)/n, at a set member n."""
-        if self.kind == WEIGHT_LINEAR:
+        if self.c is not None:
             return -self.c
         if n not in self.by_n:
             raise ValueError(f"table weight missing for required n={n}")
@@ -256,7 +248,7 @@ def _members_upto(spec: ProductSpec, order: int):
     missing is refused here, with its field path, for both routes."""
     for i, factor in enumerate(spec.factors):
         path, w, members = f"factors[{i}].weight", factor.weight, factor.set.members_upto(order)
-        if w.kind == WEIGHT_TABLE and (missing := set(members).difference(w.by_n)):
+        if w.c is None and (missing := set(members).difference(w.by_n)):
             raise SpecFormatError(
                 f"{path}.values: table weight missing for required n={min(missing)}"
             )
@@ -276,12 +268,12 @@ def weight_table(spec: ProductSpec, order: int) -> DivisorWeightTable:
     check_order(order)
     factors = [(w, members) for _, w, members in _members_upto(spec, order)]
     # A linear factor's c is read once, at its first member.
-    scale = lcm(*{w.c.denominator if w.kind == WEIGHT_LINEAR else w.by_n[d].denominator
+    scale = lcm(*{w.by_n[d].denominator if w.c is None else w.c.denominator
                   for w, members in factors
-                  for d in (members[:1] if w.kind == WEIGHT_LINEAR else members)})
+                  for d in (members if w.c is None else members[:1])})
     merged = [0] * (order + 1)  # scale * F(d) at each degree d
     for w, members in factors:
-        if w.kind == WEIGHT_LINEAR:
+        if w.c is not None:
             step = w.c.numerator * (scale // w.c.denominator)
             for d in members:
                 merged[d] += step * d
@@ -460,7 +452,7 @@ def expansion_plan(spec: ProductSpec, inner: int) -> ExpansionPlan:
     ``coeffs_via_expansion`` runs; it refuses the same factors."""
     ex = [0] * (inner + 1)  # ex[n]: the merged exponent of (1 - x^n)
     for path, w, members in _members_upto(spec, inner):
-        if w.kind == WEIGHT_LINEAR:
+        if w.c is not None:
             if members and w.c.denominator != 1:
                 raise SpecFormatError(
                     f"{path}.c: expansion oracle requires integer exponents; linear weight c={w.c}"
@@ -598,6 +590,21 @@ def _shown(text: str) -> str:
     return repr(text) if len(text) <= _SHOWN_CHARS else f"of {len(text)} characters"
 
 
+def _quoted(value) -> str:
+    """A JSON value for an error message: its repr up to ``_SHOWN_CHARS``
+    characters (a string's own length counted), else its type and size; an
+    integer past the digit limit by its problem."""
+    if isinstance(value, _Oversized):
+        return value.problem
+    if isinstance(value, str):
+        return repr(value) if len(value) <= _SHOWN_CHARS else f"a string of {len(value)} characters"
+    if len(text := repr(value)) <= _SHOWN_CHARS:
+        return text
+    if isinstance(value, int):
+        return f"an integer of {len(text.lstrip('-'))} digits"
+    return f"{'a list' if isinstance(value, list) else 'an object'} of length {len(value)}"
+
+
 def past_digit_limit(literal: str, what: str = "integer") -> str:
     """The problem with a decimal literal that int() refuses for its length,
     by its digit count rather than its digits."""
@@ -608,6 +615,9 @@ class _Oversized(NamedTuple):
     """Stands in for a JSON integer literal past the int-to-str digit limit."""
 
     problem: str
+
+    def __repr__(self) -> str:  # inside a list or object that an error shows
+        return f"<{self.problem}>"
 
 
 def _int_or_oversized(literal: str):
@@ -652,7 +662,7 @@ def _int_from_json(value, path: str, *index: int) -> int:
         where = path + "".join(f"[{i}]" for i in index)
         if isinstance(value, _Oversized):
             raise SpecFormatError(f"{where}: {value.problem}")
-        raise SpecFormatError(f"{where}: expected an integer, got {value!r}")
+        raise SpecFormatError(f"{where}: expected an integer, got {_quoted(value)}")
     return value
 
 
@@ -687,7 +697,7 @@ def _set_from_dict(doc, path: str) -> SetDescriptor:
         if isinstance(exc, SpecFormatError):
             raise
         raise SpecFormatError(f"{path}: {exc}")
-    raise SpecFormatError(f"{path}.kind: unknown set kind {kind!r}")
+    raise SpecFormatError(f"{path}.kind: unknown set kind {_quoted(kind)}")
 
 
 def _weight_from_dict(doc, path: str) -> WeightSpec:
@@ -712,10 +722,10 @@ def _weight_from_dict(doc, path: str) -> WeightSpec:
                 raise SpecFormatError(f"{where}: {past_digit_limit(key, 'key')}")
             values.append((n, _rational_from_json(v, where, key)))
         try:
-            return WeightSpec(WEIGHT_TABLE, values=tuple(values))
+            return WeightSpec(values=tuple(values))
         except ValueError as exc:
             raise SpecFormatError(f"{where}: {exc}")
-    raise SpecFormatError(f"{path}.kind: unknown weight kind {kind!r}")
+    raise SpecFormatError(f"{path}.kind: unknown weight kind {_quoted(kind)}")
 
 
 def spec_from_dict(doc) -> ProductSpec:
@@ -757,11 +767,15 @@ def _reject_repeated_keys(doc) -> None:
         path, node = stack.pop()
         if isinstance(node, _Repeated):
             raise SpecFormatError(
-                f"{path or 'top level'}: repeated key {node.key!r}: "
+                f"{path or 'top level'}: repeated key {_shown(node.key)}: "
                 "JSON object keys may not repeat"
             )
-        if isinstance(node, dict):
-            stack.extend((f"{path}.{k}" if path else k, v) for k, v in reversed(node.items()))
+        if isinstance(node, dict):  # a long key is named by its length, as a table key is
+            for k, v in reversed(node.items()):
+                step = f".{k}" if path else k
+                if len(k) > _SHOWN_CHARS:
+                    step = f"[key of {len(k)} characters]"
+                stack.append((path + step, v))
         elif isinstance(node, list):
             stack.extend((f"{path}[{i}]", node[i]) for i in reversed(range(len(node))))
 

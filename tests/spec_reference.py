@@ -7,7 +7,7 @@ readings are the direct definitions the tests check them against.
 
 import json
 
-from divprod.products import SET_EXPLICIT, SET_RESIDUE_UNION, WEIGHT_LINEAR
+from divprod.products import SET_EXPLICIT, SET_RESIDUE_UNION, WEIGHT_LINEAR, WEIGHT_TABLE
 
 
 def contains(s, n: int) -> bool:
@@ -21,7 +21,7 @@ def contains(s, n: int) -> bool:
 
 def f_value(w, n: int):
     """The weight f(n) of the weight spec ``w`` at a set member n."""
-    if w.kind == WEIGHT_LINEAR:
+    if w.c is not None:
         return w.c * n
     if n not in w.by_n:
         raise ValueError(f"table weight missing for required n={n}")
@@ -35,14 +35,14 @@ def _set_doc(s) -> dict:
 
 
 def _weight_doc(w) -> dict:
-    if w.kind == WEIGHT_LINEAR:
+    if w.c is not None:
         return {"kind": WEIGHT_LINEAR, "c": str(w.c)}
-    return {"kind": w.kind, "values": {str(n): str(v) for n, v in w.values}}
+    return {"kind": WEIGHT_TABLE, "values": {str(n): str(v) for n, v in w.values}}
 
 
 def spec_to_json(spec) -> str:
     """The spec as a wire document: a set as its classes or its members, a
-    weight in the form of its kind."""
+    weight as its c or its table."""
     return json.dumps({
         "shift": spec.shift,
         "factors": [{"set": _set_doc(f.set), "weight": _weight_doc(f.weight)}

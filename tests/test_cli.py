@@ -813,12 +813,22 @@ def _plain_command_error(command):
          "error: non-canonical residue: need 0 <= r < m, got r of 102 digits, m of 101 digits\n"),
         (["expand", "--spec", "residue.json", "--order", "5"], 2, _EMPTY,
          "error: factors[0].set: non-canonical residue: need 0 <= r < m, got r of 4000 digits, m=3\n"),
+        # Any other spec value past 100 characters is named by its type and size.
+        (["expand", "--spec", "kind.json", "--order", "5"], 2, _EMPTY,
+         "error: factors[0].set.kind: unknown set kind a string of 5000 characters\n"),
+        (["expand", "--spec", "m.json", "--order", "5"], 2, _EMPTY,
+         "error: factors[0].set.m: expected an integer, got a list of length 20000\n"),
     ],
 )
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, stdout_sha256, stderr):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "gauss.json").write_text(GAUSS_JSON)
     (tmp_path / "residue.json").write_text(_linear_doc(([[int("1" * 4000), 3]], "1")))
+    weight = {"kind": "linear", "c": "1"}
+    for name, set_doc in (("kind", {"kind": "x" * 5000}),
+                          ("m", {"kind": "multiples", "m": [0] * 20000})):
+        doc = {"factors": [{"set": set_doc, "weight": weight}]}
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     try:
         got_code, out, err = run_cli(argv, capsys)
     except SystemExit as exc:

@@ -154,10 +154,8 @@ def test_set_validation():
         (lambda: WeightSpec.table({2: 0.5}), "table value at n=2 must be an int or a Fraction"),
         (lambda: WeightSpec.table({2: False}), "table value at n=2 must be an int or a Fraction"),
         (lambda: WeightSpec.table({2.0: 1}), "table keys must be positive integers"),
-        (lambda: WeightSpec("table", c=0.0, values=((1, 1),)),
-         "table weight c must be an int or a Fraction, got 0.0"),
-        (lambda: WeightSpec("table", c=False, values=((1, 1),)),
-         "table weight c must be an int or a Fraction, got False"),
+        (lambda: WeightSpec(c=0.0, values=((1, 1),)), "weight takes c or table values, not both"),
+        (lambda: WeightSpec(c=False, values=((1, 1),)), "takes c or table values, not both"),
         (lambda: ProductSpec(gauss_spec().factors, shift=True), "shift must be an integer, got True"),
         (lambda: ProductSpec(gauss_spec().factors, shift=1.5), "shift must be an integer, got 1.5"),
         (lambda: ProductSpec(gauss_spec().factors, shift=2.0), "shift must be an integer, got 2.0"),
@@ -171,10 +169,44 @@ def test_constructors_reject_inexact_weights_and_non_int_members(make, needle):
         make()
 
 
-def test_table_weight_stores_an_exact_zero_c():
+def test_table_weight_holds_no_c():
+    # A table has no c, not a zero one: an explicit zero c beside its values
+    # is a weight given both ways.
+    assert WeightSpec.table({1: 1}).c is None and WeightSpec(values=((1, 1),)).c is None
     for zero in (0, Fraction(0)):
-        c = WeightSpec("table", c=zero, values=((1, 1),)).c
-        assert c == 0 and type(c) is Fraction
+        with pytest.raises(ValueError, match="a weight takes c or table values, not both"):
+            WeightSpec(c=zero, values=((1, 1),))
+
+
+@pytest.mark.parametrize(
+    "made, direct",
+    [
+        (WeightSpec.linear(3), WeightSpec(c=3)),
+        (WeightSpec.linear(Fraction(-1, 3)), WeightSpec(c=Fraction(-1, 3))),
+        (WeightSpec.linear(0), WeightSpec(c=Fraction(0))),
+        (WeightSpec.table({5: 1, 2: Fraction(1, 2)}),
+         WeightSpec(values=((2, Fraction(1, 2)), (5, 1)))),
+        (WeightSpec.table({}), WeightSpec()),
+    ],
+    ids=["linear(3)", "linear(-1/3)", "linear(0)", "table", "empty table"],
+)
+def test_weight_constructors_equal_the_fields_they_set(made, direct):
+    assert made == direct and hash(made) == hash(direct)
+
+
+def test_empty_table_is_not_linear_zero():
+    empty, zero = WeightSpec.table({}), WeightSpec.linear(0)
+    assert empty != zero and (empty.c, zero.c) == (None, 0)
+    with pytest.raises(TypeError):  # not an empty table
+        WeightSpec.linear(None)
+    over = lambda w: ProductSpec(factors=(Factor(SetDescriptor.explicit([3, 9]), w),))
+    # A table needs a value at each member <= N; linear(0) is f = 0 there.
+    for route in (coeffs_via_recurrence, coeffs_via_expansion):
+        assert route(over(empty), 2) == TruncatedSeries([1, 0, 0])
+        with pytest.raises(SpecFormatError) as info:
+            route(over(empty), 5)
+        assert str(info.value) == "factors[0].weight.values: table weight missing for required n=3"
+        assert route(over(zero), 5) == TruncatedSeries([1, 0, 0, 0, 0, 0])
 
 
 @pytest.mark.parametrize(
@@ -185,8 +217,9 @@ def test_table_weight_stores_an_exact_zero_c():
         (lambda: SetDescriptor(classes=((0, 2),), members=(2,)), "classes or members, not both"),
         (lambda: SetDescriptor(classes=((1, 2),), members=(3,)), "classes or members, not both"),
         (lambda: SetDescriptor(members=(2,), classes=((0, 1),)), "classes or members, not both"),
-        (lambda: WeightSpec("linear", c=1, values=((1, 1),)), "linear weight takes c"),
-        (lambda: WeightSpec("table", c=1, values=((1, 1),)), "table weight takes values"),
+        # A weight is its c or its table: given both, it is neither.
+        (lambda: WeightSpec(c=1, values=((1, 1),)), "c or table values, not both"),
+        (lambda: WeightSpec(values=((1, 1),), c=1), "c or table values, not both"),
         # A factor and a spec hold values of their own types only: anything
         # else would fail later, inside a route.
         (lambda: Factor("x", "y"), "a factor's set must be a SetDescriptor, got 'x'"),
@@ -1038,7 +1071,7 @@ def _scaled_weights(spec, q):
     """The spec with every weight times q, shift 0: the q-th power of its product."""
 
     def scaled(w):
-        if w.kind == "linear":
+        if w.c is not None:
             return WeightSpec.linear(w.c * q)
         return WeightSpec.table({n: v * q for n, v in w.values})
 
@@ -1104,7 +1137,7 @@ def test_recurrence_power_matches_scaled_expansion(spec, order):
     q = _exponent_scale(spec, inner)
     # Any multiple of q will do; the expansion wants every linear c*e to be
     # an integer, also on a factor with no member <= N.
-    e = lcm(q, *(f.weight.c.denominator for f in spec.factors))
+    e = lcm(q, *(f.weight.c.denominator for f in spec.factors if f.weight.c is not None))
     p = TruncatedSeries(out.coeffs[spec.shift :])
     assert _power(p, e) == coeffs_via_expansion(_scaled_weights(spec, e), inner)
 
@@ -1126,10 +1159,10 @@ def _weight_scale(spec, order):
     scale = 1
     for factor in spec.factors:
         w, members = factor.weight, factor.set.members_upto(order)
-        if w.kind == "linear" and members:
-            scale = lcm(scale, w.c.denominator)
-        elif w.kind == "table":
+        if w.c is None:
             scale = lcm(scale, *(f_value(w, d).denominator for d in members))
+        elif members:
+            scale = lcm(scale, w.c.denominator)
     return scale
 
 
@@ -1439,7 +1472,7 @@ def scheduled_specs(draw):
             )
         factors.append(Factor(s, weight))
     first = factors[0].weight
-    if first.kind == "linear" and draw(st.booleans()):
+    if first.c is not None and draw(st.booleans()):
         cancel = draw(st.integers(-2, 2)) - first.c
         factors.append(Factor(SetDescriptor.all_naturals(), WeightSpec.linear(cancel)))
     return ProductSpec(factors=tuple(factors))
@@ -1622,6 +1655,16 @@ def _linear_doc(c):
     )
 
 
+def _one_factor_doc(set_doc, weight_doc=None, **top):
+    """A spec document of one factor, c = 1 unless a weight is given, with
+    ``top`` as further top-level fields."""
+    weight_doc = weight_doc or {"kind": "linear", "c": "1"}
+    return json.dumps({"factors": [{"set": set_doc, "weight": weight_doc}], **top})
+
+
+_ALL_DOC = {"kind": "all"}
+
+
 @pytest.mark.parametrize(
     "doc,needle",
     [
@@ -1746,11 +1789,99 @@ def _linear_doc(c):
             "^invalid JSON at line 1 column 5025",
             id="syntax-error-after-int-past-digit-limit",
         ),
+        # A kind, a non-integer integer field or a repeated key is quoted up
+        # to 100 characters, and past them named by its type and size.
+        pytest.param(
+            _one_factor_doc({"kind": "x" * 100}),
+            rf"^factors\[0\]\.set\.kind: unknown set kind '{'x' * 100}'$",
+            id="set-kind-of-100-characters-quoted",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": "x" * 5000}),
+            r"^factors\[0\]\.set\.kind: unknown set kind a string of 5000 characters$",
+            id="long-set-kind",
+        ),
+        pytest.param(
+            _one_factor_doc(_ALL_DOC, {"kind": "x" * 5000}),
+            r"^factors\[0\]\.weight\.kind: unknown weight kind a string of 5000 characters$",
+            id="long-weight-kind",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": list(range(3000))}),
+            r"^factors\[0\]\.set\.kind: unknown set kind a list of length 3000$",
+            id="set-kind-list-of-3000",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": -(10**200)}),
+            r"^factors\[0\]\.set\.kind: unknown set kind an integer of 201 digits$",
+            id="set-kind-integer-of-201-digits",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": {"a": "x" * 200}}),
+            r"^factors\[0\]\.set\.kind: unknown set kind an object of length 1$",
+            id="set-kind-long-object",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": 1}).replace('"kind": 1', '"kind": ' + "9" * 5000),
+            r"^factors\[0\]\.set\.kind: unknown set kind integer of 5000 digits is past the "
+            r"interpreter's int-to-str limit$",
+            id="set-kind-past-int-digit-limit",
+        ),
+        pytest.param(
+            _one_factor_doc(_ALL_DOC, shift="x" * 5000),
+            r"^shift: expected an integer, got a string of 5000 characters$",
+            id="long-string-shift",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": "explicit", "members": [1, "x" * 5000]}),
+            r"^factors\[0\]\.set\.members\[1\]: expected an integer, got a string of 5000 "
+            r"characters$",
+            id="long-string-member",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": "residueUnion", "classes": [[0, "x" * 5000]]}),
+            r"^factors\[0\]\.set\.classes\[0\]\[1\]: expected an integer, got a string of "
+            r"5000 characters$",
+            id="long-string-in-class",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": "multiples", "m": [0] * 20000}),
+            r"^factors\[0\]\.set\.m: expected an integer, got a list of length 20000$",
+            id="m-list-of-20000",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": "multiples", "m": [1]}).replace("[1]", "[%s]" % ("9" * 5000)),
+            r"^factors\[0\]\.set\.m: expected an integer, got \[<integer of 5000 digits is "
+            r"past the interpreter's int-to-str limit>\]$",
+            id="m-list-holding-int-past-digit-limit",
+        ),
+        pytest.param(
+            '{"%s": 1, "%s": 2, "factors": []}' % ("k" * 5000, "k" * 5000),
+            "^top level: repeated key of 5000 characters: JSON object keys may not repeat$",
+            id="long-repeated-key",
+        ),
+        pytest.param(
+            '{"%s": {"a": 1, "a": 2}, "factors": []}' % ("p" * 5000),
+            r"^\[key of 5000 characters\]: repeated key 'a': JSON object keys may not repeat$",
+            id="repeated-key-under-long-key",
+        ),
+        pytest.param(
+            '{"note": {"%s": {"a": 1, "a": 2}}, "factors": []}' % ("p" * 101),
+            r"^note\[key of 101 characters\]: repeated key 'a'",
+            id="repeated-key-under-long-nested-key",
+        ),
+        pytest.param(
+            '{"note": {"%s": {"a": 1, "a": 2}}, "factors": []}' % ("p" * 100),
+            rf"^note\.{'p' * 100}: repeated key 'a'",
+            id="repeated-key-under-nested-key-of-100-characters",
+        ),
     ],
 )
 def test_spec_parse_errors(doc, needle):
-    with pytest.raises(SpecFormatError, match=needle):
+    with pytest.raises(SpecFormatError, match=needle) as info:
         spec_from_json(doc)
+    # No value is echoed whole: a message names a long one by its size.
+    assert len(str(info.value)) < 300
 
 
 def test_integer_past_the_digit_limit_in_an_unread_field_is_ignored():
