@@ -27,9 +27,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, isqrt, lcm, prod
-from operator import add, mul
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from divprod.divisors import divisor_sums, non_canonical
@@ -90,6 +90,7 @@ class SetDescriptor:
             return
         if self.members:
             raise ValueError("a set takes classes or members, not both")
+        object.__setattr__(self, "members", ())  # an empty list given here would not hash
         for c in self.classes:
             if not (type(c) is tuple and len(c) == 2 and all(type(v) is int for v in c)):
                 raise ValueError(f"residue class {c!r} must be a pair of integers")
@@ -149,6 +150,7 @@ class WeightSpec:
             if self.values:
                 raise ValueError("a weight takes c or table values, not both")
             object.__setattr__(self, "c", _exact(self.c, "linear weight c"))
+            object.__setattr__(self, "values", ())  # an empty list given here would not hash
             return
         seen = {}
         for n, v in self.values:
@@ -458,8 +460,12 @@ def expansion_plan(spec: ProductSpec, inner: int) -> ExpansionPlan:
                     f"{path}.c: expansion oracle requires integer exponents; linear weight c={w.c}"
                 )
             c = w.c.numerator
-            for n in members:
-                ex[n] -= c
+            if isinstance(members, range):  # one class, which runs to inner
+                at = slice(members.start, None, members.step)
+                ex[at] = map(sub, ex[at], repeat(c))
+            else:
+                for n in members:
+                    ex[n] -= c
         else:
             for n in members:
                 f = w.by_n[n]
@@ -474,7 +480,8 @@ def expansion_plan(spec: ProductSpec, inner: int) -> ExpansionPlan:
     # which balances the passes below it against the kernel's
     # O(inner^2 / cut) cells.  A class holds at most one tail: from the first
     # degree s of e on, when e holds more than the scan's share of the class
-    # from s on; e is then subtracted from every degree there.  The scan runs
+    # from s on; e is then subtracted from every degree there, one slice
+    # ``map``, as a linear weight over one class is merged.  The scan runs
     # at step 1 first, so that an exponent dense over all n is one tail, not
     # one per class mod L.  While the class scan mod L follows, step 1 asks
     # for more than 7/10 of the run, and a class for more than half: at 2/3,
@@ -492,14 +499,15 @@ def expansion_plan(spec: ProductSpec, inner: int) -> ExpansionPlan:
                 s = first + run.index(e) * m
                 if den * count > num * ((inner - s) // m + 1):
                     groups.setdefault(abs(e), ([], []))[0].append((s, m, 1 if e > 0 else -1))
-                    ex[s::m] = [x - e for x in ex[s::m]]
-    # A degree left nonzero joins the group of its |e|, if there is one.
+                    ex[s::m] = map(sub, ex[s::m], repeat(e))
+    # The degrees left nonzero are read off by one ``compress``.  Each joins
+    # the group of its |e|, if there is one.
     # Else it is a stray when the bit length of |e| fits the ladder that the
     # tails set up, or it joins the largest tail power p that divides |e| as
     # |e|/p units, when that is at most the bit length of max|e|.  Else it
     # opens the group |e|.  So no degree makes more passes than max|e| has
     # bits, and none adds a ladder bit that its own |e| does not.
-    left = [(n, e) for n, e in enumerate(ex) if e]
+    left = list(compress(enumerate(ex), ex))
     powers, bits = tuple(groups), max(groups, default=0).bit_length()
     top, strays = max(bits, max((abs(e) for _, e in left), default=0).bit_length()), []
     for n, e in left:
@@ -535,7 +543,10 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
     # groups is built once: levels with the same set of powers share one
     # base, and a set that extends a built prefix starts from its copy.
     # Then each stray with bit j set in its |e| is one unit pass on the
-    # running product.
+    # running product.  A group runs its tails by descending step, so a
+    # base's first tail is its coarsest and meets the series 1, which is zero
+    # off the multiples of every step: apply_progression runs its sums in
+    # x^step there, where after a finer tail the list would be dense.
     powers = sorted(plan.groups, reverse=True)
     coeffs, bases = None, {(): [1] + [0] * inner}
     for j in reversed(range(max(powers, default=0).bit_length())):
@@ -546,7 +557,7 @@ def coeffs_via_expansion(spec: ProductSpec, order: int) -> TruncatedSeries:
                 if key[:i] not in bases:
                     bases[key[:i]] = base = bases[key[: i - 1]][:]
                     tails, passes = plan.groups[key[i - 1]]
-                    for s, m, sign in tails:
+                    for s, m, sign in sorted(tails, key=itemgetter(1), reverse=True):
                         apply_progression(base, s, m, sign)
                     for n, k in passes:
                         apply_binomial_factor(base, n, k)

@@ -12,7 +12,8 @@ coefficient.  The arithmetic lives in list kernels:
   slice operations;
 * ``apply_progression``, the in-place product over an arithmetic
   progression, prod_j (1 - x^(b+jm))^(+-1), by Euler's sums, whose cost does
-  not grow with the number of degrees in the progression;
+  not grow with the number of degrees in the progression; on a list that is
+  zero off the multiples of m the sums run in y = x^m, at 1/m of the cells;
 * ``kronecker_mul``, the packed product, on which the expansion squares and
   multiplies, and which sums the catalog's relations; slots of up to 8
   bytes go to and from signed 8-byte words (``array``) by byte-plane
@@ -221,22 +222,30 @@ def apply_progression(coeffs: list, b: int, m: int, e: int) -> None:
 
     The k-th term is the (k-1)-th divided by (1 - x^(mk)), one inverse pass
     on a copy of the input truncated to what x^start_k leaves of the order,
-    and is added into the list from start_k on.  Exact; k runs while
-    start_k <= N, so the cost is O(N^2 / b) cells for e = -1 and
-    O(N^1.5 / sqrt(m)) for e = +1, however many degrees the progression has.
+    and is added into the list from start_k on.  When every coefficient off
+    the multiples of m is zero (the series 1, say), so is every quotient, and
+    the sums run in y = x^m: the copy keeps every m-th coefficient, truncated
+    to (N - start_k) // m + 1 of them, is divided by (1 - y^k), and is added
+    into every m-th place from start_k.  Exact; k runs while start_k <= N, so
+    the cost is O(N^2 / b) cells for e = -1 and O(N^1.5 / sqrt(m)) for
+    e = +1, however many degrees the progression has, and m times fewer on
+    an input on the multiples of m: O(N^2 / (b m)) for e = -1.
     """
     if b < 1 or m < 1:
         raise ValueError("progression start b and step m must be >= 1")
     if e not in (1, -1):
         raise ValueError("progression exponent must be 1 or -1")
     top = len(coeffs) - 1
-    w = coeffs[:]
+    # The sums run on every stride-th place: every m-th when the list is zero
+    # off the multiples of m (any list, for m = 1), else every place.
+    stride = 1 if any(any(coeffs[r::m]) for r in range(1, m)) else m
+    w = coeffs[::stride]
     k, start = 1, b
     while start <= top:
-        del w[top + 1 - start :]
-        apply_binomial_factor(w, m * k, -1)
+        del w[(top - start) // stride + 1 :]
+        apply_binomial_factor(w, m // stride * k, -1)
         op = sub if e > 0 and k % 2 else add
-        coeffs[start:] = map(op, coeffs[start:], w)
+        coeffs[start::stride] = map(op, coeffs[start::stride], w)
         k += 1
         start = b * k if e < 0 else b * k + m * k * (k - 1) // 2
 

@@ -4,6 +4,7 @@ import gc
 import json
 import random
 from fractions import Fraction
+from itertools import count, takewhile
 from math import gcd, isqrt, lcm
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divprod.products as products
+import divprod.series as series
 from divprod.products import (
     Factor,
     ProductSpec,
@@ -192,6 +194,21 @@ def test_table_weight_holds_no_c():
 )
 def test_weight_constructors_equal_the_fields_they_set(made, direct):
     assert made == direct and hash(made) == hash(direct)
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [
+        [WeightSpec(c=1, values=[]), WeightSpec(c=1, values=()), WeightSpec(c=1), WeightSpec.linear(1)],
+        [SetDescriptor(classes=((0, 1),), members=[]), SetDescriptor(classes=((0, 1),), members=()),
+         SetDescriptor(classes=((0, 1),)), SetDescriptor.all_naturals()],
+    ],
+    ids=["weight", "set"],
+)
+def test_an_unused_field_given_empty_as_a_list_a_tuple_or_not_at_all_is_one_value(forms):
+    # The field a value does not use is stored as (), whatever empty form it
+    # was given in, so every form hashes and all compare equal.
+    assert all(form == forms[0] and hash(form) == hash(forms[0]) for form in forms)
 
 
 def test_empty_table_is_not_linear_zero():
@@ -641,6 +658,58 @@ def test_expansion_takes_the_full_progression_tails(monkeypatch, case):
     assert sorted(p for p in passes if p[0] >= cut) == sorted(corrections)
     assert got == per_degree_expansion(spec, order)
     assert got == coeffs_via_recurrence(spec, order)
+
+
+# A tail of step 4 from 32 and one of step 1 from 101, in the one group 1:
+# the coarser tail starts below the finer one, so only an order by step runs
+# it first.  The exponent -1 on the degrees 100..500 holds 300 of the 400
+# degrees 101..500 once the multiples of 4 take +1.
+COARSE_BELOW_FINE = ProductSpec((
+    _linear_factor(SetDescriptor.explicit(range(100, 501)), 1),
+    _linear_factor(SetDescriptor.multiples(4), -1),
+))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["delta(1)", "p_regular(2)", "p_regular(5)", "rr1", "square_quotient", "coarse below fine"],
+)
+def test_a_tail_on_the_multiples_of_its_step_divides_by_k(monkeypatch, name):
+    # Each group runs its tails by descending step, so the first tail of a
+    # base built from 1 meets the series 1.  A tail whose input is zero off
+    # the multiples of its step m makes its k-th inverse pass by (1 - y^k),
+    # y = x^m, on the (inner - start_k) // m + 1 coefficients of the
+    # multiples of m; any other tail by (1 - x^(mk)) on inner - start_k + 1.
+    spec, order = COARSE_BELOW_FINE if name == "coarse below fine" else builtin_spec(name), 500
+    inner = order - spec.shift
+    tails = []  # (base, (b, m, e), on the multiples of m, [(size, n) per pass])
+    real_progression, real_pass = products.apply_progression, series.apply_binomial_factor
+
+    def progression(coeffs, b, m, e):
+        on = not any(c for i, c in enumerate(coeffs) if i % m)
+        tails.append((id(coeffs), (b, m, e), on, []))
+        real_progression(coeffs, b, m, e)
+
+    def inverse_pass(coeffs, n, e):
+        assert e == -1
+        tails[-1][3].append((len(coeffs), n))
+        real_pass(coeffs, n, e)
+
+    monkeypatch.setattr(products, "apply_progression", progression)
+    monkeypatch.setattr(series, "apply_binomial_factor", inverse_pass)
+    coeffs_via_expansion(spec, order)
+    (_, (_, m, _), on, _), *_ = tails
+    assert on and m > 1  # the first tail meets the series 1
+    steps = {}
+    for base, (b, m, e), on, passes in tails:
+        steps.setdefault(base, []).append(m)
+        stride = m if on else 1
+        starts = takewhile(lambda s: s <= inner,
+                           (b * k if e < 0 else b * k + m * k * (k - 1) // 2 for k in count(1)))
+        assert passes == [((inner - s) // stride + 1, m // stride * k) for k, s in enumerate(starts, 1)]
+    assert all(ms == sorted(ms, reverse=True) for ms in steps.values()), steps
+    if name == "coarse below fine":
+        assert [tail for _, tail, _, _ in tails] == [(32, 4, 1), (101, 1, -1)]
 
 
 def majority_spec(seed):

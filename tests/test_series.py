@@ -247,6 +247,36 @@ def test_progression_matches_per_degree_passes_at_order_2000(m):
             assert got == per_degree(coeffs, b, m, e), (b, m, e)
 
 
+@pytest.mark.parametrize("m", range(1, 13))
+def test_progression_on_and_off_the_multiples_of_m_matches_per_degree_passes(m):
+    # The series 1 and a random list that is zero off the multiples of m take
+    # the sums in x^m.  One nonzero off the multiples, at index 1 or at the
+    # last index off them, sends the same list back to the sums in x.  Each
+    # order truncates the lists with no nonzero off them or one at index 1,
+    # so their reference is a prefix of the one at the top order; the list
+    # with one at the last index is rebuilt at each order.
+    top = 120
+    for b in range(1, 2 * m + 3):
+        for e in (1, -1):
+            rng = random.Random(f"lattice {b} {m} {e}")
+            lattice = [rng.randint(-9, 9) if i % m == 0 else 0 for i in range(top + 1)]
+            inputs = [[1] + [0] * top, lattice]
+            if m > 1:
+                inputs.append(lattice[:1] + [rng.choice((-1, 1)) * rng.randint(1, 9)] + lattice[2:])
+            references = [(coeffs, per_degree(coeffs, b, m, e)) for coeffs in inputs]
+            for order in range(top + 1):
+                for coeffs, expected in references:
+                    got = coeffs[: order + 1]
+                    apply_progression(got, b, m, e)
+                    assert got == expected[: order + 1], (b, m, e, order, coeffs is lattice)
+                if m > 1 and order:
+                    last = lattice[: order + 1]
+                    last[order if order % m else order - 1] = rng.choice((-1, 1)) * rng.randint(1, 9)
+                    got = last[:]
+                    apply_progression(got, b, m, e)
+                    assert got == per_degree(last, b, m, e), (b, m, e, order, "last")
+
+
 def test_progression_on_one_is_euler_product():
     # prod (1 - x^n)^-1 counts partitions; prod (1 - x^n) is the pentagonal series.
     base = [1] + [0] * 12
