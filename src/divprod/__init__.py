@@ -22,7 +22,7 @@ from divprod.sequences import (
     rogers_ramanujan_sum_side,
     triangular_rep_counts,
 )
-from divprod.series import TruncatedSeries, binomial_factor
+from divprod.series import TruncatedSeries
 
 __all__ = [
     "Factor",
@@ -31,7 +31,6 @@ __all__ = [
     "SetDescriptor",
     "TruncatedSeries",
     "WeightSpec",
-    "binomial_factor",
     "builtin_spec",
     "coeffs_via_expansion",
     "coeffs_via_recurrence",

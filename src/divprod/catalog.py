@@ -202,7 +202,7 @@ def _minus_half(t):
 
 
 def _partitions(t):
-    return partition_counts(t.order).coeffs
+    return partition_counts(t.order)
 
 
 def _cubic(t):
@@ -212,7 +212,7 @@ def _cubic(t):
 
 def _cubic_sieved(t):
     """a(n) by the Lambert double sum, one sieve to N, a(0) = 1."""
-    return lambert_cubic_prefix(t.order).coeffs
+    return lambert_cubic_prefix(t.order)
 
 
 def _cubic_shifted(t):
@@ -236,7 +236,7 @@ def p_regular(p: int) -> Identity:
     """f counts the partitions whose parts repeat fewer than p times."""
     return _oracle_recurrence(
         f"p_regular_{p}",
-        lambda t: regular_partition_counts(p, t.order).coeffs,
+        lambda t: regular_partition_counts(p, t.order),
         p_regular_spec(p),  # raises for p < 2
         _divisor_kernel((1, 0, 1, 1), (-1, 0, p, 1)),
     )
@@ -247,7 +247,7 @@ def rogers_ramanujan(which: int) -> Identity:
     r1, r2 = (1, 4) if which == 1 else (2, 3)
     return _oracle_recurrence(
         f"rogers_ramanujan_{which}",
-        lambda t: rogers_ramanujan_sum_side(which, t.order).coeffs,
+        lambda t: rogers_ramanujan_sum_side(which, t.order),
         rogers_ramanujan_spec(which),  # raises unless which is 1 or 2
         _divisor_kernel((1, r1, 5, 1), (1, r2, 5, 1)),
     )
@@ -260,7 +260,7 @@ def delta(m: int) -> Identity:
     hold for every m >= 1."""
     return _oracle_recurrence(
         f"delta_{m}",
-        lambda t: triangular_rep_counts(m, t.order).coeffs,
+        lambda t: triangular_rep_counts(m, t.order),
         delta_spec(m),  # raises unless m is a positive int
         _odd_minus_even,
         scale=m,
@@ -277,7 +277,7 @@ def p_regular_verbatim(p: int) -> Identity:
     return Identity(
         f"p_regular_verbatim_{p}",
         expected=FAIL,
-        pins=(Pin(lambda t: regular_partition_counts(p, t.order).coeffs, _expansion(reciprocal)),),
+        pins=(Pin(lambda t: regular_partition_counts(p, t.order), _expansion(reciprocal)),),
     )
 
 

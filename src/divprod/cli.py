@@ -61,11 +61,11 @@ _SEQUENCES = {
     "t": lambda order: list(enumerate(sparse_table(order, triangular))),
     "T": _per_n(triangular),
     "a": _per_n(lambert_cubic_by_divisors),
-    "partition": lambda order: list(enumerate(partition_counts(order).coeffs)),
-    "q_regular(p)": lambda p, order: list(enumerate(regular_partition_counts(p, order).coeffs)),
-    "rr1": lambda order: list(enumerate(rogers_ramanujan_sum_side(1, order).coeffs)),
-    "rr2": lambda order: list(enumerate(rogers_ramanujan_sum_side(2, order).coeffs)),
-    "delta(m)": lambda m, order: list(enumerate(triangular_rep_counts(m, order).coeffs)),
+    "partition": lambda order: list(enumerate(partition_counts(order))),
+    "q_regular(p)": lambda p, order: list(enumerate(regular_partition_counts(p, order))),
+    "rr1": lambda order: list(enumerate(rogers_ramanujan_sum_side(1, order))),
+    "rr2": lambda order: list(enumerate(rogers_ramanujan_sum_side(2, order))),
+    "delta(m)": lambda m, order: list(enumerate(triangular_rep_counts(m, order))),
 }
 
 SEQUENCE_NAMES = tuple(_SEQUENCES)

@@ -5,18 +5,18 @@ Miller's power recurrence for the powers of the triangular theta series.
 
 These are the arbiters the identity catalog checks everything else against,
 so none of them may go through the recurrence engine.  Each returns its terms
-0..N as a ``TruncatedSeries``, the type of the coefficient routes, so an
-oracle and the product expansion it is pinned to compare with ``==``.
+0..N as a plain tuple of ints, so it equals ``tuple()`` of a coefficient
+route's result for the product it is pinned to.
 """
 
 from __future__ import annotations
 
-from itertools import count, takewhile
+from itertools import accumulate, count, takewhile
 from operator import add, sub
 
 from divprod.divisors import divisors, triangular
 # binomial_factor: unused, but perfbench's --trace 1 patches it here and fails without it.
-from divprod.series import TruncatedSeries, binomial_factor, check_order  # noqa: F401
+from divprod.series import binomial_factor, check_order  # noqa: F401
 
 
 def lambert_cubic_by_divisors(n: int) -> int:
@@ -29,7 +29,7 @@ def lambert_cubic_by_divisors(n: int) -> int:
     return sum((n // d) ** 3 for d in divisors(n) if d % 2 == 1)
 
 
-def lambert_cubic_prefix(order: int) -> TruncatedSeries:
+def lambert_cubic_prefix(order: int) -> tuple[int, ...]:
     """Coefficients of sum_{n>=1} n^3 x^n / (1 - x^{2n}) up to ``order``,
     expanded as the double sum over n^3 x^{n(2j+1)}; index 0 is set to 1
     to match the sequence convention."""
@@ -43,13 +43,7 @@ def lambert_cubic_prefix(order: int) -> TruncatedSeries:
         while e <= order:
             terms[e] += cube
             e += step
-    return TruncatedSeries(terms)
-
-
-def _divide(c: list[int], n: int) -> None:
-    """Divide c by (1 - x^n) in place, truncated to its own length."""
-    for i in range(n, len(c)):
-        c[i] += c[i - n]
+    return tuple(terms)
 
 
 def _pentagonal(order: int):
@@ -63,7 +57,7 @@ def _pentagonal(order: int):
             yield place, sub if k % 2 else add
 
 
-def partition_counts(order: int) -> TruncatedSeries:
+def partition_counts(order: int) -> tuple[int, ...]:
     """p(0..order) by Euler's pentagonal recurrence, O(order^1.5).  p is 1
     over prod (1 - x^n), so p(n) = -(sum of sign * p(n - place) over the
     terms placed at 1..n): p(n - place) is added where the term is negative
@@ -84,24 +78,24 @@ def partition_counts(order: int) -> TruncatedSeries:
                 break
             total -= p[n - place]
         p.append(total)
-    return TruncatedSeries(p)
+    return tuple(p)
 
 
-def regular_partition_counts(p: int, order: int) -> TruncatedSeries:
+def regular_partition_counts(p: int, order: int) -> tuple[int, ...]:
     """Partitions whose parts each repeat fewer than p times, for 0..order:
     prod (1 - x^{pn}) / (1 - x^n), the partition numbers times the pentagonal
     series at x^p, one shifted slice of p(n) per term."""
     if type(p) is not int or p < 2:
         raise ValueError("p must be an integer >= 2")
-    parts = partition_counts(order).coeffs  # raises for a negative order
+    parts = partition_counts(order)  # raises for a negative order
     c = list(parts)
     for place, sign in _pentagonal(order // p):
         at = p * place
         c[at:] = map(sign, c[at:], parts[: order + 1 - at])
-    return TruncatedSeries(c)
+    return tuple(c)
 
 
-def rogers_ramanujan_sum_side(which: int, order: int) -> TruncatedSeries:
+def rogers_ramanujan_sum_side(which: int, order: int) -> tuple[int, ...]:
     """Coefficients of 1 + sum_{n>=1} x^{E(n)} / prod_{j=1..n} (1 - x^j)
     with E(n) = n^2 (which=1) or n(n+1) (which=2).
 
@@ -110,24 +104,22 @@ def rogers_ramanujan_sum_side(which: int, order: int) -> TruncatedSeries:
     if type(which) is not int or which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     check_order(order)
-
-    def head(n: int) -> int:
-        return n * n if which == 1 else n * (n + 1)
-
     # inv holds 1/prod_{j<=n}(1-x^j), kept only as far as the summand
     # x^{E(n)} * inv can reach, so each pass is over N+1-E(n) terms.
+    # Dividing by 1 - x^n is a running sum along each residue class mod n.
     total = [1] + [0] * order
     inv = total[:]
     n = 1
-    while head(n) <= order:
-        del inv[order + 1 - head(n):]
-        _divide(inv, n)
-        total[head(n):] = map(add, total[head(n):], inv)
+    while (e := n * (n + which - 1)) <= order:  # E(n)
+        del inv[order + 1 - e:]
+        for r in range(n):
+            inv[r::n] = accumulate(inv[r::n])
+        total[e:] = map(add, total[e:], inv)
         n += 1
-    return TruncatedSeries(total)
+    return tuple(total)
 
 
-def triangular_rep_counts(m: int, order: int) -> TruncatedSeries:
+def triangular_rep_counts(m: int, order: int) -> tuple[int, ...]:
     """Number of ordered m-tuples of triangular numbers summing to n, for
     0..order: the m-th power g of psi = sum_{k>=0} x^{T(k)}.
 
@@ -154,4 +146,4 @@ def triangular_rep_counts(m: int, order: int) -> TruncatedSeries:
         if r:
             raise ArithmeticError(f"inexact division at n={n}")
         g.append(q)
-    return TruncatedSeries(g)
+    return tuple(g)

@@ -3,9 +3,9 @@
 A series of order N carries coefficients for x^0 .. x^N inclusive and nothing
 beyond.  Coefficients are Python ints or `fractions.Fraction` values (always
 in lowest terms, positive denominator), and no floating point is used
-anywhere.  ``TruncatedSeries`` is the value type of the coefficient routes
-and the oracles: an immutable container whose ``==`` compares every
-coefficient.  The arithmetic lives in list kernels:
+anywhere.  ``TruncatedSeries`` is the value type of the coefficient routes:
+an immutable container whose ``==`` compares every coefficient; the oracles
+of ``sequences`` return plain tuples.  The arithmetic lives in list kernels:
 
 * ``apply_binomial_factor``, the in-place pass that multiplies by one
   (1 - x^n)^e in O(N) cells per unit of |e|, done as at most about sqrt(N)
@@ -93,6 +93,7 @@ def sparse_table(order: int, place, coeff=lambda k: 1) -> list[Rational]:
     """coeff(k) at place(k) for k = 0, 1, ... while place(k) <= order (place
     increasing), zero elsewhere: a table supported on the squares k*k, the
     triangular numbers T(k), ..."""
+    check_order(order)
     table = [0] * (order + 1)
     k = 0
     while place(k) <= order:

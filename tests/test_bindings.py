@@ -51,6 +51,11 @@ def test_sequences_binds_no_kernel_of_another_route():
     assert not bound & {"apply_binomial_factor", "apply_progression", "decimal_mul"}
 
 
+def test_sequences_binds_no_series_type():
+    # The oracles return plain tuples; only the routes build a TruncatedSeries.
+    assert "TruncatedSeries" not in vars(sequences)
+
+
 def test_catalog_binds_no_recurrence_block_product():
     assert "decimal_mul" not in vars(catalog)
 
@@ -138,7 +143,8 @@ def test_exports_resolve_and_test_only_names_are_gone():
     references (tests/spec_reference.py); a report still has ``to_dict``.
     The per-value sigma and indicator functions and ``cross_check`` are
     removed too: the sieves, ``sparse_table`` and ``expand --algo both`` do
-    their work, so ``products`` binds nothing from ``report``."""
+    their work, so ``products`` binds nothing from ``report``.
+    ``binomial_factor`` is a test reference, left in ``series`` only."""
     assert [name for name in divprod.__all__ if not hasattr(divprod, name)] == []
     removed = ("sigma", "sigma_rm", "sigma_odd", "sigma_even", "square_indicator",
                "triangular_indicator", "cross_check")
@@ -156,6 +162,8 @@ def test_exports_resolve_and_test_only_names_are_gone():
     assert [(owner.__name__, name) for owner, names in gone.items()
             for name in names if hasattr(owner, name)] == []
     assert not hasattr(divprod, "sigma_ext")
+    assert not hasattr(divprod, "binomial_factor")
+    assert hasattr(series, "binomial_factor")
     assert hasattr(IdentityReport, "to_dict")
 
 

@@ -5,8 +5,9 @@ nested tuple loops) so the oracles' recurrences and series expansions are
 checked against something with no shared machinery.  The partition oracles are
 also checked against the part-by-part dynamic programs they replaced, kept
 here as references, and the two recurrence oracles against their loops with
-every sign and weight computed per term.  The last test compares each
-oracle, by ``==``, with the product expansion the catalog pins it to.
+every sign and weight computed per term.  The last test checks that each
+oracle returns a tuple of ints, and that it equals the coefficients of its
+product's expansion, compared as ``tuple(...)`` of the route's result.
 """
 
 from functools import partial
@@ -25,6 +26,7 @@ from divprod.products import (
     coeffs_via_expansion,
     delta_spec,
     p_regular_spec,
+    ramanujan_spec,
     rogers_ramanujan_spec,
 )
 from divprod.sequences import (
@@ -156,7 +158,7 @@ def test_lambert_routes_agree():
 def test_partition_spot_values():
     p = partition_counts(10)
     assert p[5] == 7
-    assert p.coeffs == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
+    assert p == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
 
 
 def test_partition_matches_enumeration():
@@ -205,7 +207,7 @@ def test_regular_partition_matches_the_dp_one_past_the_order():
 def test_regular_partition_spot_values():
     assert regular_partition_counts(2, 5)[5] == 3  # 5, 4+1, 3+2
     assert regular_partition_counts(3, 4)[4] == 4  # 4, 3+1, 2+2, 2+1+1
-    assert regular_partition_counts(2, 5).coeffs == (1, 1, 1, 2, 2, 3)
+    assert regular_partition_counts(2, 5) == (1, 1, 1, 2, 2, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -241,7 +243,7 @@ def test_rogers_ramanujan_spot_values():
     r1 = rogers_ramanujan_sum_side(1, 4)
     r2 = rogers_ramanujan_sum_side(2, 4)
     assert r1[0] == 1
-    assert r1.coeffs == (1, 1, 1, 1, 2)
+    assert r1 == (1, 1, 1, 1, 2)
     assert r2[4] == 1
 
 
@@ -274,9 +276,7 @@ def rogers_ramanujan_by_series(which, order):
 @pytest.mark.parametrize("which", [1, 2])
 def test_rogers_ramanujan_matches_series_products(which):
     for order in range(81):
-        assert rogers_ramanujan_sum_side(which, order).coeffs == rogers_ramanujan_by_series(
-            which, order
-        )
+        assert rogers_ramanujan_sum_side(which, order) == rogers_ramanujan_by_series(which, order)
 
 
 def test_rogers_ramanujan_rejects_bad_selector():
@@ -311,7 +311,7 @@ def test_delta_matches_repeated_theta_product(m, order):
     acc = TruncatedSeries([1] + [0] * order)
     for _ in range(m):
         acc = acc * theta
-    assert triangular_rep_counts(m, order).coeffs == acc.coeffs
+    assert triangular_rep_counts(m, order) == tuple(acc)
 
 
 def triangular_power_by_series(m, order):
@@ -334,7 +334,7 @@ def triangular_power_by_series(m, order):
 def test_delta_matches_binomial_series_form(m, orders):
     # Orders below m cover the j <= min(m, order) bound of the reference.
     for order in orders:
-        assert triangular_rep_counts(m, order).coeffs == triangular_power_by_series(m, order)
+        assert triangular_rep_counts(m, order) == triangular_power_by_series(m, order)
 
 
 @pytest.mark.parametrize("m", range(1, 16))
@@ -353,7 +353,7 @@ def test_delta_closed_forms_at_huge_m(m):
     # n = 2 is two 1s; n = 3 is one 3 or three 1s.  The cost is bounded by
     # the order, so m = 10**30 runs as fast as m = 20.
     r = triangular_rep_counts(m, 20)
-    assert r.coeffs[:4] == (1, m, comb(m, 2), m + comb(m, 3))
+    assert r[:4] == (1, m, comb(m, 2), m + comb(m, 3))
 
 
 def test_delta_rejects_nonpositive_m():
@@ -376,12 +376,21 @@ _PINNED_PRODUCTS = [
       for w in (1, 2)),
     *(pytest.param(partial(triangular_rep_counts, m), delta_spec(m), id=f"delta({m})")
       for m in (1, 2, 3, 4, 5, 6, 8, 10, 12)),
+    pytest.param(lambert_cubic_prefix, ramanujan_spec(), id="lambert_cubic"),
 ]
 
 
 @pytest.mark.parametrize("order", [0, 1, 7, 60])
 @pytest.mark.parametrize("oracle,spec", _PINNED_PRODUCTS)
 def test_oracle_equals_its_product_expansion(oracle, spec, order):
-    # An oracle returns the coefficient routes' type, so the sides compare
-    # whole; the product's expansion is the route the catalog pins it to.
-    assert oracle(order) == coeffs_via_expansion(spec, order)
+    # An oracle returns a plain tuple of order + 1 ints, and a route's result
+    # becomes one by tuple(), so the sides compare whole.
+    got = oracle(order)
+    assert type(got) is tuple and len(got) == order + 1
+    assert all(type(c) is int for c in got)
+    product = tuple(coeffs_via_expansion(spec, order))
+    if oracle is lambert_cubic_prefix:
+        # The product has x in front: a(n) from n = 1, and 0 at x^0, where
+        # the sequence puts a(0) = 1.
+        product = (1,) + product[1:]
+    assert got == product

@@ -18,6 +18,7 @@ from divprod.products import coeffs_via_expansion, coeffs_via_recurrence, gauss_
 from divprod.sequences import (
     lambert_cubic_prefix,
     partition_counts,
+    regular_partition_counts,
     rogers_ramanujan_sum_side,
     triangular_rep_counts,
 )
@@ -30,6 +31,7 @@ from divprod.series import (
     decimal_mul,
     exact_str,
     kronecker_mul,
+    sparse_table,
 )
 
 S = TruncatedSeries
@@ -719,16 +721,18 @@ def test_exact_str_prints_past_the_digit_limit():
         lambda order: divisor_sums(order, [(1, 1)]),
         lambert_cubic_prefix,
         partition_counts,
+        lambda order: regular_partition_counts(2, order),
         lambda order: rogers_ramanujan_sum_side(1, order),
         lambda order: triangular_rep_counts(2, order),
+        lambda order: sparse_table(order, lambda k: k * k),
         lambda order: weight_table(gauss_spec(), order),
         lambda order: coeffs_via_recurrence(gauss_spec(), order),
         lambda order: coeffs_via_expansion(gauss_spec(), order),
     ],
     ids=["binomial_factor", "kronecker_mul", "decimal_mul", "decimal_mul_start", "divisor_sums",
-         "lambert_cubic_prefix", "partition_counts", "rogers_ramanujan_sum_side",
-         "triangular_rep_counts", "weight_table", "coeffs_via_recurrence",
-         "coeffs_via_expansion"],
+         "lambert_cubic_prefix", "partition_counts", "regular_partition_counts",
+         "rogers_ramanujan_sum_side", "triangular_rep_counts", "sparse_table", "weight_table",
+         "coeffs_via_recurrence", "coeffs_via_expansion"],
 )
 def test_every_order_argument_is_a_nonnegative_int(fn):
     for order, error, message in [
