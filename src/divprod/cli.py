@@ -2,12 +2,13 @@
 the identity catalog with machine-readable reports.
 
 One writer, ``_write``, prints every command in either ``--format``, from
-a JSON document and CSV rows built on the same strings.  Exit codes: 0
-success / all identities passed, 1 an identity or agreement check failed, 2
-usage or configuration error.  Output is deterministic and byte-stable for a
-fixed invocation; values are printed exactly (full decimal integers,
-rationals as p/q), also past the interpreter's int-to-str digit limit
-(``series.exact_str``).
+a JSON document and CSV rows built on the same strings.  One parser class,
+``_Parser``, names a long argv value by its length in argparse's own
+messages, for the sub-parsers too.  Exit codes: 0 success / all identities
+passed, 1 an identity or agreement check failed, 2 usage or configuration
+error.  Output is deterministic and byte-stable for a fixed invocation;
+values are printed exactly (full decimal integers, rationals as p/q), also
+past the interpreter's int-to-str digit limit (``series.exact_str``).
 """
 
 from __future__ import annotations
@@ -167,54 +168,49 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _order(text: str) -> int:
-    """An ``--order`` literal as int() reads it.  Decimal digits that int()
-    refuses only for their count are named by that count, and any other
-    literal past ``_SHOWN_CHARS`` by its length; neither is echoed."""
-    try:
-        return int(text)
-    except ValueError:
-        digits = text.removeprefix("-")
-        if digits.isascii() and digits.isdigit():
-            raise argparse.ArgumentTypeError(past_digit_limit(text)) from None
-        if len(text) > _SHOWN_CHARS:
-            raise argparse.ArgumentTypeError(f"invalid int value of {len(text)} characters") from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that names a value past ``_SHOWN_CHARS`` by its
+    length where argparse would echo it: an invalid choice (``_check_value``),
+    an ``--order`` that int() refuses (``_get_value``, decimal digits by
+    their count) and unrecognized arguments (``parse_args``).  The first two
+    are argparse internals, checked by the pinned CLI bytes on every
+    supported Python.  The sub-parsers inherit the class (``add_subparsers``)."""
 
+    def parse_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        # Current 3.13 releases of argparse drop one leading "--" themselves;
+        # 3.10, 3.11 and 3.13.0 read it as the command.  Two are left to
+        # argparse, so that no version drops both.
+        if args[:1] == ["--"] and args[1:2] != ["--"]:
+            del args[0]
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(
+                e if len(e) <= _SHOWN_CHARS else f"an argument of {len(e)} characters"
+                for e in extras))
+        return namespace
 
-def _long_choice(text: str, choices) -> str:
-    """The message for a value past ``_SHOWN_CHARS`` that is not a choice."""
-    return (f"invalid choice of {len(text)} characters "
-            f"(choose from {', '.join(map(repr, choices))})")
+    def _get_value(self, action, text):
+        try:
+            return super()._get_value(action, text)
+        except argparse.ArgumentError:  # only --order has a type
+            digits = text.removeprefix("-")
+            if digits.isascii() and digits.isdigit():
+                raise argparse.ArgumentError(action, past_digit_limit(text))
+            if len(text) > _SHOWN_CHARS:
+                raise argparse.ArgumentError(action, f"invalid int value of {len(text)} characters")
+            raise
 
-
-def _choice(*choices: str):
-    """A ``type`` for an option with ``choices``: a value up to ``_SHOWN_CHARS``
-    goes on to argparse's own check, a longer one is named by its length."""
-
-    def check(text: str) -> str:
-        if len(text) > _SHOWN_CHARS:
-            raise argparse.ArgumentTypeError(_long_choice(text, choices))
-        return text
-
-    return check
-
-
-def _command(argv: list[str]) -> str | None:
-    """The command argparse reads from ``argv``: the top level takes only -h,
-    so it is the first argument without a dash.  None where there is none, or
-    where a help request before it stops argparse first."""
-    for arg in argv:
-        if arg == "-h" or (len(arg) > 2 and "--help".startswith(arg)):
-            return None
-        if not arg.startswith("-"):
-            return arg
-    return None
+    def _check_value(self, action, value):
+        if action.choices is not None and len(value) > _SHOWN_CHARS:  # longer than any choice
+            raise argparse.ArgumentError(action, f"invalid choice of {len(value)} characters "
+                                         f"(choose from {', '.join(map(repr, action.choices))})")
+        super()._check_value(action, value)
 
 
 @cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="divprod",
         description="Exact product expansions, divisor-sum recurrences, and identity checks.",
     )
@@ -222,10 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, run, order=True):
         if order:
-            p.add_argument("--order", type=_order, default=100, metavar="N",
+            p.add_argument("--order", type=int, default=100, metavar="N",
                            help="truncation order (default 100)")
-        formats = ("json", "csv")
-        p.add_argument("--format", choices=formats, type=_choice(*formats), default="json",
+        p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
         p.add_argument("--out", metavar="PATH", default=None,
                        help="write output to PATH instead of stdout")
@@ -238,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="expand a product spec file to coefficients")
     p_expand.add_argument("--spec", required=True, metavar="PATH",
                           help="path to a product spec JSON file")
-    algos = ("recurrence", "expansion", "both")
-    p_expand.add_argument("--algo", choices=algos, type=_choice(*algos),
+    p_expand.add_argument("--algo", choices=("recurrence", "expansion", "both"),
                           default="both", help="coefficient algorithm (default both)")
     add_common(p_expand, _cmd_expand)
 
@@ -250,22 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_catalog = sub.add_parser("catalog", help="list identities, built-in specs, sequences")
     add_common(p_catalog, _cmd_catalog, order=False)
-
-    # For main, which names a long unknown command by its length.
-    parser.set_defaults(commands=tuple(sub.choices))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    command = _command(sys.argv[1:] if argv is None else argv)
-    if command is not None and len(command) > _SHOWN_CHARS:  # longer than any command
-        parser.error("argument command: " + _long_choice(command, parser.get_default("commands")))
-    args, extras = parser.parse_known_args(argv)
-    if extras:  # as parse_args reports them, but a long one by its length
-        parser.error("unrecognized arguments: " + " ".join(
-            e if len(e) <= _SHOWN_CHARS else f"an argument of {len(e)} characters"
-            for e in extras))
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:  # a SpecFormatError is a ValueError

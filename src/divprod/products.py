@@ -139,8 +139,9 @@ class SetDescriptor:
 @dataclass(frozen=True, eq=True)
 class WeightSpec:
     """A weight f on a factor's set: f(n) = c*n when ``c`` is given, else
-    the explicit table ``values`` of (n, f(n)) pairs.  A weight takes c or
-    table values, never both; an empty table is a table, not linear(0)."""
+    the explicit table ``values`` of (n, f(n)) pairs, also keyed by n as
+    ``by_n`` (empty if linear).  A weight takes c or table values, never
+    both; an empty table is a table, not linear(0)."""
 
     c: Fraction | None = None
     values: tuple[tuple[int, Fraction], ...] = ()
@@ -151,6 +152,7 @@ class WeightSpec:
                 raise ValueError("a weight takes c or table values, not both")
             object.__setattr__(self, "c", _exact(self.c, "linear weight c"))
             object.__setattr__(self, "values", ())  # an empty list given here would not hash
+            object.__setattr__(self, "by_n", {})
             return
         seen = {}
         for n, v in self.values:
@@ -160,6 +162,7 @@ class WeightSpec:
                 raise ValueError(f"duplicate table entry for n={n}")
             seen[n] = v if type(v) is Fraction else _exact(v, f"table value at n={n}")
         object.__setattr__(self, "values", tuple(sorted(seen.items())))
+        object.__setattr__(self, "by_n", seen)
 
     @classmethod
     def linear(cls, c: Rational) -> "WeightSpec":
@@ -168,11 +171,6 @@ class WeightSpec:
     @classmethod
     def table(cls, values: Mapping[int, Rational]) -> "WeightSpec":
         return cls(values=tuple(values.items()))
-
-    @cached_property
-    def by_n(self) -> dict[int, Fraction]:
-        """The table values keyed by n, built on first read (empty if linear)."""
-        return dict(self.values)
 
     def exponent_at(self, n: int) -> Fraction:
         """The factor exponent of (1-x^n), i.e. -f(n)/n, at a set member n."""

@@ -668,16 +668,17 @@ _KNOWN = ("known: delta_1, delta_10, delta_12, delta_2, delta_4, delta_6, delta_
           "rogers_ramanujan_1, rogers_ramanujan_2, square_eta_quotient, triangular\n")
 
 
-def _plain_command_error(command):
-    """argparse's own last stderr line for an unknown command, from a plain
-    parser with the same commands, in the running Python's format."""
+def _plain_command_error(*argv):
+    """argparse's own last stderr line for an unknown command in ``argv``,
+    from a plain parser with the same commands, in the running Python's
+    format."""
     plain = argparse.ArgumentParser(prog="divprod")
     sub = plain.add_subparsers(dest="command", required=True)
     for name in ("compute", "expand", "verify", "catalog"):
         sub.add_parser(name)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
-        plain.parse_args([command])
+        plain.parse_args(list(argv))
     return err.getvalue().splitlines(keepends=True)[-1]
 
 
@@ -818,6 +819,14 @@ def _plain_command_error(command):
          "error: factors[0].set.kind: unknown set kind a string of 5000 characters\n"),
         (["expand", "--spec", "m.json", "--order", "5"], 2, _EMPTY,
          "error: factors[0].set.m: expected an integer, got a list of length 20000\n"),
+        (["compute", "T", "--order", "-1"], 2, _EMPTY, "error: --order must be nonnegative\n"),
+        # One "--" before the command is dropped on every Python, as the
+        # argparse of current 3.13 releases drops it; after two, the second
+        # is read as the command.
+        (["--", "compute", "sigma", "--order", "5"], 0,
+         "707a93d3ec3be6c109b9223ffd113baf6820b03ccde271f322ceb12dbd3c02f0", ""),
+        (["--", "--", "compute", "sigma", "--order", "5"], 2, _EMPTY,
+         _plain_command_error("--", "--")),
     ],
 )
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, stdout_sha256, stderr):

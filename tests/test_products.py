@@ -1944,6 +1944,72 @@ _ALL_DOC = {"kind": "all"}
             rf"^note\.{'p' * 100}: repeated key 'a'",
             id="repeated-key-under-nested-key-of-100-characters",
         ),
+        # The shape of each set, weight and factor field.
+        pytest.param(
+            _one_factor_doc([]),
+            r'^factors\[0\]\.set: expected an object with a "kind" field$',
+            id="set-list",
+        ),
+        pytest.param(
+            _one_factor_doc({"m": 2}),
+            r'^factors\[0\]\.set: expected an object with a "kind" field$',
+            id="set-without-kind",
+        ),
+        pytest.param(
+            _one_factor_doc(_ALL_DOC, {"c": "1"}),
+            r'^factors\[0\]\.weight: expected an object with a "kind" field$',
+            id="weight-without-kind",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": "residueUnion", "classes": {"0": 2}}),
+            r"^factors\[0\]\.set\.classes: expected a list of \[r, m\] pairs$",
+            id="classes-object",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": "residueUnion", "classes": [[0, 2], [1]]}),
+            r"^factors\[0\]\.set\.classes\[1\]: expected a \[r, m\] pair$",
+            id="class-of-one-item",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": "residueUnion", "classes": []}),
+            r"^factors\[0\]\.set: residue union needs at least one \(r, m\) class$",
+            id="no-classes",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": "residueUnion", "classes": [[0, 0]]}),
+            r"^factors\[0\]\.set: residue modulus must be a positive integer$",
+            id="class-modulus-zero",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": "multiples", "m": 0}),
+            r"^factors\[0\]\.set: multiples requires a positive modulus$",
+            id="multiples-of-zero",
+        ),
+        pytest.param(
+            _one_factor_doc({"kind": "explicit", "members": 3}),
+            r"^factors\[0\]\.set\.members: expected a list of integers$",
+            id="members-not-a-list",
+        ),
+        pytest.param(
+            _one_factor_doc(_ALL_DOC, {"kind": "linear"}),
+            r"^factors\[0\]\.weight\.c: missing linear coefficient$",
+            id="linear-without-c",
+        ),
+        pytest.param(
+            _one_factor_doc(_ALL_DOC, {"kind": "linear", "c": [1]}),
+            r"^factors\[0\]\.weight\.c: expected a rational, got list$",
+            id="c-list",
+        ),
+        pytest.param(
+            _one_factor_doc(_ALL_DOC, {"kind": "table", "values": [1]}),
+            r"^factors\[0\]\.weight\.values: expected an object mapping n to rationals$",
+            id="table-values-list",
+        ),
+        pytest.param(
+            '{"factors": [3]}',
+            r"^factors\[0\]: expected an object$",
+            id="factor-not-an-object",
+        ),
     ],
 )
 def test_spec_parse_errors(doc, needle):
@@ -1962,3 +2028,4 @@ def test_spec_grammar_accepts_documented_forms():
     spec = spec_from_json(_explicit_table_doc({"3": "-6", "04": "8/3"}, members=(3, 4)))
     assert spec.factors[0].weight.values == ((3, Fraction(-6)), (4, Fraction(8, 3)))
     assert spec_from_json(_linear_doc("-0")).factors[0].weight.c == 0
+    assert spec_from_json(_linear_doc(2)).factors[0].weight == WeightSpec.linear(2)
