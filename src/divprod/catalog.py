@@ -7,9 +7,9 @@ and at most one *relation*, for start <= n <= N:
 
     (n - shift) * lhs[n] = scale * sum_k kernel[k] * operand[n - k] + diagonal[n]
 
-The kernel is a sum of divisor-sum terms a * sigma_{r,m}(k/d), written as
-data (``_divisor_kernel``), or a sparse series over the squares or the
-triangular numbers.
+The kernel is a sum of divisor-sum terms a * sigma_{r,m}(k/d), as data
+(``_divisor_kernel``) or read off a product's spec (``_product_kernel``),
+or a sparse series over the squares or the triangular numbers.
 
 A table is a function of the check's ``Tables``, built once per check however
 many fields name it.  Tables look the oracles, the divisor sieves and the
@@ -33,7 +33,8 @@ none builds a table past it.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import combinations, repeat
+from math import gcd
 from operator import add, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -158,9 +159,8 @@ def _on_squares(coeff) -> Table:
     return lambda t: sparse_table(t.order, lambda k: k * k, coeff)
 
 
-_squares = _on_squares(lambda k: 1)  # s(n)
 _theta = _on_squares(lambda k: 2 if k else 1)  # 1 + 2 sum_{k>=1} x^{k^2}
-_alternating_squares = _on_squares(lambda k: (-1) ** k)  # (-1)^n s(n)
+_alternating_squares = _on_squares(lambda k: (-1) ** k)  # (-1)^k at k^2
 _square_signs = _on_squares(lambda k: (-1) ** (k + 1) if k else 0)  # at k^2, k >= 1
 
 
@@ -194,7 +194,6 @@ _sigma = _divisor_kernel((1, 0, 1, 1))
 _odd_minus_even = _divisor_kernel((1, 1, 2, 1), (-1, 0, 2, 1))
 # sigma + sigma_odd, which is even: sigma_even + 2 sigma_odd.
 _sigma_plus_odd = _divisor_kernel((1, 0, 1, 1), (1, 1, 2, 1))
-_eta_quotient_h = _divisor_kernel((1, 0, 1, 1), (-5, 0, 1, 2), (4, 0, 1, 4))
 
 
 def _minus_half(t):
@@ -220,16 +219,27 @@ def _cubic_shifted(t):
     return [0] + t(_cubic)[1:]
 
 
-def _oracle_recurrence(
-    ident: str, oracle: Table, spec: ProductSpec, kernel: Table, scale: int = 1
-) -> Identity:
-    """n f(n) = scale * sum_{k=1..n} kernel[k] f(n-k) for an oracle f, which
-    is also pinned to the expansion of its product ``spec``."""
-    return Identity(
-        ident,
-        pins=(Pin(oracle, _expansion(spec)),),
-        relation=Relation(oracle, kernel, oracle, scale=scale),
-    )
+def _product_kernel(spec: ProductSpec) -> tuple[Table, int]:
+    """The divisor kernel and scale of a product of linear integer weights c
+    over disjoint residue classes: a class r mod m is c * sigma_{r,m}(k) if
+    r > 0, else c * m * sigma(k/m), so the 0 classes share the sieve of sigma.
+    The scale is the gcd of the terms' coefficients, divided out of each."""
+    terms = []
+    for i, factor in enumerate(spec.factors):
+        c, classes = factor.weight.c, factor.set.classes
+        overlap = any((r - s) % gcd(m, n) == 0 for (r, m), (s, n) in combinations(classes, 2))
+        if not classes or overlap or c is None or c.denominator != 1:
+            raise ValueError(f"factors[{i}]: not an integer c over disjoint residue classes")
+        terms += [(int(c), r, m, 1) if r else (int(c) * m, 0, 1, m) for r, m in classes]
+    scale = gcd(*(a for a, *_ in terms)) or 1
+    return _divisor_kernel(*((a // scale, *rmd) for a, *rmd in terms)), scale
+
+
+def _oracle_recurrence(ident: str, oracle: Table, spec: ProductSpec) -> Identity:
+    """n f(n) = scale * sum_k kernel[k] f(n-k), an oracle f pinned to the expansion of ``spec``."""
+    kernel, scale = _product_kernel(spec)
+    relation = Relation(oracle, kernel, oracle, scale=scale)
+    return Identity(ident, pins=(Pin(oracle, _expansion(spec)),), relation=relation)
 
 
 def p_regular(p: int) -> Identity:
@@ -238,32 +248,25 @@ def p_regular(p: int) -> Identity:
         f"p_regular_{p}",
         lambda t: regular_partition_counts(p, t.order),
         p_regular_spec(p),  # raises for p < 2
-        _divisor_kernel((1, 0, 1, 1), (-1, 0, p, 1)),
     )
 
 
 def rogers_ramanujan(which: int) -> Identity:
     """f is the sum side of the first or the second Rogers-Ramanujan identity."""
-    r1, r2 = (1, 4) if which == 1 else (2, 3)
     return _oracle_recurrence(
         f"rogers_ramanujan_{which}",
         lambda t: rogers_ramanujan_sum_side(which, t.order),
         rogers_ramanujan_spec(which),  # raises unless which is 1 or 2
-        _divisor_kernel((1, r1, 5, 1), (1, r2, 5, 1)),
     )
 
 
 def delta(m: int) -> Identity:
-    """f counts the representations by m triangular numbers (the theta power,
-    by Miller's recurrence over the triangular places); the kernel is
-    sigma_odd - sigma_even, scaled by m.  The product formula and the relation
-    hold for every m >= 1."""
+    """f counts the representations by m >= 1 triangular numbers, by Miller's recurrence; the
+    kernel is sigma - 4 sigma(k/2) = sigma_odd - sigma_even, scaled by m."""
     return _oracle_recurrence(
         f"delta_{m}",
         lambda t: triangular_rep_counts(m, t.order),
         delta_spec(m),  # raises unless m is a positive int
-        _odd_minus_even,
-        scale=m,
     )
 
 
@@ -312,13 +315,9 @@ CATALOG: tuple[Identity, ...] = (
     ),
     *(p_regular(p) for p in (2, 3, 5, 7)),
     *(rogers_ramanujan(which) for which in (1, 2)),
-    # n s(n) = h(n) + 2 sum_{k^2 <= n-1} h(n-k^2), with the eta quotient's
-    # expansion pinned to 1 + 2 sum x^{n^2}.
-    Identity(
-        "square_eta_quotient",
-        pins=(Pin(_theta, _expansion(square_quotient_spec())),),
-        relation=Relation(_squares, _theta, _eta_quotient_h),
-    ),
+    # n theta(n) = 2 sum_{k=1..n} h(k) theta(n-k), h(k) = sigma(k) - 5 sigma(k/2)
+    # + 4 sigma(k/4), with theta = 1 + 2 sum x^{n^2} pinned to the expansion.
+    _oracle_recurrence("square_eta_quotient", _theta, square_quotient_spec()),
     *(delta(m) for m in (1, 2, 4, 6, 8, 10, 12)),
     # The square identity summed over the full range k = 1..n-1, zero
     # arguments contributing via the extended divisor sum (sigma(0)=1,

@@ -116,6 +116,17 @@ def test_expansion_function_loads_no_name_of_the_recurrence(function):
     assert not _loaded_names(function) & _RECURRENCE_ONLY
 
 
+def test_product_kernel_loads_nothing_of_the_recurrence_route():
+    """A relation's kernel is read off the spec that its pin expands with the
+    catalog's own code, so the relation stays a check of that spec: neither
+    ``_product_kernel`` nor the divisor kernel it builds loads the
+    recurrence's weight table, route or block product, or the packed product
+    that sums the relation."""
+    names = _loaded_names(catalog._product_kernel, catalog._divisor_kernel)
+    assert "_divisor_kernel" in names
+    assert not names & {"weight_table", "coeffs_via_recurrence", "decimal_mul", "kronecker_mul"}
+
+
 def test_each_route_loads_its_own_packed_product():
     # The scans above read names that the routes do load.
     assert "decimal_mul" in _loaded_names(*_RECURRENCE)

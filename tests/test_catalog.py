@@ -2,9 +2,13 @@
 
 import inspect
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divprod.catalog as catalog
 from divprod.catalog import (
@@ -15,6 +19,7 @@ from divprod.catalog import (
     Identity,
     PREFIX,
     Tables,
+    _product_kernel,
     delta,
     p_regular,
     p_regular_verbatim,
@@ -29,6 +34,7 @@ from divprod.products import (
     ProductSpec,
     SetDescriptor,
     WeightSpec,
+    builtin_spec,
     coeffs_via_expansion,
     delta_spec,
     p_regular_spec,
@@ -101,8 +107,10 @@ def test_rogers_ramanujan_hand_values():
 
 
 def test_square_eta_quotient_hand_values():
-    # n=4: 4 = (7-15+4) + 2*(sigma(3)-0+0)
-    assert 4 == (sigma[4] - 5 * sigma[2] + 4 * sigma[1]) + 2 * sigma[3]
+    # n=4: 4*theta(4) = 2*(h(3)*theta(1) + h(4)*theta(0)), where theta(1..4)
+    # = 2, 0, 0, 2 and h(k) = sigma(k) - 5 sigma(k/2) + 4 sigma(k/4):
+    # 8 = 2*(4*2 + (7-15+4)*1)
+    assert 4 * 2 == 2 * (sigma[3] * 2 + (sigma[4] - 5 * sigma[2] + 4 * sigma[1]))
     assert run_check("square_eta_quotient", 4).passed
 
 
@@ -400,11 +408,11 @@ _SIEVE_CALLS = {
     "jacobi_square": [(50, 0, 1), (50, 1, 2)],
     "triangular": _ODD_EVEN,
     "ramanujan_a": _ODD_EVEN,
-    **{f"p_regular_{p}": [(50, 0, 1), (50, 0, p)] for p in (2, 3, 5, 7)},
+    **{f"p_regular_{p}": [(50, 0, 1)] for p in (2, 3, 5, 7)},
     "rogers_ramanujan_1": [(50, 1, 5), (50, 4, 5)],
     "rogers_ramanujan_2": [(50, 2, 5), (50, 3, 5)],
     "square_eta_quotient": [(50, 0, 1)],
-    **{f"delta_{m}": _ODD_EVEN for m in (1, 2, 4, 6, 8, 10, 12)},
+    **{f"delta_{m}": [(50, 0, 1)] for m in (1, 2, 4, 6, 8, 10, 12)},
     "jacobi_square_verbatim": [(50, 0, 1), (50, 1, 2)],
     "ramanujan_a_verbatim": _ODD_EVEN,
     "p_regular_verbatim_2": [],
@@ -437,24 +445,97 @@ def test_each_check_makes_its_pinned_sieve_calls(monkeypatch):
 # prod (1-x^n)^(-1), whose recurrence kernel is sigma.
 _PARTITIONS_SPEC = ProductSpec((Factor(SetDescriptor.all_naturals(), WeightSpec.linear(1)),))
 
+
+def _derived(spec):
+    """(kernel, scale, spec) with the kernel and scale read off the spec."""
+    return (*_product_kernel(spec), spec)
+
+
 # Each divisor kernel, scaled, is the recurrence kernel of a product spec:
 # (kernel, scale, spec).
 _KERNEL_PRODUCTS = {
-    **{f"delta_{m}": (catalog._odd_minus_even, m, delta_spec(m))
-       for m in (1, 2, 4, 6, 8, 10, 12)},
+    **{f"delta_{m}": _derived(delta_spec(m)) for m in (1, 2, 4, 6, 8, 10, 12)},
     "ramanujan": (catalog._odd_minus_even, 8, ramanujan_spec()),
-    "square_quotient": (catalog._eta_quotient_h, 2, square_quotient_spec()),
+    "square_quotient": _derived(square_quotient_spec()),
     "partitions": (catalog._sigma, 1, _PARTITIONS_SPEC),
-    **{f"p_regular_{p}": (p_regular(p).relation.kernel, 1, p_regular_spec(p))
-       for p in (2, 3, 5, 7)},
-    **{
-        f"rogers_ramanujan_{w}": (rogers_ramanujan(w).relation.kernel, 1, rogers_ramanujan_spec(w))
-        for w in (1, 2)
-    },
+    **{f"p_regular_{p}": _derived(p_regular_spec(p)) for p in (2, 3, 5, 7)},
+    **{f"rogers_ramanujan_{w}": _derived(rogers_ramanujan_spec(w)) for w in (1, 2)},
+    # The other built-ins, whose records state their kernels by hand.
+    **{f"{name}_derived": _derived(builtin_spec(name))
+       for name in ("gauss", "jacobi", "ramanujan")},
 }
+
+
+def assert_kernel_is_weight_table(kernel, scale, spec, order):
+    table = Tables(order)(kernel)
+    assert [scale * v for v in table] == list(weight_table(spec, order).numerators)
 
 
 @pytest.mark.parametrize("kernel, scale, spec", _KERNEL_PRODUCTS.values(), ids=_KERNEL_PRODUCTS)
 def test_divisor_kernel_is_its_products_weight_table(kernel, scale, spec):
-    table = Tables(300)(kernel)
-    assert [scale * v for v in table] == list(weight_table(spec, 300).values)
+    assert_kernel_is_weight_table(kernel, scale, spec, 300)
+
+
+# --- the kernel read off a spec ------------------------------------------------
+
+
+def disjoint(classes):
+    """The classes of a union that share a member with an earlier class are
+    dropped, by a scan of 1..lcm of the two moduli."""
+    kept = []
+    for r, m in classes:
+        if not any(n % m == r and n % k == s
+                   for s, k in kept for n in range(1, m * k // math.gcd(m, k) + 1)):
+            kept.append((r, m))
+    return kept
+
+
+# Up to four residue classes r mod m, m in 1..12 and r = 0 allowed.
+CLASSES = st.lists(
+    st.integers(1, 12).flatmap(lambda m: st.tuples(st.integers(0, m - 1), st.just(m))),
+    min_size=1, max_size=4, unique=True,
+)
+
+
+@st.composite
+def class_specs(draw):
+    """A product of linear weights, nonzero integer c in -4..4, over unions
+    of disjoint residue classes."""
+    factor = st.builds(
+        lambda cs, c: Factor(SetDescriptor.residue_union(disjoint(cs)), WeightSpec.linear(c)),
+        CLASSES, st.integers(-4, 4).filter(bool),
+    )
+    return ProductSpec(tuple(draw(st.lists(factor, min_size=1, max_size=4))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_specs(), st.integers(0, 120))
+def test_product_kernel_is_the_weight_table(spec, order):
+    assert_kernel_is_weight_table(*_derived(spec), order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CLASSES)
+def test_product_kernel_refuses_exactly_the_overlapping_classes(classes):
+    spec = ProductSpec((Factor(SetDescriptor.residue_union(classes), WeightSpec.linear(1)),))
+    if disjoint(classes) == classes:
+        assert_kernel_is_weight_table(*_derived(spec), 60)
+    else:
+        with pytest.raises(ValueError, match="disjoint residue classes"):
+            _product_kernel(spec)
+
+
+@pytest.mark.parametrize("spec, index", [
+    (ProductSpec((Factor(SetDescriptor.explicit([1, 3]), WeightSpec.linear(1)),)), 0),
+    (ProductSpec((
+        Factor(SetDescriptor.all_naturals(), WeightSpec.linear(1)),
+        Factor(SetDescriptor.all_naturals(), WeightSpec.table({1: 1, 2: 4})),
+    )), 1),
+    (ProductSpec((Factor(SetDescriptor.multiples(2), WeightSpec.linear(Fraction(1, 2))),)), 0),
+    # 6 is in both classes, and a union counts it once.
+    (ProductSpec((Factor(SetDescriptor.residue_union([(0, 2), (0, 3)]), WeightSpec.linear(1)),)),
+     0),
+], ids=["explicit set", "table weight", "c = 1/2", "overlapping classes"])
+def test_product_kernel_refuses_what_is_not_a_class_product(spec, index):
+    with pytest.raises(ValueError, match=rf"factors\[{index}\]: not an integer c over disjoint"):
+        _product_kernel(spec)

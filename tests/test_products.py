@@ -871,6 +871,30 @@ def test_a_tail_at_step_1_beside_a_class_tail():
     assert plan.groups[5][1] == [(n, -1) for n in range(4, 50, 4) if n != 44]
 
 
+def test_a_tail_at_an_exact_half_is_not_taken():
+    # -1 at the even n from 4 to 32, with no class: the step-1 scan from the
+    # cut 4 to inner 33 finds -1 on 15 of its 30 degrees, exactly half, which
+    # is not more than half.  So no tail: 15 unit passes, where a tail
+    # (4, 1, -1) would need 15 correction passes at the odd n.
+    spec = ProductSpec((_linear_factor(SetDescriptor.explicit(range(4, 34, 2)), 1),))
+    plan = products.expansion_plan(spec, 33)
+    assert plan == products.ExpansionPlan({1: ([], [(n, -1) for n in range(4, 34, 2)])}, [])
+
+
+def test_a_step_1_tail_at_exactly_seven_tenths_is_not_taken():
+    # -1 over all n as the two classes mod 2, with 0 at 3, 4 and 5.  From the
+    # step-1 cut 2 to inner 11, -1 holds 7 of the 10 degrees, exactly 7/10,
+    # so step 1 takes no tail (it would be (2, 1, -1) with three
+    # corrections); the class scan mod 2 takes one tail per class.
+    spec = ProductSpec((
+        _linear_factor(SetDescriptor.residue_union([(0, 2), (1, 2)]), 1),
+        _linear_factor(SetDescriptor.explicit([3, 4, 5]), -1),
+    ))
+    plan = products.expansion_plan(spec, 11)
+    assert plan == products.ExpansionPlan({1: ([(7, 2, -1), (6, 2, -1)], [(1, -1), (2, -1)])}, [])
+    assert coeffs_via_expansion(spec, 11) == coeffs_via_recurrence(spec, 11)
+
+
 def test_expansion_reads_a_linear_exponent_once_per_factor(monkeypatch):
     # A linear factor's exponent is -c at every member: the expansion reads c
     # once per factor, never a per-member exponent_at.
