@@ -712,6 +712,156 @@ def test_a_tail_on_the_multiples_of_its_step_divides_by_k(monkeypatch, name):
         assert [tail for _, tail, _, _ in tails] == [(32, 4, 1), (101, 1, -1)]
 
 
+def spy_kernels(monkeypatch):
+    """The expansion's kernel calls, in order: ("pass", n, e, size) on a base
+    or the running product, ("tail", b, m, e, on) with on true when its input
+    is zero off the multiples of m, and ("inverse", n, size) for each pass
+    inside a tail, on its copy.  Also the number of the list each call met
+    (None for a tail's copy), from 0 in the order the lists appear, and the
+    set of those numbers whose first call met the series 1 or a list of it."""
+    calls, lists, seen, from_one = [], [], {}, set()
+    real_pass, real_progression = products.apply_binomial_factor, products.apply_progression
+    real_inverse = series.apply_binomial_factor
+
+    def number(coeffs):
+        if id(coeffs) not in seen:
+            seen[id(coeffs)] = len(seen), coeffs  # kept, so that no id is reused
+            if coeffs[0] == 1 and not any(coeffs[1:]):
+                from_one.add(len(seen) - 1)
+        return seen[id(coeffs)][0]
+
+    def on_list(coeffs, n, e):
+        calls.append(("pass", n, e, len(coeffs)))
+        lists.append(number(coeffs))
+        real_pass(coeffs, n, e)
+
+    def progression(coeffs, b, m, e):
+        calls.append(("tail", b, m, e, not any(c for i, c in enumerate(coeffs) if i % m)))
+        lists.append(number(coeffs))
+        real_progression(coeffs, b, m, e)
+
+    def inverse(coeffs, n, e):
+        calls.append(("inverse", n, len(coeffs)))
+        lists.append(None)
+        real_inverse(coeffs, n, e)
+
+    monkeypatch.setattr(products, "apply_binomial_factor", on_list)
+    monkeypatch.setattr(products, "apply_progression", progression)
+    monkeypatch.setattr(series, "apply_binomial_factor", inverse)
+    return calls, lists, from_one
+
+
+def test_psi_multiplies_in_its_ten_positive_passes_first(monkeypatch):
+    # delta(1) is Gauss's psi: the passes (1 - x^(2j)), j = 1..10, below the
+    # tails (22, 2, +1) and (23, 2, -1).  Their polynomial ends at degree
+    # j(j+1), so each runs on 1 + j(j+1) slots, not on 501; the tail then
+    # meets a list on its lattice and divides 240 slots by 1 - y, y = x^2.
+    calls, _, _ = spy_kernels(monkeypatch)
+    got = coeffs_via_expansion(delta_spec(1), 500)
+    assert calls[:12] == [
+        *(("pass", 2 * j, 1, 1 + j * (j + 1)) for j in range(1, 11)),
+        ("tail", 22, 2, 1, True), ("inverse", 1, 240),
+    ]
+    assert got == coeffs_via_recurrence(delta_spec(1), 500)
+
+
+def test_early_passes_on_a_class_keep_its_tail_on_the_lattice(monkeypatch):
+    # p_regular(7)'s tails are (15, 1, -1) and (42, 7, +1); the passes 21, 28
+    # and 35 are multiples of both steps, so they go first, on 22, 50 and 85
+    # slots, and the tail of step 7 still divides 66 slots in y = x^7.  The
+    # inverse passes below 15 come last, on the full list.
+    calls, _, _ = spy_kernels(monkeypatch)
+    got = coeffs_via_expansion(p_regular_spec(7), 500)
+    assert calls[:5] == [("pass", 21, 1, 22), ("pass", 28, 1, 50), ("pass", 35, 1, 85),
+                         ("tail", 42, 7, 1, True), ("inverse", 1, 66)]
+    base_calls = [call for call in calls if call[0] != "inverse"]
+    assert base_calls[4:] == [("tail", 15, 1, -1, True),  # any list is on the step 1
+                              *(("pass", n, -1, 501) for n in range(1, 14) if n != 7)]
+    assert got == coeffs_via_recurrence(p_regular_spec(7), 500)
+
+
+def test_passes_off_a_tail_lattice_and_later_groups_keep_their_order(monkeypatch):
+    # square_quotient builds the groups 3, then 2 on its copy (the ladder's
+    # bit 1), then 1 on that same copy of 3 (bit 0).  Group 3's passes at 2
+    # mod 4 are off its step-4 lattice, so they run after its tail, on 501
+    # slots, and the tail divides 117 slots in y = x^4.  The groups built on
+    # a copy run their tails first and every pass after them, as before.
+    calls, _, _ = spy_kernels(monkeypatch)
+    got = coeffs_via_expansion(square_quotient_spec(), 500)
+    assert calls[:2] == [("tail", 34, 4, 1, True), ("inverse", 1, 117)]
+    assert [call for call in calls if call[0] != "inverse"] == [
+        ("tail", 34, 4, 1, True), *(("pass", n, 1, 501) for n in range(2, 31, 4)),
+        ("tail", 31, 4, -1, False), ("tail", 33, 4, -1, False),
+        *(("pass", n, -1, 501) for n in range(1, 30, 2)),
+        ("tail", 32, 4, 1, False), *(("pass", n, 1, 501) for n in range(4, 29, 4)),
+    ]
+    assert got == coeffs_via_recurrence(square_quotient_spec(), 500)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_the_first_tail_of_a_base_built_from_1_runs_on_its_lattice(monkeypatch, name):
+    spec, order = builtin_spec(name), 500
+    inner = order - spec.shift
+    calls, lists, from_one = spy_kernels(monkeypatch)
+    coeffs_via_expansion(spec, order)
+    first_tails = {}
+    for i, (call, number) in enumerate(zip(calls, lists)):
+        if call[0] == "tail" and number in from_one:
+            first_tails.setdefault(number, i)
+    assert first_tails
+    for i in first_tails.values():
+        _, b, m, _, on = calls[i]
+        assert m > 1 and on
+        assert calls[i + 1] == ("inverse", 1, (inner - b) // m + 1)
+        # Only positive passes on the multiples of m came before it.
+        assert all(call[0] == "pass" and call[2] > 0 and call[1] % m == 0
+                   for call, number in zip(calls[:i], lists) if number == lists[i])
+
+
+# Exponents +3 over all n and +6 at n = 5: the group 3 takes the tail
+# (14, 1, +1), and 5 joins it as two units, (5, 2).  Every pass is positive
+# and on the step 1, so all go first; (5, 2) grows the list by 10 slots.
+TWO_UNITS_EARLY = ProductSpec((
+    _linear_factor(SetDescriptor.all_naturals(), -3),
+    _linear_factor(SetDescriptor.explicit([5]), -3),
+))
+
+
+def test_an_early_pass_of_two_units_grows_the_list_by_both(monkeypatch):
+    assert products.expansion_plan(TWO_UNITS_EARLY, 400) == products.ExpansionPlan(
+        {3: ([(14, 1, 1)], [(n, 2 if n == 5 else 1) for n in range(1, 14)])}, [])
+    calls, _, _ = spy_kernels(monkeypatch)
+    got = coeffs_via_expansion(TWO_UNITS_EARLY, 400)
+    # After the pass at n the polynomial ends at degree n(n+1)/2, plus 5 from
+    # n = 5 on for the second unit of (1 - x^5).
+    assert calls[:14] == [
+        *(("pass", n, 2 if n == 5 else 1, 1 + n * (n + 1) // 2 + 5 * (n >= 5)) for n in range(1, 14)),
+        ("tail", 14, 1, 1, True),
+    ]
+    assert got == coeffs_via_recurrence(TWO_UNITS_EARLY, 400)
+
+
+# Explicit members with the exponents +1 at 2, 3 and 7 and -1 at 4 and 5: no
+# class holds a majority past the cut, so the one group has no tail and every
+# positive pass goes first.  At order 10 the list of (7, 1) stops at 11
+# slots, inner + 1, where its polynomial would need 13.
+NO_TAIL = ProductSpec((
+    _linear_factor(SetDescriptor.explicit([2, 3, 7]), -1),
+    _linear_factor(SetDescriptor.explicit([4, 5]), 1),
+))
+
+
+@pytest.mark.parametrize("order, sizes", [(10, (3, 6, 11)), (400, (3, 6, 13))])
+def test_a_group_with_no_tail_runs_every_positive_pass_first(monkeypatch, order, sizes):
+    assert products.expansion_plan(NO_TAIL, order) == products.ExpansionPlan(
+        {1: ([], [(2, 1), (3, 1), (4, -1), (5, -1), (7, 1)])}, [])
+    calls, _, _ = spy_kernels(monkeypatch)
+    got = coeffs_via_expansion(NO_TAIL, order)
+    assert calls == [("pass", 2, 1, sizes[0]), ("pass", 3, 1, sizes[1]), ("pass", 7, 1, sizes[2]),
+                     ("pass", 4, -1, order + 1), ("pass", 5, -1, order + 1)]
+    assert got == coeffs_via_recurrence(NO_TAIL, order) == per_degree_expansion(NO_TAIL, order)
+
+
 def majority_spec(seed):
     """A seeded spec whose classes take majority tails with corrections, which
     no built-in does: a table weight over all n that is mostly one exponent,
@@ -1073,6 +1223,8 @@ def random_specs(draw, max_shift=3):
 
 @settings(max_examples=60, deadline=None)
 @given(random_specs(), st.integers(min_value=0, max_value=50))
+@example(TWO_UNITS_EARLY, 50)  # an early pass (5, 2) on 21 slots
+@example(NO_TAIL, 10)  # an early pass cut at inner + 1
 def test_routes_agree_on_random_specs(spec, order):
     assert coeffs_via_recurrence(spec, order) == coeffs_via_expansion(spec, order)
 
