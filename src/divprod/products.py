@@ -422,8 +422,7 @@ def coeffs_via_recurrence(spec: ProductSpec, order: int) -> TruncatedSeries:
         mid = (l + r) // 2
         run(l, mid)
         if not table.denominators and max(map(int.bit_length, p[l:mid])) <= WIDTH * (mid - l):
-            block = decimal_mul(p[l:mid], h[: r - l], mid - l, r - l)
-            acc[mid:r] = map(add, acc[mid:r], block)
+            acc[mid:r] = map(add, acc[mid:r], decimal_mul(p[l:mid], h[: r - l]))
             run(mid, r)
         else:
             leaf(l, mid, r)

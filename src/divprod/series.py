@@ -20,14 +20,15 @@ of ``sequences`` return plain tuples.  The arithmetic lives in list kernels:
   slices, with no Python step per coefficient, and wider slots by one
   ``to_bytes`` and one ``from_bytes`` per coefficient;
 * ``decimal_mul``, a second packed product, which reads back only the
-  product's slots start..stop-1; only the recurrence's blocks call it, so
-  that route and the expansion share no kernel.  Below libmpdec's switch to
-  its number-theoretic transform, 1024 words of 19 digits, libmpdec
-  multiplies in quadratic time and CPython's ints are faster, so the slots
-  are bytes of an int, slots of up to 8 bytes written and read by byte
-  planes of 8-byte words with no Python step per coefficient, wider ones
-  by a ``to_bytes`` and a ``from_bytes`` per coefficient; past it they are
-  digits of a Decimal, since the transform beats CPython's Karatsuba there.
+  slots len(a)..len(b)-1 of a*b, the block that the recurrence adds; only
+  that route calls it, so the routes share no kernel.  Below libmpdec's
+  switch to its number-theoretic transform, 1024 words of 19 digits,
+  libmpdec multiplies in quadratic time and CPython's ints are faster, so
+  the slots are bytes of an int, slots of up to 8 bytes written and read
+  by byte planes of 8-byte words with no Python step per coefficient,
+  wider ones by a ``to_bytes`` and a ``from_bytes`` per coefficient; past
+  it they are digits of a Decimal, since the transform beats CPython's
+  Karatsuba there.
 
 ``TruncatedSeries.__mul__`` keeps a plain double sum as their reference.
 ``exact_str`` prints a coefficient in full, past the interpreter's limit on
@@ -361,14 +362,16 @@ def _words_from_slots(raw: bytes, width: int) -> list[int]:
 _TRANSFORM_DIGITS = 1024 * 19
 
 
-def decimal_mul(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
-    """Coefficients start..stop-1 of the product of the integer polynomials
-    a and b (zero past its last slot; empty when start >= stop).
+def decimal_mul(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients len(a)..len(b)-1 of the product of the integer
+    polynomials a and b, for len(a) < len(b): the block that the
+    recurrence adds into acc[mid:r], for a = P[l:mid] and b its kernel's
+    first r - l terms.
 
     Kronecker substitution: each operand is packed into one number with a
     coefficient per slot, the two are multiplied once, and slots
-    start..stop-1 of the product, and no others, are read back.  w digits
-    per slot put max|a| * max|b| * (number of terms in a sum) below
+    len(a)..len(b)-1 of the product, and no others, are read back.  w digits
+    per slot put max|a| * max|b| * len(a) (the most terms in a sum) below
     10**(w-1), and the product's slots * w digits pick the multiplier:
 
     * up to ``_TRANSFORM_DIGITS``, where libmpdec multiplies in quadratic
@@ -395,16 +398,10 @@ def decimal_mul(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
     ``_exact_int`` only when the slots are wider than the int-to-str digit
     limit, which is never raised.  No code is shared with ``kronecker_mul``.
     """
-    check_order(start)
-    check_order(stop)
-    out = [0] * max(stop - start, 0)
-    a, b = a[:stop], b[:stop]
-    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0)
+    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * len(a)
+    if not bound:
+        return [0] * (len(b) - len(a))
     slots = len(a) + len(b) - 1
-    top = min(stop, slots)  # slots top..stop-1 are past the product
-    if not bound or start >= top:
-        return out
-    bound *= min(len(a), len(b))
     # 10**(w-1) > 2**bit_length > bound, as 0.30103 > log10(2).
     w = bound.bit_length() * 30103 // 100000 + 2
     if slots * w <= _TRANSFORM_DIGITS:
@@ -420,13 +417,10 @@ def decimal_mul(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
             return int.from_bytes(raw, "little") - bias
 
         product = pack_bytes(a) * pack_bytes(b) + int.from_bytes(half * slots, "little")
-        raw = product.to_bytes(width * slots, "little")[width * start : width * top]
+        raw = product.to_bytes(width * slots, "little")[width * len(a) : width * len(b)]
         if width <= 8:
-            out[: top - start] = map(sub, _words_from_slots(raw, width), repeat(h))
-        else:
-            out[: top - start] = [int.from_bytes(raw[i : i + width], "little") - h
-                                  for i in range(0, len(raw), width)]
-        return out
+            return list(map(sub, _words_from_slots(raw, width), repeat(h)))
+        return [int.from_bytes(raw[i : i + width], "little") - h for i in range(0, len(raw), width)]
     h = 5 * 10 ** (w - 1)
     # Every slot, h too, is written and read as exactly w digits, so the
     # builtin str and int raise past the int-to-str digit limit for all of
@@ -444,8 +438,6 @@ def decimal_mul(a: list[int], b: list[int], start: int, stop: int) -> list[int]:
 
     text = str(ctx.add(ctx.multiply(pack(a), pack(b)), Decimal(half * slots)))
     # Slot j is the w digits ending j*w from the end (the top slot has w
-    # digits too); only slots start..top-1 are cut out and read.
-    end = len(text) - start * w
-    low = end - (top - start) * w
-    out[: top - start] = [read(text[j - w : j]) - h for j in range(end, low, -w)]
-    return out
+    # digits too); only slots len(a)..len(b)-1 are cut out and read.
+    end = len(text)
+    return [read(text[j - w : j]) - h for j in range(end - len(a) * w, end - len(b) * w, -w)]

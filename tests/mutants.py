@@ -9,9 +9,10 @@ the row's old text, which must occur exactly once in its file, by the new
 text, and runs the row's selection with ``PYTHONPATH`` (and pytest's
 ``pythonpath``) at the copy.  It exits 1 if a selection passes, so that the
 mutant survives, or if a row's old text is missing or repeated, so that a
-stale row is caught.  A selection should run in-process: the tests'
-conftest puts the checkout's ``src`` first for ``python -m divprod``
-subprocesses.  Stdlib only; pytest does not collect this file.
+stale row is caught.  A selection may start ``python -m divprod`` in a
+subprocess: the tests' conftest lets the ``PYTHONPATH`` entry that holds a
+``divprod`` package win, so the subprocess runs the mutated copy too.
+Stdlib only; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -60,6 +61,54 @@ ROWS = [
         "if den * count >= num * ((inner - s) // m + 1):",
         ["tests/test_products.py::test_a_tail_at_an_exact_half_is_not_taken",
          "tests/test_products.py::test_a_step_1_tail_at_exactly_seven_tenths_is_not_taken"],
+    ),
+    # kronecker_mul's slots without the spare sign bit.  The half and packed
+    # lines tell it from decimal_mul's width line.
+    (
+        "divprod/series.py",
+        "    width = (bound.bit_length() + 8) // 8  # one spare bit for the sign\n"
+        "    half = 1 << (8 * width - 1)\n"
+        "    packed = _pack(a, width, half)",
+        "    width = (bound.bit_length() + 7) // 8  # one spare bit for the sign\n"
+        "    half = 1 << (8 * width - 1)\n"
+        "    packed = _pack(a, width, half)",
+        ["tests/test_series.py::test_kronecker_mul_at_each_slot_width",
+         "tests/test_series.py::test_kronecker_mul_near_the_word_limit"],
+    ),
+    # Euler's second sum started one term of the progression late.
+    (
+        "divprod/series.py",
+        "m * k * (k - 1) // 2",
+        "m * k * (k + 1) // 2",
+        ["tests/test_series.py::test_progression_on_one_is_euler_product"],
+    ),
+    # first_mismatch blind to a mismatch at its start index.
+    (
+        "divprod/report.py",
+        "count(start), map(ne, lhs, rhs)",
+        "count(start + 1), map(ne, lhs[1:], rhs[1:])",
+        ["tests/test_report.py::test_mismatch_at_start_index"],
+    ),
+    # A product of exactly _TRANSFORM_DIGITS digits sent to libmpdec.
+    (
+        "divprod/series.py",
+        "if slots * w <= _TRANSFORM_DIGITS:",
+        "if slots * w < _TRANSFORM_DIGITS:",
+        ["tests/test_series.py::test_decimal_mul_switches_to_libmpdec_past_its_transform_threshold"],
+    ),
+    # decimal_mul's block read back one slot low on the int side.
+    (
+        "divprod/series.py",
+        "[width * len(a) : width * len(b)]",
+        "[width * (len(a) - 1) : width * (len(b) - 1)]",
+        ["tests/test_series.py::test_decimal_mul_int_side_at_every_slot_width"],
+    ),
+    # The CLI module run by python -m divprod does nothing and exits 3.
+    (
+        "divprod/__main__.py",
+        "entrypoint()",
+        "raise SystemExit(3)",
+        ["tests/test_cli.py::test_exit_codes_and_byte_stability_subprocess"],
     ),
 ]
 

@@ -184,9 +184,9 @@ def test_routes_run_with_the_other_routes_packed_product_refused(monkeypatch, na
     blocks = []
     real = products.decimal_mul
 
-    def spy(a, b, start, stop):
+    def spy(a, b):
         blocks.append(len(a))
-        return real(a, b, start, stop)
+        return real(a, b)
 
     with monkeypatch.context() as patch:
         patch.setattr(products, "decimal_mul", _refuse)

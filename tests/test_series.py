@@ -504,14 +504,13 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)
 WIDTH_EDGE = 2**63 - 1
 
 
-def decimal_mul_leaves_no_state(a, b, start, stop):
-    """decimal_mul(a, b, start, stop), asserting that the thread's decimal
-    context and the int-to-str digit limit are what they were before the
-    call."""
+def decimal_mul_leaves_no_state(a, b):
+    """decimal_mul(a, b), asserting that the thread's decimal context and the
+    int-to-str digit limit are what they were before the call."""
     context, limit = decimal.getcontext(), DIGIT_LIMIT()
     before = (context.prec, context.Emax, context.Emin, context.rounding,
               dict(context.traps), dict(context.flags))
-    out = decimal_mul(a, b, start, stop)
+    out = decimal_mul(a, b)
     assert decimal.getcontext() is context
     assert (context.prec, context.Emax, context.Emin, context.rounding,
             dict(context.traps), dict(context.flags)) == before
@@ -523,44 +522,32 @@ def decimal_mul_leaves_no_state(a, b, start, stop):
 @given(wide_lists, wide_lists, st.integers(min_value=0, max_value=40))
 @example([0, 0], [1, -2, 3], 4)  # a zero operand
 @example([1, -1], [1, 1], 3)  # borrows between slots
-@example([3, 0, -7], [2**4096, -(2**4096)], 9)  # order past both lengths
+@example([3, 0, -7], [2**4096, -(2**4096)], 9)  # a block past both lengths
 @example([-3, -1, -4], [-1, -5, -9, -2], 6)  # all negative
 @example([7], [-9], 3)  # one slot each
 @example([WIDTH_EDGE] * 2, [WIDTH_EDGE] * 2, 2)  # x^1 equals the width bound
-# Past the switch to libmpdec's transform: 1199 slots of 35 digits, and 3
-# slots of 12947 digits.
+# Past the switch to libmpdec's transform: 2500 slots of 35 digits, and 8
+# slots of 12946 digits.
 @example([2**50 - 3, -(2**49)] * 300, [-(2**50) + 1, 7] * 300, 1300)
 @example([2**22000 + 1, -5], [-(2**21000), 3], 4)
 def test_decimal_mul_matches_kronecker_mul(a, b, order):
-    assert decimal_mul_leaves_no_state(a, b, 0, order + 1) == kronecker_mul(a, b, order)
-    assert decimal_mul_leaves_no_state(a, a, 0, order + 1) == kronecker_mul(a, a, order)
-
-
-@settings(max_examples=200, deadline=None)
-@given(wide_lists, wide_lists, st.integers(min_value=0, max_value=50),
-       st.integers(min_value=0, max_value=50))
-@example([1, -1], [1, 1], 2, 2)  # start == stop
-@example([1, 2, 3], [4, 5], 4, 9)  # start past the last product slot (3)
-@example([1, 2, 3], [4, 5], 3, 9)  # start at the last product slot
-@example([-3, -1, -4], [-1, -5, -9, -2], 2, 5)  # the slots a block keeps
-@example([1, 2], [3, 4], 5, 1)  # start > stop
-def test_decimal_mul_reads_back_slots_start_to_stop(a, b, start, stop):
-    full = kronecker_mul(a, b, max(start, stop))
-    assert decimal_mul_leaves_no_state(a, b, start, stop) == full[start:stop]
+    # Each operand as the block's P[l:mid], against the other cut or padded
+    # with zeros to order + 1 terms longer: slots len(a) .. len(a) + order.
+    for lo, hi in ((a, b), (b, a)):
+        hi = (hi + [0] * (len(lo) + order + 1))[: len(lo) + order + 1]
+        assert decimal_mul_leaves_no_state(lo, hi) == kronecker_mul(lo, hi, len(hi) - 1)[len(lo) :]
 
 
 def test_decimal_mul_edge_cases():
-    assert decimal_mul([0, 0, 0], [0], 0, 3) == [0, 0, 0]
-    assert decimal_mul([5], [0, 0], 0, 1) == [0]
-    assert decimal_mul([2], [3], 0, 5) == [6, 0, 0, 0, 0]
-    assert decimal_mul([1, 2, 3], [1, 2, 3], 0, 1) == [1]
-    with pytest.raises(ValueError, match="order"):
-        decimal_mul([1], [1], 0, -1)
+    assert decimal_mul([0, 0, 0], [0] * 6) == [0, 0, 0]
+    assert decimal_mul([5], [0, 0]) == [0]
+    assert decimal_mul([2], [3, 4]) == [8]
+    assert decimal_mul([1, 2], [1, 2, 3]) == [7]
 
 
-def contexts_built(monkeypatch, a, b, start, stop):
-    """decimal_mul(a, b, start, stop) and the number of decimal contexts it
-    built: one on libmpdec's side of the switch, none on the int side."""
+def contexts_built(monkeypatch, a, b):
+    """decimal_mul(a, b) and the number of decimal contexts it built: one on
+    libmpdec's side of the switch, none on the int side."""
     built = []
 
     def spy(*args, **kwargs):
@@ -568,21 +555,22 @@ def contexts_built(monkeypatch, a, b, start, stop):
         return decimal.Context(*args, **kwargs)
 
     monkeypatch.setattr(series, "Context", spy)
-    return decimal_mul_leaves_no_state(a, b, start, stop), len(built)
+    return decimal_mul_leaves_no_state(a, b), len(built)
 
 
 def test_decimal_mul_switches_to_libmpdec_past_its_transform_threshold(monkeypatch):
     assert series._TRANSFORM_DIGITS == 1024 * 19
     # bound = 2**49 * 1 * 512 = 2**58, of 59 bits: 19 digits a slot, so 1024
     # slots are exactly the threshold's 19456 digits, and the ints multiply.
+    # The block reads back slot 512 alone.
     a, b = [1, -1] * 256, [2**49, -(2**49) + 1] * 256 + [3]
-    out, built = contexts_built(monkeypatch, a, b, 0, 1024)
-    assert (out, built) == (kronecker_mul(a, b, 1023), 0)
+    out, built = contexts_built(monkeypatch, a, b)
+    assert (out, built) == (kronecker_mul(a, b, 512)[512:], 0)
     # bound = 2**59, of 60 bits: 20 digits a slot, one more, and libmpdec
     # multiplies.
     b[0] = 2**50
-    out, built = contexts_built(monkeypatch, a, b, 0, 1024)
-    assert (out, built) == (kronecker_mul(a, b, 1023), 1)
+    out, built = contexts_built(monkeypatch, a, b)
+    assert (out, built) == (kronecker_mul(a, b, 512)[512:], 1)
 
 
 def _signed(rng, bits, size):
@@ -603,36 +591,47 @@ SIDES = [
 @pytest.mark.parametrize("a, b, built", SIDES, ids=["int-narrow", "decimal-narrow", "int-wide",
                                                     "decimal-wide"])
 def test_decimal_mul_matches_kronecker_mul_on_both_sides_of_the_switch(monkeypatch, a, b, built):
-    top = len(a) + len(b) - 1
-    full = kronecker_mul(a, b, top + 2)
-    assert contexts_built(monkeypatch, a, b, 0, top + 3) == (full, built)
-    # A window, as a block asks for: slots len(a) .. top-1, and one that
-    # stops short of the product's top slot.
-    assert contexts_built(monkeypatch, a, b, len(a), top) == (full[len(a) : top], built)
-    assert contexts_built(monkeypatch, a, b, 3, top - 2) == (full[3 : top - 2], built)
-    # From the top slot on, only zeros; nothing is multiplied.
-    assert contexts_built(monkeypatch, a, b, top, top + 3) == ([0, 0, 0], 0)
-    assert contexts_built(monkeypatch, a, b, top + 1, top + 2) == ([0], 0)
+    a, b = sorted((a, b), key=len)  # the shorter operand is the block's P[l:mid]
+    # The block, which stops short of the product's top slot, and with b
+    # padded by len(a) - 1 zeros, which reads up to that top slot.  The zeros
+    # leave the slot as wide as it was.
+    for hi in (b, b + [0] * (len(a) - 1)):
+        full = kronecker_mul(a, hi, len(hi) - 1)
+        assert contexts_built(monkeypatch, a, hi) == (full[len(a) :], built)
+
+
+@pytest.mark.parametrize("a, b, built", SIDES, ids=["int-narrow", "decimal-narrow", "int-wide",
+                                                    "decimal-wide"])
+def test_decimal_mul_is_the_sum_the_recurrence_adds_over_a_block(monkeypatch, a, b, built):
+    # With l = 0, a block adds sum(P[i] * h[j - i] for i < mid) into acc[j]
+    # for mid <= j < r, and asks for decimal_mul(P[:mid], h[:r]).  The sums
+    # are taken term by term here, with no packed product.
+    p, h = sorted((a, b), key=len)
+    mid = len(p)
+    for r in (len(h), len(h) + mid - 1):
+        hr = (h + [0] * r)[:r]
+        sums = [sum(p[i] * hr[j - i] for i in range(mid)) for j in range(mid, r)]
+        assert contexts_built(monkeypatch, p, hr) == (sums, built)
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT(), reason="no int-to-str digit limit")
 def test_decimal_mul_slot_wider_than_the_digit_limit():
     # Each slot is wider than str(int) may write or int(str) may read.
     big = 10 ** (DIGIT_LIMIT() + 7) + 3
-    a, b = [big, -1, 2], [-big, 5]
-    out = decimal_mul_leaves_no_state(a, b, 0, 6)
-    assert out == kronecker_mul(a, b, 5)
-    assert out[0] == -(big * big)
-    # Slots 2..3 alone are read back the same way; slots past the product are 0.
-    assert decimal_mul_leaves_no_state(a, b, 2, 4) == out[2:4]
-    assert decimal_mul_leaves_no_state(a, b, 4, 6) == [0, 0]
+    a, b = [-1, big], [2, -big, 5, 0]
+    out = decimal_mul_leaves_no_state(a, b)
+    assert out == kronecker_mul(a, b, 3)[2:]
+    assert out == [-(big * big) - 5, 5 * big]
 
 
 def slot_width_cases(width):
-    """Operand pairs whose slot on decimal_mul's int side is ``width`` bytes,
+    """Blocks (a, b) whose slot on decimal_mul's int side is ``width`` bytes,
     h = 2**(8*width - 1) being half a slot: coefficients at +-(h - 1), the
     slot's extremes, times a single +-1, and n-term operands whose bound
-    n * t**2 nears h, one pair all negative."""
+    n * t**2 nears h, one pair all negative.  The shorter operand of each
+    pair is a, and b is the longer, padded with the fewest zeros that make
+    it longer than a, or with len(a) zeros, so that the block reads one slot
+    past the product's top.  Zeros leave the slot as wide as it was."""
     h = 1 << (8 * width - 1)
     rng = random.Random(width)
     cases = [([h - 1, -(h - 1), 0, h - 1, -(h - 1)], [1]),
@@ -644,7 +643,11 @@ def slot_width_cases(width):
         b = [rng.randint(-t, t) for _ in range(n)]
         a[0], b[-1] = t, -t  # the width reached, whatever the draw
         cases += [(a, b), ([-rng.randint(1, t) for _ in range(n - 1)] + [-t], [-t] * n)]
-    return cases
+    blocks = []
+    for a, b in cases:
+        a, b = sorted((a, b), key=len)
+        blocks += [(a, b + [0] * max(len(a) + 1 - len(b), 0)), (a, b + [0] * len(a))]
+    return blocks
 
 
 @pytest.mark.parametrize("width", range(1, 25))
@@ -653,15 +656,9 @@ def test_decimal_mul_int_side_at_every_slot_width(monkeypatch, width):
     # 9-16 and 17-24 bytes, two and three words wide, by a call per
     # coefficient.
     for a, b in slot_width_cases(width):
-        assert slot_width(a, b, len(a) + len(b)) == width, (a, b)
-        top = len(a) + len(b) - 1  # the product's slots are 0 .. top-1
-        full = schoolbook(a, b, top + 3)
-        # Windows inside the product, windows whose stop is past it, and
-        # windows with start >= top, which are all zeros.
-        windows = [(0, top), (1, top - 1), (len(a), top), (0, top + 3), (top - 1, top + 2),
-                   (top, top), (top, top + 2), (top + 1, top + 4)]
-        for start, stop in windows:
-            assert contexts_built(monkeypatch, a, b, start, stop) == (full[start:stop], 0), (a, b, start)
+        assert slot_width(a, b, len(b) - 1) == width, (a, b)
+        full = schoolbook(a, b, len(b) - 1)
+        assert contexts_built(monkeypatch, a, b) == (full[len(a) :], 0), (a, b)
 
 
 class _BigEndianSignedOrUnsignedWords(_BigEndianWords):
@@ -689,9 +686,7 @@ def test_decimal_mul_byte_planes_on_a_big_endian_host(monkeypatch, width):
     monkeypatch.setattr(series, "array", _BigEndianSignedOrUnsignedWords)
     monkeypatch.setattr(series, "sys", types.SimpleNamespace(byteorder="big"))
     for a, b in slot_width_cases(width):
-        top = len(a) + len(b) - 1
-        assert decimal_mul(a, b, 0, top + 2) == schoolbook(a, b, top + 1), (a, b)
-        assert decimal_mul(a, b, len(a), top) == schoolbook(a, b, top)[len(a) : top], (a, b)
+        assert decimal_mul(a, b) == schoolbook(a, b, len(b) - 1)[len(a) :], (a, b)
 
 
 def test_exact_str_prints_what_str_prints():
@@ -716,8 +711,6 @@ def test_exact_str_prints_past_the_digit_limit():
     [
         lambda order: binomial_factor(1, 1, order),
         lambda order: kronecker_mul([1, 2], [1, 2], order),
-        lambda order: decimal_mul([1, 2], [1, 2], 0, order),
-        lambda order: decimal_mul([1, 2], [1, 2], order, 3),
         lambda order: divisor_sums(order, [(1, 1)]),
         lambert_cubic_prefix,
         partition_counts,
@@ -729,10 +722,10 @@ def test_exact_str_prints_past_the_digit_limit():
         lambda order: coeffs_via_recurrence(gauss_spec(), order),
         lambda order: coeffs_via_expansion(gauss_spec(), order),
     ],
-    ids=["binomial_factor", "kronecker_mul", "decimal_mul", "decimal_mul_start", "divisor_sums",
-         "lambert_cubic_prefix", "partition_counts", "regular_partition_counts",
-         "rogers_ramanujan_sum_side", "triangular_rep_counts", "sparse_table", "weight_table",
-         "coeffs_via_recurrence", "coeffs_via_expansion"],
+    ids=["binomial_factor", "kronecker_mul", "divisor_sums", "lambert_cubic_prefix",
+         "partition_counts", "regular_partition_counts", "rogers_ramanujan_sum_side",
+         "triangular_rep_counts", "sparse_table", "weight_table", "coeffs_via_recurrence",
+         "coeffs_via_expansion"],
 )
 def test_every_order_argument_is_a_nonnegative_int(fn):
     for order, error, message in [
